@@ -73,19 +73,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _parse_list(text: str, convert, what: str) -> list:
+    """Comma-separated values; an empty entry (as in "0.1,,0.2") is a usage error."""
+    tokens = text.split(",")
+    if "" in tokens:
+        raise UsageError(f"bad {what} list {text!r}: empty entry")
+    try:
+        return [convert(tok) for tok in tokens]
+    except ValueError as exc:
+        raise UsageError(f"bad {what} list {text!r}: {exc}") from None
+
+
 def _parse_biases(args) -> RegisterBiases:
     has_list = getattr(args, "biases", None) is not None
     has_pair = getattr(args, "n", None) is not None or getattr(args, "epsilon", None) is not None
     if has_list and has_pair:
         raise UsageError("--biases and --n/--epsilon are mutually exclusive")
     if has_list:
-        try:
-            values = [float(tok) for tok in args.biases.split(",") if tok != ""]
-        except ValueError as exc:
-            raise UsageError(f"bad bias list {args.biases!r}: {exc}") from None
-        if not values:
-            raise UsageError("empty bias list")
-        return RegisterBiases.from_values(values)
+        return RegisterBiases.from_values(_parse_list(args.biases, float, "bias"))
     if args.n is None or args.epsilon is None:
         raise UsageError("provide either --biases or both --n and --epsilon")
     return RegisterBiases.equal(args.n, args.epsilon)
@@ -223,11 +228,7 @@ def cmd_circuit(args) -> int:
             raise UsageError("--lim and --from-biases are mutually exclusive")
         circuit = lim_comp(args.lim)
     elif args.from_biases is not None:
-        try:
-            values = [float(tok) for tok in args.from_biases.split(",") if tok != ""]
-        except ValueError as exc:
-            raise UsageError(f"bad bias list {args.from_biases!r}: {exc}") from None
-        register = RegisterBiases.from_values(values)
+        register = RegisterBiases.from_values(_parse_list(args.from_biases, float, "bias"))
         swaps = find_optswaps(probamps(register))
         circuit = nb_maxcomp(register.n, swaps)
     else:
@@ -243,12 +244,8 @@ def cmd_sweep(args) -> int:
     if args.ns is not None:
         if args.epsilon is None:
             raise UsageError("--ns requires --epsilon")
-        try:
-            ns = [int(tok) for tok in args.ns.split(",") if tok != ""]
-        except ValueError as exc:
-            raise UsageError(f"bad size list {args.ns!r}: {exc}") from None
         key = "n"
-        for n in ns:
+        for n in _parse_list(args.ns, int, "size"):
             rounds = args.rounds if args.rounds is not None else max_rounds(n)
             config = HbacConfig(RegisterBiases.equal(n, args.epsilon), rounds,
                                 precision=args.precision, mode=args.mode)
@@ -256,13 +253,9 @@ def cmd_sweep(args) -> int:
     elif args.epsilons is not None:
         if args.n is None:
             raise UsageError("--epsilons requires --n")
-        try:
-            epsilons = [float(tok) for tok in args.epsilons.split(",") if tok != ""]
-        except ValueError as exc:
-            raise UsageError(f"bad bias list {args.epsilons!r}: {exc}") from None
         key = "epsilon"
         rounds = args.rounds if args.rounds is not None else max_rounds(args.n)
-        for eps in epsilons:
+        for eps in _parse_list(args.epsilons, float, "bias"):
             config = HbacConfig(RegisterBiases.equal(args.n, eps), rounds,
                                 precision=args.precision, mode=args.mode)
             rows.append((key, eps, register_compression(config).complexity))

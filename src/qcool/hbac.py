@@ -2,8 +2,8 @@
 
 Register compression drives every qubit to its per-round limit, round by
 round.  Within a round, each subspace head x = 1..n-r-1 is cooled by
-subspace compression: sub-registers v..n are repeatedly rebuilt as product
-states from the recorded biases, beneficial complementary exchanges are
+subspace compression: sub-registers v..n are repeatedly treated as product
+states of the recorded biases, beneficial complementary exchanges are
 applied one at a time, all marginals are recomputed after every exchange,
 and any marginal that falls below its default bias is floored there (the
 heat-bath reset).  Exchanges stop early once the running head bias meets the
@@ -13,6 +13,13 @@ an ancilla below its previous-round level, the subroutine re-enters itself;
 the re-entry worklist here is an explicit stack with the exact semantics of
 the self-calls, since the chain can grow deeper than the interpreter allows.
 
+Nearly every pass can gain only from the limiting exchange
+|011..1> <-> |100..0>, and ``lim`` mode performs no other.  A log-domain
+test on the biases proves the former before a ``full`` pass, which then,
+like every ``lim`` pass, costs O(q) scalar products for a q-qubit
+sub-register.  Only the rare other ``full`` passes build all 2^q probamps
+and the full beneficial mask.  Both paths yield bit-identical exchanges.
+
 Every individual pair exchange is counted; the total is the run's
 complexity.  Pass counts are reported alongside for the coarser reading of
 a "swap" as one full compression application.
@@ -20,12 +27,14 @@ a "swap" as one full compression application.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .compress import _beneficial_mask
+from .compress import _beneficial, _beneficial_mask
 from .errors import DivergenceError
 from .limits import LimitMatrix, max_rounds, numerical_limits
 from .regstate import RegisterBiases, _probamps_raw
@@ -95,26 +104,92 @@ class CompressionState:
         self.defaults = np.asarray(self.defaults, dtype=float)
 
 
+#: Margin by which the log-domain gate must rule out every non-limiting pair.
+#: It keeps each such pair's exact probamp ratio below exp(-2e-9).  Rounding
+#: in the sum of at most 26 atanh terms is below 1e-12, in a product of at
+#: most 26 factors below 1e-14 relative, and the 1e-12 relative tie tolerance
+#: of the beneficial test only ever removes pairs, so the gate stays
+#: conservative.
+GATE_MARGIN = 1e-9
+
+#: Smallest ((1 - max beta) / 2)^q the gate accepts.  No probamp entry or
+#: partial product of the build falls below that bound, so above this floor
+#: none is subnormal and float rounding cannot reorder a complementary pair
+#: whose exact ratio the margin separates from 1.
+_NORMAL_FLOOR = 1e-280
+
+
+@functools.cache
 def _pair_signs(k: int, q: int) -> np.ndarray:
-    # +1 where bit i of k (MSB-first over q bits) is 0, else -1
+    """Marginal shift signs of pair k over q qubits, read-only and cached.
+
+    +1 where bit i of k (MSB-first over q bits) is 0, else -1.  Rows are
+    cached as pairs occur: a table of all 2^(q-1) pairs would take 13 times
+    the memory of the probamp vector at the 26-qubit size cap.
+    """
     shifts = np.arange(q - 1, -1, -1)
-    return 1.0 - 2.0 * ((k >> shifts) & 1)
+    signs = 1.0 - 2.0 * ((k >> shifts) & 1)
+    signs.setflags(write=False)
+    return signs
+
+
+def _only_limiting_pair(beta: list[float]) -> bool:
+    """True when no pair but the limiting one |011..1> <-> |100..0> can be beneficial.
+
+    With a_i = atanh(beta_i), pair k is beneficial only if
+    sum_i s_i(k) a_i < 0, where s_i(k) = +1 if bit i of k is 0, else -1.
+    The limiting pair has every s_i = -1 for i >= 2; the best other pair
+    flips the smallest a_i back, which leaves
+    M = sum_{i>=2} a_i - 2 min_{i>=2} a_i - a_1.  M below -GATE_MARGIN rules
+    all of them out.  Biases outside [0, 1) or near-saturated registers
+    defer to the full mask.
+    """
+    top = max(beta)
+    if not (min(beta) >= 0.0 and top < 1.0
+            and ((1.0 - top) / 2.0) ** len(beta) >= _NORMAL_FLOOR):
+        return False
+    a = [math.atanh(b) for b in beta]
+    rest = a[1:]
+    return sum(rest) - 2.0 * min(rest) - a[0] < -GATE_MARGIN
+
+
+def _limiting_probamps(beta: list[float]) -> tuple[float, float]:
+    """Probamps of |011..1> and |100..0>, bit-identical to the full build's entries.
+
+    The full build multiplies each entry's factors left to right in qubit
+    order, starting from 1.0 (and 1.0 * x is exact); so does this.
+    """
+    head, *rest = beta
+    p_k, p_kk = (1.0 + head) / 2.0, (1.0 - head) / 2.0
+    for b in rest:
+        p_k *= (1.0 - b) / 2.0
+        p_kk *= (1.0 + b) / 2.0
+    return p_k, p_kk
 
 
 def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
                   v: int, beta: np.ndarray, passes_used: int) -> tuple[np.ndarray, int, int]:
     """Converge the head of sub-register v..n; returns (biases, swaps, passes).
 
-    One while-pass: rebuild the product state from the recorded biases, then
-    walk the complementary pairs, exchanging each beneficial one.  The raw
-    marginals are tracked exactly through each exchange (a pair exchange of
-    gap d shifts qubit i's marginal by 2 d sign_i) and floored at the
-    defaults after every exchange.  The pass ratio is the head bias after
-    the pass over the head bias before it.
+    One while-pass: from the recorded biases, find the beneficial
+    complementary pairs of the product state, then exchange each in index
+    order.  The raw marginals are tracked exactly through each exchange (a
+    pair exchange of gap d shifts qubit i's marginal by 2 d sign_i) and
+    floored at the defaults after every exchange.  The pass ratio is the
+    head bias after the pass over the head bias before it.
+
+    ``lim`` mode exchanges only the limiting pair, and in almost every
+    ``full`` pass only that pair can be beneficial.  In ``lim`` mode, and
+    whenever :func:`_only_limiting_pair` proves the latter from the biases,
+    the pass costs O(q): the pair's two probamps are built as scalars in the
+    full build's multiplication order and tested with the same tie rule.
+    Otherwise a ``full`` pass falls back to building all 2^q probamps and
+    the full beneficial mask.  Both paths give bit-identical exchanges.
     """
     r = state.round_index
     n = state.defaults.size
     q = n - v + 1
+    limiting = (1 << (q - 1)) - 1
     defaults_v = state.defaults[v - 1:]
     prec = state.precision
     # Which cap applies to this sub-register's head (checked before each
@@ -143,29 +218,29 @@ def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
                 f"(round {r}, head {x}, target {v})",
                 round_index=r, subspace=x, passes=passes_used + passes)
         beta = gamma.copy()
-        p = _probamps_raw(beta)
         raw = beta.copy()
         gamma = np.maximum(raw, defaults_v)
         head_before = gamma[0]
-        size = p.size
-        # Complementary pairs are disjoint, so the pass-start beneficial set
-        # equals on-the-fly re-testing; iterate only over it, in index order.
-        mask = _beneficial_mask(p[:size // 2], p[::-1][:size // 2])
-        if state.mode == MODE_LIM:
-            beneficial = (size // 2 - 1,) if mask[size // 2 - 1] else ()
+        values = beta.tolist()
+        if state.mode == MODE_LIM or _only_limiting_pair(values):
+            p_k, p_kk = _limiting_probamps(values)
+            pairs = [(limiting, p_kk - p_k)] if _beneficial(p_k, p_kk) else []
         else:
-            beneficial = np.nonzero(mask)[0]
-        for k in beneficial:
+            # Complementary pairs are disjoint, so the pass-start beneficial
+            # set equals on-the-fly re-testing; walk it in index order.
+            p = _probamps_raw(beta)
+            half = p.size // 2
+            head, tail = p[:half], p[::-1][:half]
+            ks = np.nonzero(_beneficial_mask(head, tail))[0]
+            pairs = zip(ks.tolist(), (tail[ks] - head[ks]).tolist())
+        for k, d in pairs:
             if cap is not None and gamma[0] >= cap:
                 break
-            kk = size - 1 - k
-            d = p[kk] - p[k]
-            p[k], p[kk] = p[kk], p[k]
-            raw = raw + (2.0 * d) * _pair_signs(int(k), q)
+            raw = raw + (2.0 * d) * _pair_signs(k, q)
             gamma = np.maximum(raw, defaults_v)
             swaps_done += 1
             if state.on_swap is not None:
-                state.on_swap(r, x, v, int(k))
+                state.on_swap(r, x, v, k)
         if head_before == 0.0:
             converged = gamma[0] == 0.0
         else:

@@ -121,10 +121,15 @@ class DiagDist:
 
 
 def _probamps_raw(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Kronecker build of the probamp vector, fixed qubit order 1..n."""
+    """Outer-product build of the probamp vector, fixed qubit order 1..n.
+
+    Entry j is the running product from 1.0 of each qubit's factor, taken
+    left to right in qubit order, so a scalar product in that order
+    reproduces any single entry bit for bit.
+    """
     p = np.array([1.0])
     for eps in values:
-        p = np.kron(p, np.array([(1.0 + eps) / 2.0, (1.0 - eps) / 2.0]))
+        p = (p[:, None] * np.array([(1.0 + eps) / 2.0, (1.0 - eps) / 2.0])).ravel()
     return p
 
 

@@ -183,6 +183,16 @@ class TestExitCodesAndDeterminism:
         code, _, _ = run(capsys, "optswaps", "--biases", "0.2,1.7")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("limits", "--biases", "0.1,,0.2,0.05"),
+        ("circuit", "--from-biases", "0.2,0.2,"),
+        ("sweep", "--ns", "3,,4", "--epsilon", "0.1"),
+        ("sweep", "--n", "3", "--epsilons", ",0.1"),
+    ])
+    def test_empty_list_entry(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "empty entry" in err
+
     def test_mutually_exclusive_inputs(self, capsys):
         code, _, _ = run(capsys, "optswaps", "--biases", "0.2", "--n", "3",
                          "--epsilon", "0.1")

@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcool.hbac as hbac
 from qcool import (CompressionState, DivergenceError, HbacConfig,
                    RegisterBiases, analytic_limit, complexity_sweep,
                    numerical_limits, register_compression, single_round_limit,
                    subspace_compression)
+from qcool.compress import _beneficial, _beneficial_mask
+from qcool.regstate import _probamps_raw
 from oracles import cool_head_fixed_point
 
 UNEQUAL_SETS = [
@@ -189,3 +196,87 @@ class TestComplexitySweep:
     def test_explicit_rounds(self):
         rows = complexity_sweep([4, 5], 0.1, rounds=1)
         assert all(c > 0 for _, c in rows)
+
+
+def _bias():
+    # zero, tiny, anywhere in [0, 1), and within 1e-9 of 1 (1 included)
+    return st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 1.0, exclude_max=True),
+                     st.floats(1.0 - 1e-9, 1.0))
+
+
+@st.composite
+def product_registers(draw):
+    """Biases of q = 2..9 qubits, many with the head near a decision boundary.
+
+    With a_i = atanh(beta_i), the best non-limiting pair turns beneficial at
+    a_1 = sum_{i>=2} a_i - 2 min_{i>=2} a_i ("gate") and the limiting pair at
+    a_1 = sum_{i>=2} a_i ("tie").
+    """
+    q = draw(st.integers(2, 9))
+    rest = draw(st.lists(_bias(), min_size=q - 1, max_size=q - 1))
+    edge = draw(st.sampled_from(["free", "gate", "tie"]))
+    if edge == "free" or max(rest) >= 1.0:
+        return [draw(_bias()), *rest]
+    a = [math.atanh(b) for b in rest]
+    at = sum(a) - (2.0 * min(a) if edge == "gate" else 0.0)
+    shift = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9])
+                 | st.floats(-1e-8, 1e-8))
+    return [math.tanh(max(at + shift, 0.0)), *rest]
+
+
+class TestLimitingPairFastPath:
+    @settings(max_examples=500, deadline=None)
+    @given(product_registers())
+    def test_gate_and_scalars_match_full_mask(self, beta):
+        p = _probamps_raw(beta)
+        half = p.size // 2
+        mask = _beneficial_mask(p[:half], p[::-1][:half])
+        limiting = half - 1
+        p_k, p_kk = hbac._limiting_probamps(beta)
+        assert p_k == p[limiting] and p_kk == p[half]
+        assert _beneficial(p_k, p_kk) == mask[limiting]
+        if hbac._only_limiting_pair(beta):
+            assert not mask[:limiting].any()
+
+    @pytest.mark.parametrize("shift,verdict", [(2e-9, True), (0.5e-9, False), (-1e-6, False)])
+    def test_gate_margin(self, shift, verdict):
+        rest = [0.1, 0.2, 0.05]
+        a = [math.atanh(b) for b in rest]
+        head = math.tanh(sum(a) - 2.0 * min(a) + shift)
+        assert hbac._only_limiting_pair([head, *rest]) is verdict
+
+    @pytest.mark.parametrize("beta", [[0.1] * 4, [0.9, 1.0, 0.2], [0.0, 0.0], [0.5, -0.1, 0.1]])
+    def test_gate_defers(self, beta):
+        # equal biases (other pairs tie the limiting one), a saturated qubit,
+        # zero biases and a negative bias all take the full mask
+        assert not hbac._only_limiting_pair(beta)
+
+    @pytest.mark.parametrize("mode", ["full", "lim"])
+    @pytest.mark.parametrize("values", [(eps,) * n for n in range(3, 7) for eps in (0.1, 1e-5)]
+                             + UNEQUAL_SETS, ids=lambda v: ",".join(map(repr, v)))
+    def test_same_run_as_full_mask_path(self, monkeypatch, values, mode):
+        def run():
+            events = []
+            config = HbacConfig(RegisterBiases.from_values(values), len(values) - 2, mode=mode)
+            report = register_compression(config, on_swap=lambda *e: events.append(e))
+            return (report.complexity, report.per_round_swaps, report.while_passes,
+                    report.round_limits.values.tobytes(), events)
+
+        gate = hbac._only_limiting_pair
+        verdicts = []
+        monkeypatch.setattr(hbac, "_only_limiting_pair",
+                            lambda beta: verdicts.append(gate(beta)) or verdicts[-1])
+        fast = run()
+        if mode == "full":
+            assert sum(verdicts) > 0.9 * len(verdicts)
+        else:
+            assert not verdicts  # lim mode never consults the gate
+
+        def full_build_pair(beta):
+            p = _probamps_raw(beta)
+            return p[p.size // 2 - 1], p[p.size // 2]
+
+        # full passes always build the mask; lim passes read the pair from the full build
+        monkeypatch.setattr(hbac, "_only_limiting_pair", lambda beta: False)
+        monkeypatch.setattr(hbac, "_limiting_probamps", full_build_pair)
+        assert run() == fast
