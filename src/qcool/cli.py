@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -112,50 +112,55 @@ def _matrix_csv(values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _swap_rows(swaps: list[int], n: int) -> Iterator[tuple[int, int, str, str]]:
+    """(j, complement, ket of j, ket of the complement) for each swap index j."""
+    top = (1 << n) - 1
+    for j in swaps:
+        yield j, top - j, _ket(j, n), _ket(top - j, n)
+
+
 def cmd_optswaps(args) -> int:
     register = _parse_biases(args)
     dist = probamps(register)
-    swaps = sorted(find_optswaps(dist))
-    gain = bias_gain(dist, frozenset(swaps))
+    swapset = find_optswaps(dist)
+    swaps = sorted(swapset)
+    gain = bias_gain(dist, swapset)
     before = marginal_bias(dist, 1)
     n = register.n
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "optswaps",
-        "n": n,
-        "biases": [b.value for b in register.biases],
-        "swaps": [{"zero_t": j, "one_t": (1 << n) - 1 - j,
-                   "ket_zero_t": _ket(j, n), "ket_one_t": _ket((1 << n) - 1 - j, n)}
-                  for j in swaps],
-        "count": len(swaps),
-        "gain": gain,
-        "target_bias_before": before,
-        "target_bias_after": before + gain,
-    }
-    verification = None
-    if args.verify:
-        verification = verify_optimality(dist)
-        report["verify"] = {
-            "swaps_performed": verification.swaps_performed,
-            "case1_passed": verification.case1_passed,
-            "case2_passed": verification.case2_passed,
-            "case3_passed": verification.case3_passed,
-            "counterexamples": [
-                {"case": c.case, "k": c.k, "l": c.l, "excess": c.excess}
-                for c in verification.counterexamples],
-        }
+    verification = verify_optimality(dist) if args.verify else None
     if args.format == "json":
+        report = {
+            "schema": SCHEMA_VERSION,
+            "command": "optswaps",
+            "n": n,
+            "biases": [b.value for b in register.biases],
+            "swaps": [{"zero_t": j, "one_t": comp, "ket_zero_t": ket, "ket_one_t": ket_comp}
+                      for j, comp, ket, ket_comp in _swap_rows(swaps, n)],
+            "count": len(swaps),
+            "gain": gain,
+            "target_bias_before": before,
+            "target_bias_after": before + gain,
+        }
+        if verification is not None:
+            report["verify"] = {
+                "swaps_performed": verification.swaps_performed,
+                "case1_passed": verification.case1_passed,
+                "case2_passed": verification.case2_passed,
+                "case3_passed": verification.case3_passed,
+                "counterexamples": [
+                    {"case": c.case, "k": c.k, "l": c.l, "excess": c.excess}
+                    for c in verification.counterexamples],
+            }
         _emit(_to_json(report) + "\n", args.out)
     elif args.format == "csv":
         lines = ["zero_t,one_t,ket_zero_t,ket_one_t"]
-        lines += [f"{j},{(1 << n) - 1 - j},{_ket(j, n)},{_ket((1 << n) - 1 - j, n)}"
-                  for j in swaps]
+        lines += [f"{j},{comp},{ket},{ket_comp}"
+                  for j, comp, ket, ket_comp in _swap_rows(swaps, n)]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"n: {n}", f"swaps: {len(swaps)}"]
-        for j in swaps:
-            comp = (1 << n) - 1 - j
-            lines.append(f"  {j} <-> {comp}    |{_ket(j, n)}> <-> |{_ket(comp, n)}>")
+        lines += [f"  {j} <-> {comp}    |{ket}> <-> |{ket_comp}>"
+                  for j, comp, ket, ket_comp in _swap_rows(swaps, n)]
         lines.append(f"gain: {_fmt(gain)}")
         lines.append(f"target bias: {_fmt(before)} -> {_fmt(before + gain)}")
         if verification is not None:

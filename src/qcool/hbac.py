@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compress import _beneficial, _beneficial_mask
+from .compress import _beneficial, _beneficial_mask, _halves
 from .errors import DivergenceError
 from .limits import LimitMatrix, max_rounds, numerical_limits
 from .regstate import RegisterBiases, _probamps_raw
@@ -228,9 +228,7 @@ def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
         else:
             # Complementary pairs are disjoint, so the pass-start beneficial
             # set equals on-the-fly re-testing; walk it in index order.
-            p = _probamps_raw(beta)
-            half = p.size // 2
-            head, tail = p[:half], p[::-1][:half]
+            head, tail = _halves(_probamps_raw(beta))
             ks = np.nonzero(_beneficial_mask(head, tail))[0]
             pairs = zip(ks.tolist(), (tail[ks] - head[ks]).tolist())
         for k, d in pairs:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import regstate
-from .compress import _beneficial_mask
+from .compress import _beneficial_mask, _complements, _halves
 from .errors import ResourceCapError
 from .regstate import DiagDist, RegisterBiases, _marginal_raw, _probamps_raw
 
@@ -141,12 +141,9 @@ class LimitMatrix:
 def _compress_pass(biases: np.ndarray) -> float:
     """One full optswap application on a product state; returns the head's new bias."""
     p = _probamps_raw(biases)
-    half = p.size // 2
-    head, tail = p[:half], p[::-1][:half]
-    sel = np.nonzero(_beneficial_mask(head, tail))[0]
-    if sel.size:
-        comp = p.size - 1 - sel
-        p[sel], p[comp] = p[comp].copy(), p[sel].copy()
+    sel = np.nonzero(_beneficial_mask(*_halves(p)))[0]
+    comp = _complements(sel, p.size)
+    p[sel], p[comp] = p[comp], p[sel]
     return _marginal_raw(p, 1, biases.size)
 
 

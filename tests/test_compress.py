@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcool import (DiagDist, RegisterBiases, apply_swaps, bias_gain,
@@ -14,6 +14,29 @@ biases_st = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=
 
 def dist_of(values) -> DiagDist:
     return probamps(RegisterBiases.from_values(values))
+
+
+@st.composite
+def tied_weights(draw):
+    """Weights of 2^n entries (n = 1..8) from a small integer multiset, and 1-ulp nudges.
+
+    Repeated weights put head and tail entries in exact ties; a nudge of
+    +1 or -1 moves its entry one ulp off the normalized value.
+    """
+    size = 2 ** draw(st.integers(1, 8))
+    values = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    weights = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    nudges = draw(st.lists(st.sampled_from([0, 0, 1, -1]), min_size=size, max_size=size))
+    return weights, nudges
+
+
+def tied_probamps(weights, nudges) -> np.ndarray:
+    p = np.array(weights, dtype=float)
+    p /= p.sum()
+    for i, step in enumerate(nudges):
+        if step:
+            p[i] = np.nextafter(p[i], step * np.inf)
+    return p
 
 
 class TestFindOptswaps:
@@ -165,6 +188,38 @@ class TestVerifyOptimality:
         assert report.swaps_performed == ns
         assert (report.case1_passed, report.case2_passed, report.case3_passed) == (c1, c2, c3)
         assert report.counterexamples == () and cexs == []
+
+    @pytest.mark.parametrize("values", STRESS_SETS[19] + STRESS_SETS[23])
+    def test_passes_on_large_stress_sets(self, values):
+        report = verify_optimality(dist_of(values))
+        assert report.all_passed
+        if report.swaps_performed > 0:
+            assert report.case1_passed and report.case2_passed
+        else:
+            assert report.case3_passed
+
+    @given(tied_weights())
+    # h_l = t_k exactly, yet the case-2 formula rounds the excess positive
+    @example(([1, 2, 9, 2], [0, 0, 0, 0]))
+    @settings(max_examples=150, deadline=None)
+    def test_ties_match_brute_checks_and_formulas(self, case):
+        p = tied_probamps(*case)
+        report = verify_optimality(DiagDist(p))
+        ns, c1, c2, c3, cexs = optimality_cases_brute(p)
+        assert report.swaps_performed == ns
+        assert (report.case1_passed, report.case2_passed, report.case3_passed) == (c1, c2, c3)
+        pairs = [(c.case, c.k, c.l) for c in report.counterexamples]
+        assert pairs == cexs
+        assert pairs == sorted(pairs)  # row-major, case 1 before case 2
+        x, top = p.tolist(), p.size - 1
+        for c in report.counterexamples:
+            k, l = c.k, c.l
+            excess = x[top - l] - x[k]
+            if c.case == 1:
+                excess = excess - (x[top - k] - x[k])
+            elif c.case == 2:
+                excess = excess - ((x[top - k] - x[k]) + (x[top - l] - x[l]))
+            assert c.excess == excess  # both positive: equal values, equal bits
 
     @pytest.mark.parametrize("p", [
         # cross swap beats the pair swap: pair 0 gains 0.10 but entry 2
