@@ -96,10 +96,6 @@ def _parse_biases(args) -> RegisterBiases:
     return RegisterBiases.equal(args.n, args.epsilon)
 
 
-def _ket(j: int, n: int) -> str:
-    return format(j, f"0{n}b")
-
-
 def _matrix_rows(values: np.ndarray) -> list[list[float]]:
     return [[float(x) for x in row] for row in values]
 
@@ -112,11 +108,15 @@ def _matrix_csv(values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 def _swap_rows(swaps: list[int], n: int) -> Iterator[tuple[int, int, str, str]]:
     """(j, complement, ket of j, ket of the complement) for each swap index j."""
-    top = (1 << n) - 1
+    top, spec = (1 << n) - 1, f"0{n}b"
     for j in swaps:
-        yield j, top - j, _ket(j, n), _ket(top - j, n)
+        ket = format(j, spec)
+        yield j, top - j, ket, ket.translate(_FLIP)  # the complement flips every bit
 
 
 def cmd_optswaps(args) -> int:
@@ -282,8 +282,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.n is None or args.epsilon is None:
-        raise UsageError("bounds requires --n and --epsilon")
     n, eps = args.n, args.epsilon
     rounds = args.rounds if args.rounds is not None else max_rounds(n)
     k = args.k

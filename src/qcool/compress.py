@@ -5,15 +5,14 @@ beneficial exactly when it moves the larger value into the half where the
 target qubit is |0>.  Applying every beneficial swap maximizes the target
 bias gain over all eigenvalue exchanges that respect the pairing;
 :func:`verify_optimality` rules out every non-complementary alternative by
-checking the three pairwise optimality cases.  It bounds each case by a
-threshold over the whole register, in O(2^n), and evaluates the pairwise
-formula only on the rows the threshold cannot clear.
+checking the three pairwise optimality cases.  Each case reduces exactly to
+one comparison of two probamps, so a threshold over the register finds the
+rows that fail, in O(2^n), and only those rows are compared pair by pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,7 +71,12 @@ def bias_gain(dist: DiagDist, swaps: frozenset[int] | set[int]) -> float:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A pair (k, l) violating one of the three optimality cases."""
+    """A pair (k, l) violating one of the three optimality cases.
+
+    *excess* is the correctly rounded amount by which the pair breaks its
+    case: t_l - t_k (case 1), h_l - t_k (case 2) or t_l - h_k (case 3),
+    with h and t the head (0T) and tail (1T) probamps of a pair.
+    """
 
     case: int
     k: int
@@ -99,74 +103,51 @@ class OptimalityReport:
         return not self.counterexamples
 
 
-def _violations(case: int, rows: np.ndarray, ks: Sequence[int], cols: Sequence[int],
-                excess_row: Callable[[int], np.ndarray], *,
-                distinct: bool = False) -> list[Counterexample]:
-    """Counterexamples of one case among the candidate *rows*, in row-major order.
+def _violations(case: int, ks: np.ndarray, a: np.ndarray, ls: np.ndarray,
+                b: np.ndarray) -> list[Counterexample]:
+    """Pairs (ks[r], ls[c]) with b[c] > a[r], in row-major order.
 
-    ``excess_row(r)`` evaluates row r against every column with the case's
-    pairwise formula; entry (r, c) names the pair (ks[r], cols[c]).  With
-    *distinct*, the pair of a row with its own column is skipped.
+    With gradual underflow, fl(b[c] - a[r]) has the sign of the exact
+    difference, so only rows with a[r] < max(b) are scanned, each holds a
+    counterexample, and its excess is the correctly rounded b[c] - a[r].
     """
     found: list[Counterexample] = []
-    for r in rows.tolist():
-        excess = excess_row(r)
-        bad = excess > 0.0
-        if distinct:
-            bad[r] = False
-        found += [Counterexample(case, int(ks[r]), int(cols[c]), float(excess[c]))
-                  for c in np.flatnonzero(bad).tolist()]
+    for r in np.flatnonzero(a < b.max(initial=-np.inf)).tolist():
+        excess = b - a[r]
+        found += [Counterexample(case, int(ks[r]), int(ls[c]), float(excess[c]))
+                  for c in np.flatnonzero(excess > 0.0).tolist()]
     return found
 
 
 def verify_optimality(dist: DiagDist, *, max_n: int = DEFAULT_SIZE_CAP) -> OptimalityReport:
     """Check that the selected swaps maximize the target bias, for every pair.
 
-    With performed swaps K (gain v_k each) and strictly non-beneficial pairs
-    L, the checks are, on the original (pre-swap) probamps:
+    With h = head (0T) and t = tail (1T) values, performed swaps K (gain
+    v_k = t_k - h_k each) and strictly non-beneficial pairs L, the checks
+    are, on the original (pre-swap) probamps:
 
-    * case 1: probamp[comp(l)] - probamp[k] <= v_k  for all k in K, l in L;
-    * case 2: probamp[comp(l)] - probamp[k] <= v_k + v_l  for all k != l in K;
-    * case 3 (K empty): probamp[k] >= probamp[comp(l)]  for all pairs k, l.
+    * case 1: t_l - h_k <= v_k, i.e. t_l <= t_k,  for all k in K, l in L;
+    * case 2: t_l - h_k <= v_k + v_l, i.e. h_l <= t_k,  for all k != l in K;
+    * case 3 (K empty): t_l <= h_k  for all pairs k, l.
 
-    A threshold over the register clears every row k that cannot violate
-    its case; only the other rows are compared with all 2^(n-1) columns, and
-    each of those holds a counterexample unless it lies within rounding of
-    a tie.  So the check is O(2^n) unless it finds counterexamples.
+    Each case is one comparison of two probamps, decided exactly.  Case 2
+    cannot fail on its diagonal, as h_k < t_k for k in K.  The cost is
+    O(2^n), plus one O(2^n) row scan for each k with a counterexample.
     Registers beyond *max_n* qubits are rejected.
     """
     n = dist.n
     if n > max_n:
         raise ResourceCapError(
             f"optimality check on {n} qubits exceeds the cap {max_n}")
-    p = dist.probamps
-    head, tail = _halves(p)
+    head, tail = _halves(dist.probamps)
     K = np.flatnonzero(_beneficial_mask(head, tail))
     L = np.flatnonzero(_beneficial_mask(tail, head))  # ties belong to neither side
     if K.size:
-        h_K, t_K, t_L = head[K], tail[K], tail[L]
-        v = t_K - h_K
-        # Case 1: t_l <= t_k gives fl(t_l - h_k) <= fl(t_k - h_k) = v_k, as
-        # rounding is monotone, so only rows with t_k < max t[L] can fail.
-        rows1 = np.flatnonzero(t_K < t_L.max(initial=-np.inf))
-        case1 = _violations(1, rows1, K, L, lambda r: (t_L - h_K[r]) - v[r])
-        # Case 2: the exact excess is h_l - t_k, but fl(fl(t_l - h_k) -
-        # fl(v_k + v_l)) can round positive near a tie.  With u = eps/2,
-        # fl(t_l - h_k), v_k and v_l each err by at most u max(p), and
-        # fl(v_k + v_l) by at most 2u max(p) (1 + 2u): under 6u max(p) =
-        # 3 eps max(p) in all, and the final subtraction keeps the sign of
-        # its exact result.  So only rows with t_k < max h[K] + slack can
-        # fail; slack = 16 eps max(p) also covers rounding that threshold.
-        slack = 16.0 * np.finfo(float).eps * float(p.max())
-        rows2 = np.flatnonzero(t_K < h_K.max() + slack)
-        case2 = _violations(2, rows2, K, K, lambda r: (t_K - h_K[r]) - (v[r] + v),
-                            distinct=True)
+        t_K = tail[K]
+        case1 = _violations(1, K, t_K, L, tail[L])
+        case2 = _violations(2, K, t_K, K, head[K])
         return OptimalityReport(int(K.size), not case1, not case2, None,
                                 tuple(case1 + case2))
-
-    # No beneficial swap exists: every 0T probamp must dominate every 1T one,
-    # and fl(t_l - h_k) > 0 exactly when t_l > h_k.
-    pairs = range(head.size)
-    rows3 = np.flatnonzero(head < tail.max())
-    case3 = _violations(3, rows3, pairs, pairs, lambda r: tail - head[r])
+    pairs = np.arange(head.size)
+    case3 = _violations(3, pairs, head, pairs, tail)
     return OptimalityReport(0, None, None, not case3, tuple(case3))

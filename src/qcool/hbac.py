@@ -199,13 +199,7 @@ def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
     # marginals can transiently rise above their defaults during a pass and
     # an uncapped ancilla then overshoots its own round limit.
     prev_level = targets[r - 2, v - 1] if r > 1 else defaults_v[0]
-    cap = None
-    if z == 0 and v > x:
-        cap = prev_level
-    elif z == 1:
-        cap = prev_level
-    elif z == 0 and v == x:
-        cap = targets[r - 1, v - 1]
+    cap = targets[r - 1, v - 1] if z == 0 and v == x else prev_level
     gamma = beta.copy()
     swaps_done = 0
     passes = 0
@@ -232,7 +226,7 @@ def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
             ks = np.nonzero(_beneficial_mask(head, tail))[0]
             pairs = zip(ks.tolist(), (tail[ks] - head[ks]).tolist())
         for k, d in pairs:
-            if cap is not None and gamma[0] >= cap:
+            if gamma[0] >= cap:
                 break
             raw = raw + (2.0 * d) * _pair_signs(k, q)
             gamma = np.maximum(raw, defaults_v)

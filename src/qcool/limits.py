@@ -1,4 +1,4 @@
-"""Cooling limits: the exponent recursion, closed forms, and the numerical loop.
+"""Cooling limits: the limit exponent, closed forms, and the numerical loop.
 
 The bias a qubit can attain is set by the fixed point of its last productive
 complementary exchange.  For equal default biases this takes the closed form
@@ -11,7 +11,6 @@ compression with ancilla biases pinned at their round-entry values.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +22,7 @@ from .compress import _beneficial_mask, _complements, _halves
 from .errors import ResourceCapError
 from .regstate import DiagDist, RegisterBiases, _marginal_raw, _probamps_raw
 
-#: Above this value of f * eps the power form is evaluated as tanh(f * atanh(eps)).
+#: Above this value of f * eps the limit tanh(f * atanh(eps)) rounds to 1.0.
 TANH_CROSSOVER = 30.0
 
 
@@ -32,12 +31,13 @@ def max_rounds(n: int) -> int:
     return n - 2
 
 
-@functools.cache
 def f(r: int, k: int, n: int) -> int:
     """Exponent of the round-r cooling limit for qubit k in an n-qubit register.
 
-    Memoized double recursion; r is capped at n - 2, beyond which no further
-    round improves any qubit.
+    With m = n - k - 1, f is the sum of C(m, i) for i = 0..min(r, m), so it
+    is 2^m once r >= m, and 1 for k >= n - 1.  r is capped at n - 2, beyond
+    which no further round improves any qubit.  The terms are built from
+    each other, so the cost is O(min(r, m)) integer operations.
     """
     if n < 3:
         raise ValueError(f"register must have n >= 3 qubits, got {n}")
@@ -47,26 +47,26 @@ def f(r: int, k: int, n: int) -> int:
         raise ValueError(f"round must be >= 1, got {r}")
     if r > max_rounds(n):
         raise ValueError(f"round {r} exceeds the maximum n - 2 = {max_rounds(n)}")
-    if r == 1:
-        return n - k if k < n - 1 else 1
-    if k >= n - r:
-        return f(r - 1, k, n)
-    total = 2 + sum(f(r - 1, i, n) for i in range(k + 1, n - r + 1))
-    if r > 2:
-        total += sum(f(j, n - j - 1, n) for j in range(1, r - 1))
+    m = max(n - k - 1, 0)
+    total = term = 1
+    for i in range(1, min(r, m) + 1):
+        term = term * (m + 1 - i) // i  # C(m, i), exactly
+        total += term
     return total
 
 
-def _tanh_ratio(eps: float, exponent: float) -> float:
-    # [(1+e)^m - (1-e)^m] / [(1+e)^m + (1-e)^m], stable for large exponents
+def _tanh_ratio(eps: float, exponent: int) -> float:
+    # [(1+e)^m - (1-e)^m] / [(1+e)^m + (1-e)^m] = tanh(m * atanh(e))
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"bias must lie in [0, 1], got {eps!r}")
     if eps == 0.0:
         return 0.0
     if eps == 1.0:
         return 1.0
-    if exponent * eps > TANH_CROSSOVER:
-        return math.tanh(exponent * math.atanh(eps))
+    # Past the crossover m * atanh(e) >= m * e > 30, and tanh rounds to 1.0
+    # from 19.1 on.  The comparison is exact: a big-int m is not converted.
+    if exponent > TANH_CROSSOVER / eps:
+        return 1.0
     up = (1.0 + eps) ** exponent
     dn = (1.0 - eps) ** exponent
     return (up - dn) / (up + dn)

@@ -6,6 +6,9 @@ formulas, and shares no code with the package internals it checks.
 
 from __future__ import annotations
 
+import functools
+from fractions import Fraction
+
 import numpy as np
 
 TIE_RTOL = 1e-12
@@ -57,11 +60,14 @@ def exchange(p: np.ndarray, swaps) -> np.ndarray:
 def optimality_cases_brute(p: np.ndarray):
     """Literal O(4^(n-1)) nested-loop check of the three optimality cases.
 
-    Returns (n_s, case1, case2, case3, counterexamples) with None for the
-    cases that do not apply.
+    The tie rule picks K and L in floats, as the package does; the case
+    inequalities are evaluated in exact rational arithmetic.  Returns
+    (n_s, case1, case2, case3, counterexamples) with None for the cases
+    that do not apply.
     """
     size = p.size
     half = size // 2
+    x = [Fraction(v) for v in p.tolist()]
 
     def ben(k):
         a, b = p[k], p[size - 1 - k]
@@ -77,29 +83,42 @@ def optimality_cases_brute(p: np.ndarray):
     if K:
         case1 = True
         for k in K:
-            v = p[size - 1 - k] - p[k]
+            v = x[size - 1 - k] - x[k]
             for l in L:
-                if p[size - 1 - l] - p[k] > v:
+                if x[size - 1 - l] - x[k] > v:
                     case1 = False
                     cexs.append((1, k, l))
         case2 = True
         for k in K:
-            v1 = p[size - 1 - k] - p[k]
+            v1 = x[size - 1 - k] - x[k]
             for l in K:
                 if l == k:
                     continue
-                v2 = p[size - 1 - l] - p[l]
-                if p[size - 1 - l] - p[k] > v1 + v2:
+                v2 = x[size - 1 - l] - x[l]
+                if x[size - 1 - l] - x[k] > v1 + v2:
                     case2 = False
                     cexs.append((2, k, l))
         return len(K), case1, case2, None, cexs
     case3 = True
     for k in range(half):
         for l in range(half):
-            if p[k] < p[size - 1 - l]:
+            if x[k] < x[size - 1 - l]:
                 case3 = False
                 cexs.append((3, k, l))
     return 0, None, None, case3, cexs
+
+
+@functools.cache
+def exponent_recursion(r: int, k: int, n: int) -> int:
+    """The limit exponent f(r, k, n) by its defining memoized double recursion."""
+    if r == 1:
+        return n - k if k < n - 1 else 1
+    if k >= n - r:
+        return exponent_recursion(r - 1, k, n)
+    total = 2 + sum(exponent_recursion(r - 1, i, n) for i in range(k + 1, n - r + 1))
+    if r > 2:
+        total += sum(exponent_recursion(j, n - j - 1, n) for j in range(1, r - 1))
+    return total
 
 
 def transposition_perm(n: int, swaps) -> np.ndarray:

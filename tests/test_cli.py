@@ -173,6 +173,15 @@ class TestBounds:
         assert payload["shannon_bound"] == pytest.approx(4 * (1 - 0.9999278640548144), rel=1e-6)
         assert payload["analytic_limit"] == pytest.approx(0.04, rel=1e-2)
 
+    @pytest.mark.parametrize("n", [990, 1200])
+    def test_large_register(self, capsys, n):
+        # f = 2^(n-2), beyond the float range once n > 1026; both limits
+        # round to 1.0
+        code, out, _ = run(capsys, "bounds", "--n", str(n), "--epsilon", "0.1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["analytic_limit"] == 1.0 and payload["single_round_limit"] == 1.0
+
 
 class TestExitCodesAndDeterminism:
     def test_parse_error(self, capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -199,7 +201,7 @@ class TestVerifyOptimality:
             assert report.case3_passed
 
     @given(tied_weights())
-    # h_l = t_k exactly, yet the case-2 formula rounds the excess positive
+    # h_l = t_k exactly: the tie passes case 2
     @example(([1, 2, 9, 2], [0, 0, 0, 0]))
     @settings(max_examples=150, deadline=None)
     def test_ties_match_brute_checks_and_formulas(self, case):
@@ -211,15 +213,31 @@ class TestVerifyOptimality:
         pairs = [(c.case, c.k, c.l) for c in report.counterexamples]
         assert pairs == cexs
         assert pairs == sorted(pairs)  # row-major, case 1 before case 2
-        x, top = p.tolist(), p.size - 1
+        x, top = [Fraction(v) for v in p.tolist()], p.size - 1
         for c in report.counterexamples:
             k, l = c.k, c.l
             excess = x[top - l] - x[k]
             if c.case == 1:
-                excess = excess - (x[top - k] - x[k])
+                excess -= x[top - k] - x[k]
             elif c.case == 2:
-                excess = excess - ((x[top - k] - x[k]) + (x[top - l] - x[l]))
-            assert c.excess == excess  # both positive: equal values, equal bits
+                excess -= (x[top - k] - x[k]) + (x[top - l] - x[l])
+            assert c.excess == float(excess)  # the correctly rounded exact excess
+
+    @pytest.mark.parametrize("p, expected", [
+        # h_l = t_k exactly, so case 2 passes; the float textbook formula
+        # fl(fl(t_l - h_k) - fl(v_k + v_l)) rounds this tie to +1.1e-16
+        (np.array([1, 2, 9, 2]) / 14, []),
+        # t_l exceeds t_k by one ulp, so case 1 fails; the float textbook
+        # formula fl(fl(t_l - h_k) - v_k) rounds this excess to 0
+        (np.array([0.07238717195836826, 0.43224687501562864,
+                   0.24768297651300156, 0.24768297651300153]),
+         [(1, 0, 1, 2.7755575615628914e-17)]),
+    ])
+    def test_ties_and_one_ulp_violations_are_exact(self, p, expected):
+        report = verify_optimality(DiagDist(p))
+        assert report.swaps_performed > 0 and report.case2_passed
+        assert report.case1_passed == (not expected)
+        assert [(c.case, c.k, c.l, c.excess) for c in report.counterexamples] == expected
 
     @pytest.mark.parametrize("p", [
         # cross swap beats the pair swap: pair 0 gains 0.10 but entry 2

@@ -10,6 +10,7 @@ from qcool import (DiagDist, RegisterBiases, analytic_limit, f, find_optswaps,
                    probamps, shannon_bound, single_round_limit, sort_bound,
                    sqrt_bound)
 from qcool.limits import TANH_CROSSOVER
+from oracles import exponent_recursion
 
 
 class TestExponentRecursion:
@@ -33,6 +34,12 @@ class TestExponentRecursion:
             for r in range(2, n - 1):
                 for k in range(n - r, n + 1):
                     assert f(r, k, n) == f(r - 1, k, n)
+
+    def test_closed_form_matches_recursion(self):
+        for n in range(3, 61):
+            for r in range(1, n - 1):
+                for k in range(1, n + 1):
+                    assert f(r, k, n) == exponent_recursion(r, k, n), (r, k, n)
 
     @pytest.mark.parametrize("r,k,n", [(0, 1, 5), (4, 1, 5), (1, 0, 5), (1, 6, 5), (1, 1, 2)])
     def test_rejects_out_of_domain(self, r, k, n):
