@@ -245,36 +245,33 @@ def cmd_circuit(args) -> int:
 def cmd_sweep(args) -> int:
     if args.ns is not None and args.epsilons is not None:
         raise UsageError("--ns and --epsilons are mutually exclusive")
-    rows: list[tuple[str, float | int, int]] = []
     if args.ns is not None:
         if args.epsilon is None:
             raise UsageError("--ns requires --epsilon")
         key = "n"
-        for n in _parse_list(args.ns, int, "size"):
-            rounds = args.rounds if args.rounds is not None else max_rounds(n)
-            config = HbacConfig(RegisterBiases.equal(n, args.epsilon), rounds,
-                                precision=args.precision, mode=args.mode)
-            rows.append((key, n, register_compression(config).complexity))
+        points = [(n, args.epsilon) for n in _parse_list(args.ns, int, "size")]
     elif args.epsilons is not None:
         if args.n is None:
             raise UsageError("--epsilons requires --n")
         key = "epsilon"
-        rounds = args.rounds if args.rounds is not None else max_rounds(args.n)
-        for eps in _parse_list(args.epsilons, float, "bias"):
-            config = HbacConfig(RegisterBiases.equal(args.n, eps), rounds,
-                                precision=args.precision, mode=args.mode)
-            rows.append((key, eps, register_compression(config).complexity))
+        points = [(args.n, eps) for eps in _parse_list(args.epsilons, float, "bias")]
     else:
         raise UsageError("provide --ns LIST or --epsilons LIST")
+    rows: list[tuple[float | int, int]] = []
+    for n, eps in points:
+        rounds = args.rounds if args.rounds is not None else max_rounds(n)
+        config = HbacConfig(RegisterBiases.equal(n, eps), rounds,
+                            precision=args.precision, mode=args.mode)
+        rows.append((n if key == "n" else eps, register_compression(config).complexity))
     if args.format == "json":
         _emit(_to_json({
             "schema": SCHEMA_VERSION,
             "command": "sweep",
-            "rows": [{key: v, "complexity": c} for key, v, c in rows],
+            "rows": [{key: v, "complexity": c} for v, c in rows],
         }) + "\n", args.out)
     else:
-        lines = [f"{rows[0][0]},complexity"]
-        for key, v, c in rows:
+        lines = [f"{key},complexity"]
+        for v, c in rows:
             value = str(v) if key == "n" else _fmt(v)
             lines.append(f"{value},{c}")
         _emit("\n".join(lines) + "\n", args.out)

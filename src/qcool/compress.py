@@ -42,7 +42,7 @@ def _beneficial_mask(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
 def find_optswaps(dist: DiagDist) -> frozenset[int]:
     """Indices j of every beneficial complementary exchange, per strict comparison."""
     head, tail = _halves(dist.probamps)
-    return frozenset(int(j) for j in np.nonzero(_beneficial_mask(head, tail))[0])
+    return frozenset(np.flatnonzero(_beneficial_mask(head, tail)).tolist())
 
 
 def _complements(idx: np.ndarray, size: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def _complements(idx: np.ndarray, size: int) -> np.ndarray:
 def apply_swaps(dist: DiagDist, swaps: frozenset[int] | set[int]) -> DiagDist:
     """Exchange each listed complementary pair; the probamp multiset is preserved."""
     p = dist.probamps.copy()
-    idx = np.fromiter(sorted(swaps), dtype=np.int64)
+    idx = np.sort(np.fromiter(swaps, np.int64, count=len(swaps)))
     comp = _complements(idx, p.size)
     p[idx], p[comp] = p[comp], p[idx]
     return DiagDist(p)
@@ -65,7 +65,7 @@ def apply_swaps(dist: DiagDist, swaps: frozenset[int] | set[int]) -> DiagDist:
 def bias_gain(dist: DiagDist, swaps: frozenset[int] | set[int]) -> float:
     """Target-bias increase from performing *swaps*: 2 * sum of pair differences."""
     p = dist.probamps
-    idx = np.fromiter(sorted(swaps), dtype=np.int64)
+    idx = np.sort(np.fromiter(swaps, np.int64, count=len(swaps)))
     return float(2.0 * np.sum(p[_complements(idx, p.size)] - p[idx]))
 
 

@@ -13,6 +13,11 @@ an ancilla below its previous-round level, the subroutine re-enters itself;
 the re-entry worklist here is an explicit stack with the exact semantics of
 the self-calls, since the chain can grow deeper than the interpreter allows.
 
+The cooling state has one form each: a sub-register's marginals are Python
+float lists for all of its passes, and each settled sub-register is written
+straight into the round's row of the limit database, which the re-entry
+tests then read.
+
 Nearly every pass can gain only from the limiting exchange
 |011..1> <-> |100..0>, and ``lim`` mode performs no other.  A log-domain
 test on the biases proves the former before a ``full`` pass, which then,
@@ -27,7 +32,6 @@ a "swap" as one full compression application.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -119,20 +123,6 @@ GATE_MARGIN = 1e-9
 _NORMAL_FLOOR = 1e-280
 
 
-@functools.cache
-def _pair_signs(k: int, q: int) -> np.ndarray:
-    """Marginal shift signs of pair k over q qubits, read-only and cached.
-
-    +1 where bit i of k (MSB-first over q bits) is 0, else -1.  Rows are
-    cached as pairs occur: a table of all 2^(q-1) pairs would take 13 times
-    the memory of the probamp vector at the 26-qubit size cap.
-    """
-    shifts = np.arange(q - 1, -1, -1)
-    signs = 1.0 - 2.0 * ((k >> shifts) & 1)
-    signs.setflags(write=False)
-    return signs
-
-
 def _only_limiting_pair(beta: list[float]) -> bool:
     """True when no pair but the limiting one |011..1> <-> |100..0> can be beneficial.
 
@@ -168,15 +158,19 @@ def _limiting_probamps(beta: list[float]) -> tuple[float, float]:
 
 
 def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
-                  v: int, beta: np.ndarray, passes_used: int) -> tuple[np.ndarray, int, int]:
+                  v: int, raw: list[float], passes_used: int) -> tuple[list[float], int, int]:
     """Converge the head of sub-register v..n; returns (biases, swaps, passes).
 
-    One while-pass: from the recorded biases, find the beneficial
-    complementary pairs of the product state, then exchange each in index
-    order.  The raw marginals are tracked exactly through each exchange (a
-    pair exchange of gap d shifts qubit i's marginal by 2 d sign_i) and
-    floored at the defaults after every exchange.  The pass ratio is the
-    head bias after the pass over the head bias before it.
+    The pass state is two lists of Python floats over qubits v..n: *raw*,
+    which enters as the sub-register's recorded biases and tracks the
+    marginals exactly through each exchange, and ``gamma``, the same floored
+    at the defaults (the heat-bath reset).  One while-pass: from *raw* at
+    the pass start, find the beneficial complementary pairs of the product
+    state, then exchange each in index order.  Exchanging pair k of gap d
+    adds 2 d to qubit i when bit i of k (MSB first) is 0 and subtracts it
+    when the bit is 1; every qubit is then floored again.  The pass ratio is
+    the head bias after the pass over the head bias before it, and the next
+    pass starts from the floored biases.
 
     ``lim`` mode exchanges only the limiting pair, and in almost every
     ``full`` pass only that pair can be beneficial.  In ``lim`` mode, and
@@ -187,20 +181,21 @@ def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
     the full beneficial mask.  Both paths give bit-identical exchanges.
     """
     r = state.round_index
-    n = state.defaults.size
-    q = n - v + 1
+    q = len(raw)
     limiting = (1 << (q - 1)) - 1
-    defaults_v = state.defaults[v - 1:]
-    prec = state.precision
+    bits = f"0{q}b"
+    floor = state.defaults[v - 1:].tolist()
     # Which cap applies to this sub-register's head (checked before each
     # exchange): ancillas and re-entry heads stop at the prior round's level
     # (in round 1 that is the bath default), the primary head at this
     # round's level.  Without the ancilla cap the hierarchy breaks: deep
     # marginals can transiently rise above their defaults during a pass and
     # an uncapped ancilla then overshoots its own round limit.
-    prev_level = targets[r - 2, v - 1] if r > 1 else defaults_v[0]
+    prev_level = targets[r - 2, v - 1] if r > 1 else floor[0]
     cap = targets[r - 1, v - 1] if z == 0 and v == x else prev_level
-    gamma = beta.copy()
+    # The floor is max(default, raw) and keeps the default on a tie, so a
+    # zero marginal carries its default's sign.
+    gamma = [b if b > f else f for f, b in zip(floor, raw)]
     swaps_done = 0
     passes = 0
     while True:
@@ -211,65 +206,57 @@ def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
                 f"subspace compression exceeded {state.iteration_cap} passes "
                 f"(round {r}, head {x}, target {v})",
                 round_index=r, subspace=x, passes=passes_used + passes)
-        beta = gamma.copy()
-        raw = beta.copy()
-        gamma = np.maximum(raw, defaults_v)
         head_before = gamma[0]
-        values = beta.tolist()
-        if state.mode == MODE_LIM or _only_limiting_pair(values):
-            p_k, p_kk = _limiting_probamps(values)
+        if state.mode == MODE_LIM or _only_limiting_pair(raw):
+            p_k, p_kk = _limiting_probamps(raw)
             pairs = [(limiting, p_kk - p_k)] if _beneficial(p_k, p_kk) else []
         else:
             # Complementary pairs are disjoint, so the pass-start beneficial
             # set equals on-the-fly re-testing; walk it in index order.
-            head, tail = _halves(_probamps_raw(beta))
+            head, tail = _halves(_probamps_raw(raw))
             ks = np.nonzero(_beneficial_mask(head, tail))[0]
             pairs = zip(ks.tolist(), (tail[ks] - head[ks]).tolist())
         for k, d in pairs:
             if gamma[0] >= cap:
                 break
-            raw = raw + (2.0 * d) * _pair_signs(k, q)
-            gamma = np.maximum(raw, defaults_v)
+            step = 2.0 * d
+            raw = [b - step if bit == "1" else b + step for b, bit in zip(raw, format(k, bits))]
+            gamma = [b if b > f else f for f, b in zip(floor, raw)]
             swaps_done += 1
             if state.on_swap is not None:
                 state.on_swap(r, x, v, k)
         if head_before == 0.0:
             converged = gamma[0] == 0.0
         else:
-            converged = abs(gamma[0] / head_before - 1.0) <= prec
+            converged = abs(gamma[0] / head_before - 1.0) <= state.precision
         if converged:
             return gamma, swaps_done, passes
+        raw = gamma
 
 
-def _si_pass(state: CompressionState, targets: np.ndarray, rl: np.ndarray,
-             x: int, z: int, passes_used: int) -> tuple[np.ndarray, int, int, int]:
+def _si_pass(state: CompressionState, targets: np.ndarray, row: np.ndarray,
+             x: int, z: int, passes_used: int) -> tuple[bool, int, int]:
     """One subspace-compression sweep over targets v = x..n-1.
 
-    Returns (alpha, unchanged_flag, swaps, passes).  The current round's
-    limit row of *rl* is updated in place as each sub-register settles.
+    Updates the round's limit *row* in place as each sub-register settles
+    and returns (changed, swaps, passes).
     """
     r = state.round_index
-    n = state.defaults.size
-    rl_row = rl[r - 1]
-    snapshot = rl_row.copy()
-    alpha = rl_row.copy()
+    before = row.copy()
     ttswaps = 0
     passes = 0
-    for v in range(x, n):
-        if alpha[v - 1] < targets[r - 1, v - 1]:
+    for v in range(x, row.size):
+        if row[v - 1] < targets[r - 1, v - 1]:
             gamma, nswaps, npasses = _sub_compress(
-                state, targets, x, z, v, alpha[v - 1:].copy(), passes_used + passes)
-            alpha[v - 1:] = gamma
+                state, targets, x, z, v, row[v - 1:].tolist(), passes_used + passes)
+            row[v - 1:] = gamma
             ttswaps += nswaps
             passes += npasses
-        rl_row[v - 1:] = alpha[v - 1:]
-    unchanged = 1 if np.array_equal(snapshot, rl_row) else 0
-    return alpha, unchanged, ttswaps, passes
+    return not np.array_equal(before, row), ttswaps, passes
 
 
 def subspace_compression(state: CompressionState, x: int, z: int,
-                         targets: LimitMatrix | np.ndarray, rl: np.ndarray,
-                         precision: float | None = None) -> tuple[int, np.ndarray]:
+                         targets: LimitMatrix, rl: np.ndarray) -> tuple[int, np.ndarray]:
     """Initialize the subspace spanning qubits x..n for the state's round.
 
     Re-enters itself while the head stays short of its round target or any
@@ -281,30 +268,28 @@ def subspace_compression(state: CompressionState, x: int, z: int,
         raise ValueError(f"subspace head {x} out of range 1..{n - 1}")
     if z not in (0, 1):
         raise ValueError(f"re-entry flag must be 0 or 1, got {z!r}")
-    if precision is not None:
-        state.precision = float(precision)
-    tgt = targets.values if isinstance(targets, LimitMatrix) else np.asarray(targets, float)
+    tgt = targets.values
     r = state.round_index
+    row = rl[r - 1]
 
     tttswaps = 0
     passes_used = 0
     stack: list[tuple[int, int]] = [(x, z)]
     while stack:
         head, flag = stack.pop()
-        alpha, unchanged, swaps, passes = _si_pass(
-            state, tgt, rl, head, flag, passes_used)
+        changed, swaps, passes = _si_pass(state, tgt, row, head, flag, passes_used)
         tttswaps += swaps
         passes_used += passes
-        if unchanged:
+        if not changed:
             continue
         # Re-entry order matches the tail of the recursive form: first the
         # head itself if short of this round's target, then each deeper qubit
         # short of the previous round's target.
         pending: list[tuple[int, int]] = []
-        if alpha[head - 1] < tgt[r - 1, head - 1]:
+        if row[head - 1] < tgt[r - 1, head - 1]:
             pending.append((head, 0))
         for i in range(head + 1, n):
-            if r > 1 and alpha[i - 1] < tgt[r - 2, i - 1]:
+            if r > 1 and row[i - 1] < tgt[r - 2, i - 1]:
                 pending.append((i, 1))
         stack.extend(reversed(pending))
     return tttswaps, rl

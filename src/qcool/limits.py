@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -63,9 +64,15 @@ def _tanh_ratio(eps: float, exponent: int) -> float:
         return 0.0
     if eps == 1.0:
         return 1.0
+    crossover = TANH_CROSSOVER / eps
+    if crossover == math.inf:
+        # eps < 30 / DBL_MAX, so atanh(e) == e; m * e is formed exactly, as a
+        # big-int m need not fit a float.
+        x = exponent * Fraction(eps)
+        return 1.0 if x > TANH_CROSSOVER else math.tanh(x)
     # Past the crossover m * atanh(e) >= m * e > 30, and tanh rounds to 1.0
     # from 19.1 on.  The comparison is exact: a big-int m is not converted.
-    if exponent > TANH_CROSSOVER / eps:
+    if exponent > crossover:
         return 1.0
     up = (1.0 + eps) ** exponent
     dn = (1.0 - eps) ** exponent

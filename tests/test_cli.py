@@ -182,6 +182,14 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["analytic_limit"] == 1.0 and payload["single_round_limit"] == 1.0
 
+    def test_subnormal_epsilon(self, capsys):
+        # 30 / eps is inf here; f * eps = 2^1198 * 1e-320 is far past the crossover
+        code, out, _ = run(capsys, "bounds", "--n", "1200", "--epsilon", "1e-320")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["analytic_limit"] == 1.0
+        assert payload["single_round_limit"] == pytest.approx(1199 * 1e-320, rel=1e-3)
+
 
 class TestExitCodesAndDeterminism:
     def test_parse_error(self, capsys):

@@ -166,7 +166,7 @@ class TestSubspaceCompression:
         seen = []
         state = CompressionState(defaults=np.full(3, 0.2), round_index=1,
                                  on_swap=lambda r, x, v, k: seen.append((r, x, v, k)))
-        swaps, out = subspace_compression(state, 1, 0, targets, rl, 1e-9)
+        swaps, out = subspace_compression(state, 1, 0, targets, rl)
         assert seen[0] == (1, 1, 1, 3)
         assert swaps == len(seen)
         assert out[0, 0] == pytest.approx(single_round_limit(0.2, 2), rel=1e-7)
