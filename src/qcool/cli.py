@@ -1,23 +1,30 @@
 """Command-line front end: every operation, with JSON/CSV output.
 
 Exit codes: 0 success, 2 usage or parse error, 3 size-cap violation,
-4 non-convergence.  Identical invocations produce byte-identical output.
+4 non-convergence (a pass cap, set with ``--iteration-cap``, was exceeded).
+Identical invocations produce byte-identical output.
+
+``optswaps`` prints one row per swap, up to 1.64M rows at n = 23.  The rows
+of all three formats come from :func:`render_swaps`, which fills byte
+matrices from a fixed row template; :func:`_to_json` writes only the
+report around them and takes the rendered ``swaps`` array verbatim.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .circuits import export_text, lim_comp, nb_maxcomp
-from .compress import bias_gain, find_optswaps, verify_optimality
+from .compress import _gain, _optswap_indices, find_optswaps, verify_optimality
 from .errors import DivergenceError, ResourceCapError
 from .hbac import HbacConfig, register_compression
-from .limits import (analytic_limit, max_rounds, numerical_limits,
+from .limits import (DEFAULT_ITERATION_CAP, analytic_limit, max_rounds, numerical_limits,
                      shannon_bound, single_round_limit, sqrt_bound)
 from .regstate import RegisterBiases, marginal_bias, probamps
 
@@ -38,8 +45,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@dataclass(frozen=True)
+class _Verbatim:
+    """JSON text rendered ahead of time, which :func:`_to_json` writes as is."""
+
+    text: str
+
+
 def _to_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(obj, _Verbatim):
+        return obj.text
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -108,25 +124,73 @@ def _matrix_csv(values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FLIP = str.maketrans("01", "10")
+#: Each swap row is p0 j p1 comp p2 ket(j) p3 ket(comp) p4, with the
+#: constant pieces p0..p4 and the row separator of each output format.  A JSON
+#: row is one object of the report's "swaps" array, indented as _to_json
+#: indents it.
+ROW_TEMPLATES = {
+    "text": (("  ", " <-> ", "    |", "> <-> |", ">"), "\n"),
+    "csv": (("", ",", ",", ",", ""), "\n"),
+    "json": (('    {\n      "zero_t": ', ',\n      "one_t": ', ',\n      "ket_zero_t": "',
+              '",\n      "ket_one_t": "', '"\n    }'), ",\n"),
+}
 
 
-def _swap_rows(swaps: list[int], n: int) -> Iterator[tuple[int, int, str, str]]:
-    """(j, complement, ket of j, ket of the complement) for each swap index j."""
-    top, spec = (1 << n) - 1, f"0{n}b"
-    for j in swaps:
-        ket = format(j, spec)
-        yield j, top - j, ket, ket.translate(_FLIP)  # the complement flips every bit
+def _put_digits(cols: np.ndarray, keep: np.ndarray, v: np.ndarray) -> None:
+    """Write the zero-padded decimals of *v* into *cols* as ASCII; unmark leading zeros."""
+    width = cols.shape[1]
+    digits = np.empty((width, v.size), dtype=np.uint8)
+    u = v.astype(np.min_scalar_type(v.max()))  # narrow integers divide faster
+    for k in range(width - 1, -1, -1):
+        q = u // 10
+        digits[k] = u - 10 * q
+        u = q
+    np.add(digits.T, 48, out=cols)
+    keep[:] = (v >= 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)[:, None]).T
+    keep[:, -1] = True  # zero still prints one digit
+
+
+def render_swaps(idx: np.ndarray, n: int, fmt: str, chunk: int = 1 << 16) -> str:
+    """The rows of the swap indices *idx* in format *fmt*, joined by its separator.
+
+    Each chunk of rows is one byte matrix with a fixed column layout: the
+    template's pieces, the decimals of j and of its complement 2^n - 1 - j
+    as zero-padded digit columns, and the n bits of j's ket; the
+    complement's ket flips every bit.  A mask then drops the leading zeros.
+    """
+    pieces, sep = ROW_TEMPLATES[fmt]
+    consts = [piece.encode() for piece in (*pieces[:4], pieces[4] + sep)]
+    top = (1 << n) - 1
+    width = len(str(top))
+    # Column offsets of the pieces, the two decimals and the two kets.
+    at = np.cumsum([0, len(consts[0]), width, len(consts[1]), width,
+                    len(consts[2]), n, len(consts[3]), n, len(consts[4])])
+    out = []
+    for lo in range(0, idx.size, chunk):
+        j = idx[lo:lo + chunk]
+        mat = np.empty((j.size, at[-1]), dtype=np.uint8)
+        keep = np.ones(mat.shape, dtype=bool)
+        for c, const in zip(at[::2], consts):
+            mat[:, c:c + len(const)] = np.frombuffer(const, np.uint8)
+        _put_digits(mat[:, at[1]:at[2]], keep[:, at[1]:at[2]], j)
+        _put_digits(mat[:, at[3]:at[4]], keep[:, at[3]:at[4]], top - j)
+        bits = np.unpackbits(j.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+        np.add(bits[:, 64 - n:], 48, out=mat[:, at[5]:at[6]])
+        np.subtract(49, bits[:, 64 - n:], out=mat[:, at[7]:at[8]])
+        out.append(str(mat[keep].data, "ascii"))
+    if out:
+        out[-1] = out[-1][:-len(sep)]
+    return "".join(out)
 
 
 def cmd_optswaps(args) -> int:
     register = _parse_biases(args)
     dist = probamps(register)
-    swapset = find_optswaps(dist)
-    swaps = sorted(swapset)
-    gain = bias_gain(dist, swapset)
+    idx = _optswap_indices(dist)
+    gain = _gain(dist.probamps, idx)
     before = marginal_bias(dist, 1)
     n = register.n
+    rows = [render_swaps(idx, n, args.format)] if idx.size else []
     verification = verify_optimality(dist) if args.verify else None
     if args.format == "json":
         report = {
@@ -134,9 +198,8 @@ def cmd_optswaps(args) -> int:
             "command": "optswaps",
             "n": n,
             "biases": [b.value for b in register.biases],
-            "swaps": [{"zero_t": j, "one_t": comp, "ket_zero_t": ket, "ket_one_t": ket_comp}
-                      for j, comp, ket, ket_comp in _swap_rows(swaps, n)],
-            "count": len(swaps),
+            "swaps": _Verbatim("\n".join(["[", *rows, "  ]"]) if rows else "[]"),
+            "count": idx.size,
             "gain": gain,
             "target_bias_before": before,
             "target_bias_after": before + gain,
@@ -153,14 +216,10 @@ def cmd_optswaps(args) -> int:
             }
         _emit(_to_json(report) + "\n", args.out)
     elif args.format == "csv":
-        lines = ["zero_t,one_t,ket_zero_t,ket_one_t"]
-        lines += [f"{j},{comp},{ket},{ket_comp}"
-                  for j, comp, ket, ket_comp in _swap_rows(swaps, n)]
-        _emit("\n".join(lines) + "\n", args.out)
+        lines = ["zero_t,one_t,ket_zero_t,ket_one_t", *rows]
+        _emit("\n".join(lines + [""]), args.out)
     else:
-        lines = [f"n: {n}", f"swaps: {len(swaps)}"]
-        lines += [f"  {j} <-> {comp}    |{ket}> <-> |{ket_comp}>"
-                  for j, comp, ket, ket_comp in _swap_rows(swaps, n)]
+        lines = [f"n: {n}", f"swaps: {idx.size}", *rows]
         lines.append(f"gain: {_fmt(gain)}")
         lines.append(f"target bias: {_fmt(before)} -> {_fmt(before + gain)}")
         if verification is not None:
@@ -171,7 +230,7 @@ def cmd_optswaps(args) -> int:
                 f"case1={word(verification.case1_passed)} "
                 f"case2={word(verification.case2_passed)} "
                 f"case3={word(verification.case3_passed)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines + [""]), args.out)
     return EXIT_OK
 
 
@@ -188,7 +247,8 @@ def cmd_limits(args) -> int:
                             for k in range(1, n + 1)]
                            for r in range(1, rounds + 1)])
     else:
-        matrix = numerical_limits(register, rounds, args.precision).values
+        matrix = numerical_limits(register, rounds, args.precision,
+                                  iteration_cap=args.iteration_cap).values
     if args.format == "csv":
         _emit(_matrix_csv(matrix), args.out)
     else:
@@ -207,7 +267,8 @@ def cmd_limits(args) -> int:
 def cmd_cool(args) -> int:
     register = _parse_biases(args)
     rounds = args.rounds if args.rounds is not None else max_rounds(register.n)
-    config = HbacConfig(register, rounds, precision=args.precision, mode=args.mode)
+    config = HbacConfig(register, rounds, precision=args.precision, mode=args.mode,
+                        iteration_cap=args.iteration_cap)
     report = register_compression(config)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -260,8 +321,8 @@ def cmd_sweep(args) -> int:
     rows: list[tuple[float | int, int]] = []
     for n, eps in points:
         rounds = args.rounds if args.rounds is not None else max_rounds(n)
-        config = HbacConfig(RegisterBiases.equal(n, eps), rounds,
-                            precision=args.precision, mode=args.mode)
+        config = HbacConfig(RegisterBiases.equal(n, eps), rounds, precision=args.precision,
+                            mode=args.mode, iteration_cap=args.iteration_cap)
         rows.append((n if key == "n" else eps, register_compression(config).complexity))
     if args.format == "json":
         _emit(_to_json({
@@ -304,6 +365,14 @@ def _add_bias_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, help="equal bias for all qubits (with --n)")
 
 
+def _add_iteration_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--iteration-cap", dest="iteration_cap", type=int,
+                   default=DEFAULT_ITERATION_CAP,
+                   help="compression passes allowed per (round, head) of cooling, "
+                        "summed over re-entries, and per (round, target) of the "
+                        "limit loop; past it the command exits 4 (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcool",
@@ -327,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=float, default=1e-9)
     p.add_argument("--analytic", action="store_true",
                    help="closed-form evaluation (equal biases only)")
+    _add_iteration_cap(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_limits)
@@ -336,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int)
     p.add_argument("--precision", type=float, default=1e-9)
     p.add_argument("--mode", choices=["full", "lim"], default="full")
+    _add_iteration_cap(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cool)
 
@@ -355,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, help="override rounds (default n-2)")
     p.add_argument("--precision", type=float, default=1e-9)
     p.add_argument("--mode", choices=["full", "lim"], default="full")
+    _add_iteration_cap(p)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
@@ -381,7 +453,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}; --iteration-cap raises the limit", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,10 +39,19 @@ def _beneficial_mask(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return (tail - head) > REL_TIE_TOL * np.maximum(np.abs(head), np.abs(tail))
 
 
+def _optswap_indices(dist: DiagDist) -> np.ndarray:
+    """Sorted int64 indices j of every beneficial complementary exchange."""
+    head, tail = _halves(dist.probamps)
+    return np.flatnonzero(_beneficial_mask(head, tail))
+
+
 def find_optswaps(dist: DiagDist) -> frozenset[int]:
     """Indices j of every beneficial complementary exchange, per strict comparison."""
-    head, tail = _halves(dist.probamps)
-    return frozenset(np.flatnonzero(_beneficial_mask(head, tail)).tolist())
+    return frozenset(_optswap_indices(dist).tolist())
+
+
+def _sorted_indices(swaps: frozenset[int] | set[int]) -> np.ndarray:
+    return np.sort(np.fromiter(swaps, np.int64, count=len(swaps)))
 
 
 def _complements(idx: np.ndarray, size: int) -> np.ndarray:
@@ -56,17 +65,19 @@ def _complements(idx: np.ndarray, size: int) -> np.ndarray:
 def apply_swaps(dist: DiagDist, swaps: frozenset[int] | set[int]) -> DiagDist:
     """Exchange each listed complementary pair; the probamp multiset is preserved."""
     p = dist.probamps.copy()
-    idx = np.sort(np.fromiter(swaps, np.int64, count=len(swaps)))
+    idx = _sorted_indices(swaps)
     comp = _complements(idx, p.size)
     p[idx], p[comp] = p[comp], p[idx]
     return DiagDist(p)
 
 
+def _gain(p: np.ndarray, idx: np.ndarray) -> float:
+    return float(2.0 * np.sum(p[_complements(idx, p.size)] - p[idx]))
+
+
 def bias_gain(dist: DiagDist, swaps: frozenset[int] | set[int]) -> float:
     """Target-bias increase from performing *swaps*: 2 * sum of pair differences."""
-    p = dist.probamps
-    idx = np.sort(np.fromiter(swaps, np.int64, count=len(swaps)))
-    return float(2.0 * np.sum(p[_complements(idx, p.size)] - p[idx]))
+    return _gain(dist.probamps, _sorted_indices(swaps))
 
 
 @dataclass(frozen=True)

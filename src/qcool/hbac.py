@@ -40,7 +40,7 @@ import numpy as np
 
 from .compress import _beneficial, _beneficial_mask, _halves
 from .errors import DivergenceError
-from .limits import LimitMatrix, max_rounds, numerical_limits
+from .limits import DEFAULT_ITERATION_CAP, LimitMatrix, max_rounds, numerical_limits
 from .regstate import RegisterBiases, _probamps_raw
 
 MODE_FULL = "full"
@@ -52,13 +52,18 @@ SwapHook = Callable[[int, int, int, int], None]
 
 @dataclass(frozen=True)
 class HbacConfig:
-    """Inputs of a register-compression run."""
+    """Inputs of a register-compression run.
+
+    *iteration_cap* bounds the passes of each (round, head), summed over its
+    re-entries, and those of each (round, target) of the default targets'
+    :func:`numerical_limits`; past it the run raises :class:`DivergenceError`.
+    """
 
     biases: RegisterBiases
     rounds: int
     precision: float = 1e-9
     mode: str = MODE_FULL
-    iteration_cap: int = 10 ** 6
+    iteration_cap: int = DEFAULT_ITERATION_CAP
 
     def __post_init__(self) -> None:
         n = self.biases.n
@@ -100,7 +105,7 @@ class CompressionState:
     round_index: int
     mode: str = MODE_FULL
     precision: float = 1e-9
-    iteration_cap: int = 10 ** 6
+    iteration_cap: int = DEFAULT_ITERATION_CAP
     on_swap: SwapHook | None = None
     while_passes: int = 0
 
@@ -307,7 +312,8 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
     n = config.biases.n
     defaults = config.biases.values
     if targets is None:
-        targets = numerical_limits(config.biases, config.rounds, config.precision)
+        targets = numerical_limits(config.biases, config.rounds, config.precision,
+                                   iteration_cap=config.iteration_cap)
     if targets.values.shape != (config.rounds, n):
         raise ValueError(
             f"targets shape {targets.values.shape} does not match "

@@ -20,11 +20,15 @@ import numpy as np
 
 from . import regstate
 from .compress import _beneficial_mask, _complements, _halves
-from .errors import ResourceCapError
+from .errors import DivergenceError, ResourceCapError
 from .regstate import DiagDist, RegisterBiases, _marginal_raw, _probamps_raw
 
 #: Above this value of f * eps the limit tanh(f * atanh(eps)) rounds to 1.0.
 TANH_CROSSOVER = 30.0
+
+#: Default bound on the compression passes of one loop: per (round, target)
+#: in :func:`numerical_limits`, per (round, head) in register cooling.
+DEFAULT_ITERATION_CAP = 10 ** 6
 
 
 def max_rounds(n: int) -> int:
@@ -156,7 +160,8 @@ def _compress_pass(biases: np.ndarray) -> float:
 
 def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
                      precision: float = 1e-9, *,
-                     size_cap: int = regstate.DEFAULT_SIZE_CAP) -> LimitMatrix:
+                     size_cap: int = regstate.DEFAULT_SIZE_CAP,
+                     iteration_cap: int = DEFAULT_ITERATION_CAP) -> LimitMatrix:
     """Per-round cooling limits of every qubit, for arbitrary default biases.
 
     For each round r and each target v = 1..n-r-1, repeatedly compresses the
@@ -164,7 +169,10 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
     round-entry biases (ancilla losses are deliberately ignored), until the
     target's relative bias increase per pass is within *precision*.  Qubits
     beyond n-r-1 carry their prior-round values forward; each finished row
-    seeds the next round.
+    seeds the next round.  A (round, target) that needs more than
+    *iteration_cap* passes raises :class:`DivergenceError`: a *precision*
+    near the rounding of the bias can leave the target alternating between
+    two neighbouring floats.
     """
     if not isinstance(biases, RegisterBiases):
         biases = RegisterBiases.from_values(biases)
@@ -177,6 +185,8 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
             f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")
     if not precision > 0.0:
         raise ValueError(f"precision must be positive, got {precision!r}")
+    if iteration_cap < 1:
+        raise ValueError("iteration cap must be positive")
 
     original = biases.values
     matrix = np.zeros((rounds, n))
@@ -185,7 +195,7 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
         row = seed.copy()
         for v in range(1, n - r):  # targets 1..n-r-1
             target = seed[v - 1]
-            while True:
+            for _ in range(iteration_cap):
                 sub = np.concatenate(([target], seed[v:]))
                 increased = _compress_pass(sub)
                 if target == 0.0:
@@ -195,6 +205,11 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
                 target = increased
                 if converged:
                     break
+            else:
+                raise DivergenceError(
+                    f"numerical limits exceeded {iteration_cap} passes "
+                    f"(round {r}, target {v}, bias {target!r})",
+                    round_index=r, subspace=v, passes=iteration_cap)
             row[v - 1] = target
         matrix[r - 1] = row
     return LimitMatrix(matrix)

@@ -7,6 +7,7 @@ formulas, and shares no code with the package internals it checks.
 from __future__ import annotations
 
 import functools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,26 @@ def select_swaps_brute(p: np.ndarray) -> list[int]:
         if (b - a) > TIE_RTOL * max(abs(a), abs(b)):
             out.append(k)
     return out
+
+
+def swap_rows(swaps, n: int, fmt: str) -> list[str]:
+    """The ``optswaps`` output row of each swap index j, one f-string per row.
+
+    A JSON row is the swap's 4-key object as ``json.dumps`` prints it two
+    levels deep, inside the report's ``swaps`` array.
+    """
+    rows = []
+    for j in swaps:
+        comp = 2 ** n - 1 - j
+        ket, ket_comp = format(j, f"0{n}b"), format(comp, f"0{n}b")
+        if fmt == "text":
+            rows.append(f"  {j} <-> {comp}    |{ket}> <-> |{ket_comp}>")
+        elif fmt == "csv":
+            rows.append(f"{j},{comp},{ket},{ket_comp}")
+        else:
+            obj = {"zero_t": j, "one_t": comp, "ket_zero_t": ket, "ket_one_t": ket_comp}
+            rows.append("    " + json.dumps(obj, indent=2).replace("\n", "\n    "))
+    return rows
 
 
 def exchange(p: np.ndarray, swaps) -> np.ndarray:

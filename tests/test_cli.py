@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcool.cli as cli
+from fixture_sets import STRESS_SETS
+from oracles import swap_rows
 from qcool import circuit_permutation, lim_comp, parse_text
 
 
@@ -49,6 +53,46 @@ class TestOptswaps:
         payload = json.loads(out)
         assert payload["target_bias_after"] == pytest.approx(
             payload["target_bias_before"] + payload["gain"], abs=1e-16)
+
+
+@st.composite
+def swap_subsets(draw):
+    """(n, sorted swap indices in [0, 2^(n-1))): empty, {0}, the full half or random."""
+    n = draw(st.integers(1, 12))
+    half = 2 ** (n - 1)
+    kind = draw(st.sampled_from(["empty", "zero", "full", "random"]))
+    if kind == "empty":
+        return n, []
+    if kind == "zero":
+        return n, [0]
+    if kind == "full":
+        return n, list(range(half))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return n, np.flatnonzero(rng.random(half) < draw(st.floats(0.0, 1.0))).tolist()
+
+
+class TestSwapRenderer:
+    SEPARATORS = {"text": "\n", "csv": "\n", "json": ",\n"}
+
+    @given(swap_subsets(), st.one_of(st.integers(1, 70), st.just(1 << 16)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_rows(self, subset, chunk):
+        n, swaps = subset
+        idx = np.array(swaps, dtype=np.int64)
+        for fmt, sep in self.SEPARATORS.items():
+            assert cli.render_swaps(idx, n, fmt, chunk) == sep.join(swap_rows(swaps, n, fmt))
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("biases", [
+        "0.1,0.1", ",".join(map(str, STRESS_SETS[9][0]))], ids=["empty", "n9"])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, fmt, biases):
+        argv = ["optswaps", "--biases", biases, "--format", fmt, "--verify"]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out"
+        code, nothing, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and nothing == ""
+        assert path.read_bytes() == stdout.encode()
 
 
 class TestLimits:
@@ -238,6 +282,34 @@ class TestExitCodesAndDeterminism:
         code, _, err = run(capsys, "cool", "--n", "3", "--epsilon", "0.1",
                            "--rounds", "1")
         assert code == 4 and "stalled" in err
+
+    def test_limits_pass_cap_exit(self, capsys):
+        # With precision 1e-300 the round-3 target alternates between two
+        # neighbouring floats and never converges; without a cap it hangs.
+        code, out, err = run(capsys, "limits", "--n", "7", "--epsilon", "0.3",
+                             "--precision", "1e-300", "--iteration-cap", "1000")
+        assert code == 4 and out == ""
+        assert "exceeded 1000 passes (round 3, target 1," in err
+        assert "--iteration-cap" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("cool", "--n", "5", "--epsilon", "0.1", "--iteration-cap", "300"),
+         "subspace compression exceeded 300 passes (round 2, head 1, target 1)"),
+        (("cool", "--n", "5", "--epsilon", "0.1", "--iteration-cap", "10"),
+         "numerical limits exceeded 10 passes (round 1, target 1,"),
+        (("sweep", "--ns", "3,5", "--epsilon", "0.1", "--iteration-cap", "300"),
+         "subspace compression exceeded 300 passes (round 2, head 1, target 1)"),
+    ], ids=["cool-subspace", "cool-limits", "sweep"])
+    def test_cooling_pass_cap_exit(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert message in err and "--iteration-cap" in err
+
+    @pytest.mark.parametrize("command", ["limits", "cool"])
+    def test_iteration_cap_must_be_positive(self, capsys, command):
+        code, out, err = run(capsys, command, "--n", "4", "--epsilon", "0.1",
+                             "--iteration-cap", "0")
+        assert code == 2 and out == "" and "iteration cap" in err
 
     @pytest.mark.parametrize("argv", [
         ("limits", "--n", "4", "--epsilon", "0.1", "--rounds", "2"),

@@ -9,6 +9,7 @@ from qcool import (DiagDist, RegisterBiases, analytic_limit, f, find_optswaps,
                    apply_swaps, marginal_bias, max_rounds, numerical_limits,
                    probamps, shannon_bound, single_round_limit, sort_bound,
                    sqrt_bound)
+from qcool.errors import DivergenceError
 from qcool.limits import TANH_CROSSOVER
 from oracles import exponent_recursion
 
@@ -193,7 +194,33 @@ class TestNumericalLimits:
         with pytest.raises(ValueError):
             numerical_limits([0.1] * 4, 1, precision=0.0)
 
+    def test_iteration_cap_stops_a_target_that_never_settles(self):
+        # At precision 1e-300 the round-3 target of this register alternates
+        # between 0.9999997953311102 and the next float up.
+        with pytest.raises(DivergenceError) as info:
+            numerical_limits([0.3] * 7, 5, precision=1e-300, iteration_cap=1000)
+        err = info.value
+        assert (err.round_index, err.subspace, err.passes) == (3, 1, 1000)
+
+    def test_iteration_cap_allows_exactly_that_many_passes(self):
+        needed = next(cap for cap in range(1, 100) if _settles([0.2] * 3, 1, cap))
+        with pytest.raises(DivergenceError) as info:
+            numerical_limits([0.2] * 3, 1, iteration_cap=needed - 1)
+        assert info.value.passes == needed - 1
+
+    def test_iteration_cap_validation(self):
+        with pytest.raises(ValueError):
+            numerical_limits([0.1] * 4, 1, iteration_cap=0)
+
     def test_limit_matrix_shape_accessors(self):
         lm = numerical_limits([0.1] * 5, 2)
         assert lm.rounds == 2 and lm.n == 5
         assert lm.values.shape == (2, 5)
+
+
+def _settles(values, rounds, cap) -> bool:
+    try:
+        numerical_limits(values, rounds, iteration_cap=cap)
+    except DivergenceError:
+        return False
+    return True
