@@ -238,6 +238,8 @@ def cmd_limits(args) -> int:
     register = _parse_biases(args)
     n = register.n
     rounds = args.rounds if args.rounds is not None else max_rounds(n)
+    if not 1 <= rounds <= max_rounds(n):
+        raise UsageError(f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")
     if args.analytic:
         values = register.values
         if np.unique(values).size != 1:

@@ -16,14 +16,20 @@ the self-calls, since the chain can grow deeper than the interpreter allows.
 The cooling state has one form each: a sub-register's marginals are Python
 float lists for all of its passes, and each settled sub-register is written
 straight into the round's row of the limit database, which the re-entry
-tests then read.
+tests then read.  That row, like the targets, is a float list for the
+length of one top-level subspace compression, and goes back into the
+database when it ends.
 
 Nearly every pass can gain only from the limiting exchange
-|011..1> <-> |100..0>, and ``lim`` mode performs no other.  A log-domain
-test on the biases proves the former before a ``full`` pass, which then,
-like every ``lim`` pass, costs O(q) scalar products for a q-qubit
-sub-register.  Only the rare other ``full`` passes build all 2^q probamps
-and the full beneficial mask.  Both paths yield bit-identical exchanges.
+|011..1> <-> |100..0>, and ``lim`` mode performs no other.  Each pass
+builds that pair's two probamps as scalars in one walk over the biases; a
+``full`` pass then compares their ratio, times the square of the smallest
+ancilla's factor ratio, against a margin (a value-domain test) to prove
+the former.  Such a pass, like every ``lim`` pass, costs O(q) scalar
+products for a q-qubit sub-register.  Only the rare other ``full`` passes
+build all 2^q probamps and the full beneficial mask.  Both paths yield
+bit-identical exchanges.  A pass whose head starts at its cap exchanges
+nothing and ends before the walk.
 
 Every individual pair exchange is counted; the total is the run's
 complexity.  Pass counts are reported alongside for the coarser reading of
@@ -113,13 +119,20 @@ class CompressionState:
         self.defaults = np.asarray(self.defaults, dtype=float)
 
 
-#: Margin by which the log-domain gate must rule out every non-limiting pair.
-#: It keeps each such pair's exact probamp ratio below exp(-2e-9).  Rounding
-#: in the sum of at most 26 atanh terms is below 1e-12, in a product of at
-#: most 26 factors below 1e-14 relative, and the 1e-12 relative tie tolerance
-#: of the beneficial test only ever removes pairs, so the gate stays
-#: conservative.
+#: Margin by which the gate must rule out every non-limiting pair: it accepts
+#: only when the best such pair's probamp ratio, tail over head, is below
+#: exp(-2 GATE_MARGIN).  Take as exact the product of the rounded factors
+#: fl(1 -+ b) / 2 that the walk and the full build share (u = 2^-53).  Each
+#: computed probamp is a product of at most 26 of them, within 26u
+#: relative of it; r = fl(1 - b) / fl(1 + b) is within u, and the gate's
+#: two sides are within 60u of exact.  The full build's ratio of any pair
+#: is within 52u.  Together that is below 1e-14 relative, far inside the
+#: 2e-9 that separates exp(-2 GATE_MARGIN) from 1, so a pair the gate rules
+#: out is not beneficial in the full build either.  The 1e-12 relative tie
+#: tolerance of the beneficial test only ever removes pairs, so the gate
+#: stays conservative.
 GATE_MARGIN = 1e-9
+_GATE_RATIO = math.exp(-2.0 * GATE_MARGIN)
 
 #: Smallest ((1 - max beta) / 2)^q the gate accepts.  No probamp entry or
 #: partial product of the build falls below that bound, so above this floor
@@ -128,42 +141,50 @@ GATE_MARGIN = 1e-9
 _NORMAL_FLOOR = 1e-280
 
 
-def _only_limiting_pair(beta: list[float]) -> bool:
-    """True when no pair but the limiting one |011..1> <-> |100..0> can be beneficial.
+def _limiting_probamps(beta: list[float]) -> tuple[float, float, float]:
+    """Probamps of |011..1> and |100..0>, and the smallest ancilla bias.
 
-    With a_i = atanh(beta_i), pair k is beneficial only if
-    sum_i s_i(k) a_i < 0, where s_i(k) = +1 if bit i of k is 0, else -1.
-    The limiting pair has every s_i = -1 for i >= 2; the best other pair
-    flips the smallest a_i back, which leaves
-    M = sum_{i>=2} a_i - 2 min_{i>=2} a_i - a_1.  M below -GATE_MARGIN rules
-    all of them out.  Biases outside [0, 1) or near-saturated registers
-    defer to the full mask.
+    The probamps are bit-identical to the full build's entries: it
+    multiplies each entry's factors left to right in qubit order, starting
+    from 1.0 (and 1.0 * x is exact); so does this walk, head factor first.
     """
-    top = max(beta)
-    if not (min(beta) >= 0.0 and top < 1.0
-            and ((1.0 - top) / 2.0) ** len(beta) >= _NORMAL_FLOOR):
-        return False
-    a = [math.atanh(b) for b in beta]
-    rest = a[1:]
-    return sum(rest) - 2.0 * min(rest) - a[0] < -GATE_MARGIN
-
-
-def _limiting_probamps(beta: list[float]) -> tuple[float, float]:
-    """Probamps of |011..1> and |100..0>, bit-identical to the full build's entries.
-
-    The full build multiplies each entry's factors left to right in qubit
-    order, starting from 1.0 (and 1.0 * x is exact); so does this.
-    """
-    head, *rest = beta
+    head = beta[0]
     p_k, p_kk = (1.0 + head) / 2.0, (1.0 - head) / 2.0
-    for b in rest:
+    b_min = math.inf
+    for b in beta[1:]:
         p_k *= (1.0 - b) / 2.0
         p_kk *= (1.0 + b) / 2.0
-    return p_k, p_kk
+        if b < b_min:
+            b_min = b
+    return p_k, p_kk, b_min
 
 
-def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
-                  v: int, raw: list[float], passes_used: int) -> tuple[list[float], int, int]:
+def _only_limiting_pair(beta: list[float], p_k: float, p_kk: float, b_min: float) -> bool:
+    """True when no pair but the limiting one |011..1> <-> |100..0> can be beneficial.
+
+    Takes the scalars of :func:`_limiting_probamps` for *beta*.  A
+    complementary pair's tail over head ratio is the product over qubits of
+    (1 - s_i beta_i) / (1 + s_i beta_i), with s_i = +1 where bit i of its
+    index is 0, else -1; the head qubit has s_1 = +1.  The limiting pair,
+    p_kk / p_k, has every other s_i = -1.  Each s_i = +1 among the
+    ancillas multiplies its ratio by ((1 - beta_i) / (1 + beta_i))^2 <= 1,
+    so the best other pair flips only the smallest ancilla bias: its ratio
+    is p_kk r^2 / p_k with r = (1 - b_min) / (1 + b_min).  Rounding of
+    (1 +- b) / 2 is monotone in b, so the same holds for the rounded
+    factors of the full build.  Biases outside [0, 1) or near-saturated
+    registers defer to the full mask.
+    """
+    top = max(beta)
+    if not (beta[0] >= 0.0 and b_min >= 0.0 and top < 1.0
+            and ((1.0 - top) / 2.0) ** len(beta) >= _NORMAL_FLOOR):
+        return False
+    r = (1.0 - b_min) / (1.0 + b_min)
+    return p_kk * r * r < _GATE_RATIO * p_k
+
+
+def _sub_compress(state: CompressionState, targets: list[list[float]], top: int, x: int,
+                  z: int, v: int, raw: list[float],
+                  passes_used: int) -> tuple[list[float], int, int]:
     """Converge the head of sub-register v..n; returns (biases, swaps, passes).
 
     The pass state is two lists of Python floats over qubits v..n: *raw*,
@@ -177,27 +198,37 @@ def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
     the head bias after the pass over the head bias before it, and the next
     pass starts from the floored biases.
 
-    ``lim`` mode exchanges only the limiting pair, and in almost every
-    ``full`` pass only that pair can be beneficial.  In ``lim`` mode, and
-    whenever :func:`_only_limiting_pair` proves the latter from the biases,
-    the pass costs O(q): the pair's two probamps are built as scalars in the
-    full build's multiplication order and tested with the same tie rule.
-    Otherwise a ``full`` pass falls back to building all 2^q probamps and
-    the full beneficial mask.  Both paths give bit-identical exchanges.
+    A pass whose head starts at or above its cap exchanges nothing, so it
+    converges at once; it still counts as a pass.  Otherwise the pass
+    builds the limiting pair's two probamps as scalars, in the full build's
+    multiplication order.  ``lim`` mode exchanges only that pair, and in
+    almost every ``full`` pass only that pair can be beneficial.  In ``lim``
+    mode, and whenever :func:`_only_limiting_pair` proves the latter, the
+    pass costs O(q): the pair is tested with the same tie rule and
+    exchanged directly, adding 2 d to the head and subtracting it from
+    every ancilla.  Otherwise a ``full`` pass falls back to building all
+    2^q probamps and the full beneficial mask.  Both paths give
+    bit-identical exchanges.
+
+    *x* is the head of the current re-entry and *top* that of the top-level
+    :func:`subspace_compression` call, whose pass budget *passes_used*
+    counts; a :class:`DivergenceError` names *top*.
     """
     r = state.round_index
     q = len(raw)
+    lim = state.mode == MODE_LIM
     limiting = (1 << (q - 1)) - 1
     bits = f"0{q}b"
     floor = state.defaults[v - 1:].tolist()
+    floor0 = floor[0]
     # Which cap applies to this sub-register's head (checked before each
     # exchange): ancillas and re-entry heads stop at the prior round's level
     # (in round 1 that is the bath default), the primary head at this
     # round's level.  Without the ancilla cap the hierarchy breaks: deep
     # marginals can transiently rise above their defaults during a pass and
     # an uncapped ancilla then overshoots its own round limit.
-    prev_level = targets[r - 2, v - 1] if r > 1 else floor[0]
-    cap = targets[r - 1, v - 1] if z == 0 and v == x else prev_level
+    prev_level = targets[r - 2][v - 1] if r > 1 else floor0
+    cap = targets[r - 1][v - 1] if z == 0 and v == x else prev_level
     # The floor is max(default, raw) and keeps the default on a tie, so a
     # zero marginal carries its default's sign.
     gamma = [b if b > f else f for f, b in zip(floor, raw)]
@@ -209,27 +240,36 @@ def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
         if passes_used + passes > state.iteration_cap:
             raise DivergenceError(
                 f"subspace compression exceeded {state.iteration_cap} passes "
-                f"(round {r}, head {x}, target {v})",
-                round_index=r, subspace=x, passes=passes_used + passes)
+                f"(round {r}, head {top}, target {v})",
+                round_index=r, subspace=top, passes=passes_used + passes)
         head_before = gamma[0]
-        if state.mode == MODE_LIM or _only_limiting_pair(raw):
-            p_k, p_kk = _limiting_probamps(raw)
-            pairs = [(limiting, p_kk - p_k)] if _beneficial(p_k, p_kk) else []
+        if head_before >= cap:
+            return gamma, swaps_done, passes
+        p_k, p_kk, b_min = _limiting_probamps(raw)
+        if lim or _only_limiting_pair(raw, p_k, p_kk, b_min):
+            if _beneficial(p_k, p_kk):
+                step = 2.0 * (p_kk - p_k)
+                gamma = [c if (c := b - step) > f else f for f, b in zip(floor, raw)]
+                h = raw[0] + step
+                gamma[0] = h if h > floor0 else floor0
+                swaps_done += 1
+                if state.on_swap is not None:
+                    state.on_swap(r, x, v, limiting)
         else:
             # Complementary pairs are disjoint, so the pass-start beneficial
             # set equals on-the-fly re-testing; walk it in index order.
             head, tail = _halves(_probamps_raw(raw))
             ks = np.nonzero(_beneficial_mask(head, tail))[0]
-            pairs = zip(ks.tolist(), (tail[ks] - head[ks]).tolist())
-        for k, d in pairs:
-            if gamma[0] >= cap:
-                break
-            step = 2.0 * d
-            raw = [b - step if bit == "1" else b + step for b, bit in zip(raw, format(k, bits))]
-            gamma = [b if b > f else f for f, b in zip(floor, raw)]
-            swaps_done += 1
-            if state.on_swap is not None:
-                state.on_swap(r, x, v, k)
+            for k, d in zip(ks.tolist(), (tail[ks] - head[ks]).tolist()):
+                if gamma[0] >= cap:
+                    break
+                step = 2.0 * d
+                raw = [b - step if bit == "1" else b + step
+                       for b, bit in zip(raw, format(k, bits))]
+                gamma = [b if b > f else f for f, b in zip(floor, raw)]
+                swaps_done += 1
+                if state.on_swap is not None:
+                    state.on_swap(r, x, v, k)
         if head_before == 0.0:
             converged = gamma[0] == 0.0
         else:
@@ -239,25 +279,25 @@ def _sub_compress(state: CompressionState, targets: np.ndarray, x: int, z: int,
         raw = gamma
 
 
-def _si_pass(state: CompressionState, targets: np.ndarray, row: np.ndarray,
-             x: int, z: int, passes_used: int) -> tuple[bool, int, int]:
+def _si_pass(state: CompressionState, targets: list[list[float]], row: list[float],
+             top: int, x: int, z: int, passes_used: int) -> tuple[bool, int, int]:
     """One subspace-compression sweep over targets v = x..n-1.
 
     Updates the round's limit *row* in place as each sub-register settles
-    and returns (changed, swaps, passes).
+    and returns (changed, swaps, passes); *top* is the top-level head.
     """
     r = state.round_index
     before = row.copy()
     ttswaps = 0
     passes = 0
-    for v in range(x, row.size):
-        if row[v - 1] < targets[r - 1, v - 1]:
+    for v in range(x, len(row)):
+        if row[v - 1] < targets[r - 1][v - 1]:
             gamma, nswaps, npasses = _sub_compress(
-                state, targets, x, z, v, row[v - 1:].tolist(), passes_used + passes)
+                state, targets, top, x, z, v, row[v - 1:], passes_used + passes)
             row[v - 1:] = gamma
             ttswaps += nswaps
             passes += npasses
-    return not np.array_equal(before, row), ttswaps, passes
+    return before != row, ttswaps, passes
 
 
 def subspace_compression(state: CompressionState, x: int, z: int,
@@ -273,16 +313,16 @@ def subspace_compression(state: CompressionState, x: int, z: int,
         raise ValueError(f"subspace head {x} out of range 1..{n - 1}")
     if z not in (0, 1):
         raise ValueError(f"re-entry flag must be 0 or 1, got {z!r}")
-    tgt = targets.values
+    tgt = targets.values.tolist()
     r = state.round_index
-    row = rl[r - 1]
+    row = rl[r - 1].tolist()
 
     tttswaps = 0
     passes_used = 0
     stack: list[tuple[int, int]] = [(x, z)]
     while stack:
         head, flag = stack.pop()
-        changed, swaps, passes = _si_pass(state, tgt, row, head, flag, passes_used)
+        changed, swaps, passes = _si_pass(state, tgt, row, x, head, flag, passes_used)
         tttswaps += swaps
         passes_used += passes
         if not changed:
@@ -291,12 +331,13 @@ def subspace_compression(state: CompressionState, x: int, z: int,
         # head itself if short of this round's target, then each deeper qubit
         # short of the previous round's target.
         pending: list[tuple[int, int]] = []
-        if row[head - 1] < tgt[r - 1, head - 1]:
+        if row[head - 1] < tgt[r - 1][head - 1]:
             pending.append((head, 0))
         for i in range(head + 1, n):
-            if r > 1 and row[i - 1] < tgt[r - 2, i - 1]:
+            if r > 1 and row[i - 1] < tgt[r - 2][i - 1]:
                 pending.append((i, 1))
         stack.extend(reversed(pending))
+    rl[r - 1] = row
     return tttswaps, rl
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -115,6 +117,16 @@ class TestLimits:
         code, _, err = run(capsys, "limits", "--biases", "0.1,0.2,0.3", "--analytic")
         assert code == 2
         assert "equal biases" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--biases", "0", "--analytic", "--format", "csv"),
+        ("--n", "2", "--epsilon", "0.1", "--analytic"),
+        ("--n", "5", "--epsilon", "0.1", "--analytic", "--rounds", "0"),
+    ])
+    def test_analytic_rejects_rounds_out_of_range(self, capsys, argv):
+        # these once printed an empty matrix, or a traceback for CSV
+        code, out, err = run(capsys, "limits", *argv)
+        assert code == 2 and out == "" and "rounds must lie in" in err
 
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "limits", "--n", "4", "--epsilon", "0.1",
@@ -299,7 +311,13 @@ class TestExitCodesAndDeterminism:
          "numerical limits exceeded 10 passes (round 1, target 1,"),
         (("sweep", "--ns", "3,5", "--epsilon", "0.1", "--iteration-cap", "300"),
          "subspace compression exceeded 300 passes (round 2, head 1, target 1)"),
-    ], ids=["cool-subspace", "cool-limits", "sweep"])
+        # The cap runs out inside re-entries at deeper heads; the message names
+        # the top-level head whose budget it was.
+        (("cool", "--n", "5", "--epsilon", "1e-5", "--iteration-cap", "653"),
+         "subspace compression exceeded 653 passes (round 2, head 2, target 3)"),
+        (("cool", "--n", "6", "--epsilon", "1e-5", "--iteration-cap", "1717"),
+         "subspace compression exceeded 1717 passes (round 2, head 1, target 2)"),
+    ], ids=["cool-subspace", "cool-limits", "sweep", "cool-reentry-n5", "cool-reentry-n6"])
     def test_cooling_pass_cap_exit(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out == ""
@@ -321,3 +339,83 @@ class TestExitCodesAndDeterminism:
         assert cli.main([*argv, "--out", str(a)]) == 0
         assert cli.main([*argv, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Argument values for the robustness property: valid ones (sizes up to 12),
+# drawn six times as often as malformed, non-finite, negative or empty ones.
+def _values(valid, bad):
+    return st.one_of(*[st.sampled_from(valid)] * 6, st.sampled_from(bad))
+
+
+SIZES = _values(["4", "3", "5", "7", "12", "1", "2"],
+                ["-1", "0", "3.5", "1e3", "0x3", "nan", "abc", ""])
+REALS = _values(["0.1", "0.3", "1e-5", "0", "1", "1e-320", "5e-324"],
+                ["-0.1", "1.5", "nan", "inf", "-inf", "1e400", "0.1.2", "abc", ""])
+PRECISIONS = _values(["1e-9", "1e-3", "1e-300", "inf"], ["0", "-1e-9", "nan", "abc"])
+# Every cooling or limit run gets one of these caps, so no case runs long.
+CAPS = _values(["100", "7", "1"], ["-3", "0", "abc", ""])
+FORMATS = _values(["json", "csv", "text"], ["xml", ""])
+MODES = _values(["full", "lim"], ["sorted"])
+
+
+def _lists(values):
+    # repeated values, and empty entries from empty strings, included
+    return st.lists(values, min_size=1, max_size=4).map(",".join)
+
+
+BIAS_INPUTS = {"--biases": _lists(REALS), "--n": SIZES, "--epsilon": REALS}
+BIAS_SOURCES = [("--biases",), ("--n", "--epsilon")]
+COMMANDS = {
+    # command: (input flags, the input combinations it accepts, other flags);
+    # None marks a flag without a value
+    "optswaps": (BIAS_INPUTS, BIAS_SOURCES, {"--verify": None, "--format": FORMATS}),
+    "limits": (BIAS_INPUTS, BIAS_SOURCES,
+               {"--rounds": SIZES, "--precision": PRECISIONS, "--analytic": None,
+                "--format": FORMATS}),
+    "cool": (BIAS_INPUTS, BIAS_SOURCES,
+             {"--rounds": SIZES, "--precision": PRECISIONS, "--mode": MODES}),
+    "circuit": ({"--from-biases": _lists(REALS), "--lim": SIZES},
+                [("--from-biases",), ("--lim",)], {}),
+    "sweep": ({"--ns": _lists(SIZES), "--epsilon": REALS, "--epsilons": _lists(REALS),
+               "--n": SIZES},
+              [("--ns", "--epsilon"), ("--n", "--epsilons")],
+              {"--rounds": SIZES, "--precision": PRECISIONS, "--mode": MODES,
+               "--format": FORMATS}),
+    "bounds": ({"--n": SIZES, "--epsilon": REALS}, [("--n", "--epsilon")],
+               {"--rounds": SIZES, "--k": SIZES}),
+}
+CAPPED = {"limits", "cool", "sweep"}
+
+
+@st.composite
+def argument_vectors(draw):
+    """A command with an accepted input combination or any of its input flags,
+    then further flags; repeats and conflicting inputs allowed."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    inputs, sources, others = COMMANDS[command]
+    accepted = st.sampled_from(sources)
+    names = draw(st.one_of(accepted, accepted, accepted,
+                           st.lists(st.sampled_from(sorted(inputs)), max_size=4)))
+    if others:
+        names = [*names, *draw(st.lists(st.sampled_from(sorted(others)), max_size=3))]
+    flags = {**inputs, **others}
+    argv = [command]
+    for name in names:
+        argv += [name] if flags[name] is None else [name, draw(flags[name])]
+    if command in CAPPED:
+        argv += ["--iteration-cap", draw(CAPS)]
+    return argv
+
+
+class TestArgumentRobustness:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argument_vectors())
+    def test_documented_exit_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -135,6 +135,15 @@ class TestRegisterCompression:
             run_equal(5, 0.3, 3, iteration_cap=3)
         assert exc.value.passes is not None and exc.value.round_index == 1
 
+    @pytest.mark.parametrize("n,cap,head,target", [(5, 653, 2, 3), (6, 1717, 1, 2)])
+    def test_divergence_names_top_level_head(self, n, cap, head, target):
+        # The cap is spent inside a re-entry at a deeper head; the error names
+        # the top-level head whose pass budget ran out, and the re-entry target.
+        with pytest.raises(DivergenceError) as exc:
+            run_equal(n, 1e-5, n - 2, iteration_cap=cap)
+        assert exc.value.round_index == 2 and exc.value.subspace == head
+        assert f"exceeded {cap} passes (round 2, head {head}, target {target})" in str(exc.value)
+
     def test_explicit_targets_shape_checked(self):
         config = HbacConfig.equal(4, 0.1, 2)
         with pytest.raises(ValueError):
@@ -171,6 +180,22 @@ class TestSubspaceCompression:
         assert swaps == len(seen)
         assert out[0, 0] == pytest.approx(single_round_limit(0.2, 2), rel=1e-7)
         assert out[0, 1] == 0.2 and out[0, 2] == 0.2
+
+    def test_pass_starting_at_cap_counts_and_exchanges_nothing(self):
+        # Round 2, re-entry at head 1: the head's cap is its round-1 level,
+        # and it already sits above it (short of its round-2 target, so the
+        # sweep still runs a pass there); every ancilla is at its target.
+        targets = numerical_limits([0.2] * 4, 2)
+        t = targets.values
+        rl = np.array([t[0], [(t[0, 0] + t[1, 0]) / 2, *t[1, 1:]]])
+        before = rl.copy()
+        seen = []
+        state = CompressionState(defaults=np.full(4, 0.2), round_index=2,
+                                 on_swap=lambda *e: seen.append(e))
+        swaps, out = subspace_compression(state, 1, 1, targets, rl)
+        assert state.while_passes == 1
+        assert swaps == 0 and seen == []
+        assert np.array_equal(out, before)
 
     def test_validates_head_and_flag(self):
         targets = numerical_limits([0.2] * 3, 1)
@@ -224,6 +249,11 @@ def product_registers(draw):
     return [math.tanh(max(at + shift, 0.0)), *rest]
 
 
+def gate(beta):
+    """The gate's verdict on *beta*, from the scalars of the walk over it."""
+    return hbac._only_limiting_pair(beta, *hbac._limiting_probamps(beta))
+
+
 class TestLimitingPairFastPath:
     @settings(max_examples=500, deadline=None)
     @given(product_registers())
@@ -232,10 +262,11 @@ class TestLimitingPairFastPath:
         half = p.size // 2
         mask = _beneficial_mask(p[:half], p[::-1][:half])
         limiting = half - 1
-        p_k, p_kk = hbac._limiting_probamps(beta)
+        p_k, p_kk, b_min = hbac._limiting_probamps(beta)
         assert p_k == p[limiting] and p_kk == p[half]
+        assert b_min == min(beta[1:])
         assert _beneficial(p_k, p_kk) == mask[limiting]
-        if hbac._only_limiting_pair(beta):
+        if hbac._only_limiting_pair(beta, p_k, p_kk, b_min):
             assert not mask[:limiting].any()
 
     @pytest.mark.parametrize("shift,verdict", [(2e-9, True), (0.5e-9, False), (-1e-6, False)])
@@ -243,13 +274,13 @@ class TestLimitingPairFastPath:
         rest = [0.1, 0.2, 0.05]
         a = [math.atanh(b) for b in rest]
         head = math.tanh(sum(a) - 2.0 * min(a) + shift)
-        assert hbac._only_limiting_pair([head, *rest]) is verdict
+        assert gate([head, *rest]) is verdict
 
     @pytest.mark.parametrize("beta", [[0.1] * 4, [0.9, 1.0, 0.2], [0.0, 0.0], [0.5, -0.1, 0.1]])
     def test_gate_defers(self, beta):
         # equal biases (other pairs tie the limiting one), a saturated qubit,
         # zero biases and a negative bias all take the full mask
-        assert not hbac._only_limiting_pair(beta)
+        assert not gate(beta)
 
     @pytest.mark.parametrize("mode", ["full", "lim"])
     @pytest.mark.parametrize("values", [(eps,) * n for n in range(3, 7) for eps in (0.1, 1e-5)]
@@ -262,10 +293,10 @@ class TestLimitingPairFastPath:
             return (report.complexity, report.per_round_swaps, report.while_passes,
                     report.round_limits.values.tobytes(), events)
 
-        gate = hbac._only_limiting_pair
+        real_gate = hbac._only_limiting_pair
         verdicts = []
         monkeypatch.setattr(hbac, "_only_limiting_pair",
-                            lambda beta: verdicts.append(gate(beta)) or verdicts[-1])
+                            lambda *args: verdicts.append(real_gate(*args)) or verdicts[-1])
         fast = run()
         if mode == "full":
             assert sum(verdicts) > 0.9 * len(verdicts)
@@ -274,9 +305,9 @@ class TestLimitingPairFastPath:
 
         def full_build_pair(beta):
             p = _probamps_raw(beta)
-            return p[p.size // 2 - 1], p[p.size // 2]
+            return p[p.size // 2 - 1], p[p.size // 2], min(beta[1:])
 
         # full passes always build the mask; lim passes read the pair from the full build
-        monkeypatch.setattr(hbac, "_only_limiting_pair", lambda beta: False)
+        monkeypatch.setattr(hbac, "_only_limiting_pair", lambda *args: False)
         monkeypatch.setattr(hbac, "_limiting_probamps", full_build_pair)
         assert run() == fast
