@@ -174,9 +174,9 @@ def _only_limiting_pair(beta: list[float], p_k: float, p_kk: float, b_min: float
     factors of the full build.  Biases outside [0, 1) or near-saturated
     registers defer to the full mask.
     """
-    top = max(beta)
-    if not (beta[0] >= 0.0 and b_min >= 0.0 and top < 1.0
-            and ((1.0 - top) / 2.0) ** len(beta) >= _NORMAL_FLOOR):
+    b_max = max(beta)
+    if not (beta[0] >= 0.0 and b_min >= 0.0 and b_max < 1.0
+            and ((1.0 - b_max) / 2.0) ** len(beta) >= _NORMAL_FLOOR):
         return False
     r = (1.0 - b_min) / (1.0 + b_min)
     return p_kk * r * r < _GATE_RATIO * p_k

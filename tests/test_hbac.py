@@ -142,7 +142,8 @@ class TestRegisterCompression:
         with pytest.raises(DivergenceError) as exc:
             run_equal(n, 1e-5, n - 2, iteration_cap=cap)
         assert exc.value.round_index == 2 and exc.value.subspace == head
-        assert f"exceeded {cap} passes (round 2, head {head}, target {target})" in str(exc.value)
+        message = f"exceeded {cap} passes (round 2, head {head}, target {target})"
+        assert message in str(exc.value)
 
     def test_explicit_targets_shape_checked(self):
         config = HbacConfig.equal(4, 0.1, 2)
