@@ -26,7 +26,7 @@ from .errors import DivergenceError, ResourceCapError
 from .hbac import HbacConfig, register_compression
 from .limits import (DEFAULT_ITERATION_CAP, analytic_limit, max_rounds, numerical_limits,
                      shannon_bound, single_round_limit, sqrt_bound)
-from .regstate import RegisterBiases, marginal_bias, probamps
+from .regstate import RegisterBiases, _check_size, marginal_bias, probamps
 
 SCHEMA_VERSION = 1
 
@@ -100,7 +100,8 @@ def _parse_list(text: str, convert, what: str) -> list:
         raise UsageError(f"bad {what} list {text!r}: {exc}") from None
 
 
-def _parse_biases(args) -> RegisterBiases:
+def _parse_biases(args, capped: bool = True) -> RegisterBiases:
+    """The register of --biases or of --n/--epsilon; *capped* checks --n first."""
     has_list = getattr(args, "biases", None) is not None
     has_pair = getattr(args, "n", None) is not None or getattr(args, "epsilon", None) is not None
     if has_list and has_pair:
@@ -109,6 +110,8 @@ def _parse_biases(args) -> RegisterBiases:
         return RegisterBiases.from_values(_parse_list(args.biases, float, "bias"))
     if args.n is None or args.epsilon is None:
         raise UsageError("provide either --biases or both --n and --epsilon")
+    if capped:
+        _check_size(args.n)
     return RegisterBiases.equal(args.n, args.epsilon)
 
 
@@ -197,7 +200,7 @@ def cmd_optswaps(args) -> int:
             "schema": SCHEMA_VERSION,
             "command": "optswaps",
             "n": n,
-            "biases": [b.value for b in register.biases],
+            "biases": register.values.tolist(),
             "swaps": _Verbatim("\n".join(["[", *rows, "  ]"]) if rows else "[]"),
             "count": idx.size,
             "gain": gain,
@@ -235,7 +238,7 @@ def cmd_optswaps(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    register = _parse_biases(args)
+    register = _parse_biases(args, capped=not args.analytic)
     n = register.n
     rounds = args.rounds if args.rounds is not None else max_rounds(n)
     if not 1 <= rounds <= max_rounds(n):
@@ -276,7 +279,7 @@ def cmd_cool(args) -> int:
         "schema": SCHEMA_VERSION,
         "command": "cool",
         "n": register.n,
-        "biases": [b.value for b in register.biases],
+        "biases": register.values.tolist(),
         "rounds": rounds,
         "precision": args.precision,
         "mode": args.mode,
@@ -320,6 +323,8 @@ def cmd_sweep(args) -> int:
         points = [(args.n, eps) for eps in _parse_list(args.epsilons, float, "bias")]
     else:
         raise UsageError("provide --ns LIST or --epsilons LIST")
+    for n, _ in points:
+        _check_size(n)
     rows: list[tuple[float | int, int]] = []
     for n, eps in points:
         rounds = args.rounds if args.rounds is not None else max_rounds(n)

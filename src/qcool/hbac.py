@@ -18,7 +18,10 @@ float lists for all of its passes, and each settled sub-register is written
 straight into the round's row of the limit database, which the re-entry
 tests then read.  That row, like the targets, is a float list for the
 length of one top-level subspace compression, and goes back into the
-database when it ends.
+database when it ends.  The run's inputs have one form too: the
+:class:`HbacConfig` reaches every pass unchanged, and each subspace
+compression returns its exchange and pass counts, which register
+compression sums; no counter lives on shared state.
 
 Nearly every pass can gain only from the limiting exchange
 |011..1> <-> |100..0>, and ``lim`` mode performs no other.  Each pass
@@ -103,22 +106,6 @@ class CoolingReport:
         return self.round_limits.values[-1].copy()
 
 
-@dataclass
-class CompressionState:
-    """Register-wide context threaded through subspace compression."""
-
-    defaults: np.ndarray
-    round_index: int
-    mode: str = MODE_FULL
-    precision: float = 1e-9
-    iteration_cap: int = DEFAULT_ITERATION_CAP
-    on_swap: SwapHook | None = None
-    while_passes: int = 0
-
-    def __post_init__(self) -> None:
-        self.defaults = np.asarray(self.defaults, dtype=float)
-
-
 #: Margin by which the gate must rule out every non-limiting pair: it accepts
 #: only when the best such pair's probamp ratio, tail over head, is below
 #: exp(-2 GATE_MARGIN).  Take as exact the product of the rounded factors
@@ -182,17 +169,17 @@ def _only_limiting_pair(beta: list[float], p_k: float, p_kk: float, b_min: float
     return p_kk * r * r < _GATE_RATIO * p_k
 
 
-def _sub_compress(state: CompressionState, targets: list[list[float]], top: int, x: int,
-                  z: int, v: int, raw: list[float],
-                  passes_used: int) -> tuple[list[float], int, int]:
-    """Converge the head of sub-register v..n; returns (biases, swaps, passes).
+def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: int, x: int,
+                  z: int, v: int, raw: list[float], floor: list[float], passes_used: int,
+                  on_swap: SwapHook | None) -> tuple[list[float], int, int]:
+    """Converge the head of sub-register v..n in round r; returns (biases, swaps, passes).
 
     The pass state is two lists of Python floats over qubits v..n: *raw*,
     which enters as the sub-register's recorded biases and tracks the
     marginals exactly through each exchange, and ``gamma``, the same floored
-    at the defaults (the heat-bath reset).  One while-pass: from *raw* at
-    the pass start, find the beneficial complementary pairs of the product
-    state, then exchange each in index order.  Exchanging pair k of gap d
+    at the default biases *floor* (the heat-bath reset).  One while-pass:
+    from *raw* at the pass start, find the beneficial complementary pairs of
+    the product state, then exchange each in index order.  Exchanging pair k of gap d
     adds 2 d to qubit i when bit i of k (MSB first) is 0 and subtracts it
     when the bit is 1; every qubit is then floored again.  The pass ratio is
     the head bias after the pass over the head bias before it, and the next
@@ -211,15 +198,16 @@ def _sub_compress(state: CompressionState, targets: list[list[float]], top: int,
     bit-identical exchanges.
 
     *x* is the head of the current re-entry and *top* that of the top-level
-    :func:`subspace_compression` call, whose pass budget *passes_used*
-    counts; a :class:`DivergenceError` names *top*.
+    :func:`subspace_compression` call, which has used *passes_used* of its
+    pass budget ``config.iteration_cap``; a :class:`DivergenceError` names
+    *top*.
     """
-    r = state.round_index
     q = len(raw)
-    lim = state.mode == MODE_LIM
+    lim = config.mode == MODE_LIM
+    precision = config.precision
+    budget = config.iteration_cap - passes_used
     limiting = (1 << (q - 1)) - 1
     bits = f"0{q}b"
-    floor = state.defaults[v - 1:].tolist()
     floor0 = floor[0]
     # Which cap applies to this sub-register's head (checked before each
     # exchange): ancillas and re-entry heads stop at the prior round's level
@@ -236,10 +224,9 @@ def _sub_compress(state: CompressionState, targets: list[list[float]], top: int,
     passes = 0
     while True:
         passes += 1
-        state.while_passes += 1
-        if passes_used + passes > state.iteration_cap:
+        if passes > budget:
             raise DivergenceError(
-                f"subspace compression exceeded {state.iteration_cap} passes "
+                f"subspace compression exceeded {config.iteration_cap} passes "
                 f"(round {r}, head {top}, target {v})",
                 round_index=r, subspace=top, passes=passes_used + passes)
         head_before = gamma[0]
@@ -253,8 +240,8 @@ def _sub_compress(state: CompressionState, targets: list[list[float]], top: int,
                 h = raw[0] + step
                 gamma[0] = h if h > floor0 else floor0
                 swaps_done += 1
-                if state.on_swap is not None:
-                    state.on_swap(r, x, v, limiting)
+                if on_swap is not None:
+                    on_swap(r, x, v, limiting)
         else:
             # Complementary pairs are disjoint, so the pass-start beneficial
             # set equals on-the-fly re-testing; walk it in index order.
@@ -268,64 +255,56 @@ def _sub_compress(state: CompressionState, targets: list[list[float]], top: int,
                        for b, bit in zip(raw, format(k, bits))]
                 gamma = [b if b > f else f for f, b in zip(floor, raw)]
                 swaps_done += 1
-                if state.on_swap is not None:
-                    state.on_swap(r, x, v, k)
+                if on_swap is not None:
+                    on_swap(r, x, v, k)
         if head_before == 0.0:
             converged = gamma[0] == 0.0
         else:
-            converged = abs(gamma[0] / head_before - 1.0) <= state.precision
+            converged = abs(gamma[0] / head_before - 1.0) <= precision
         if converged:
             return gamma, swaps_done, passes
         raw = gamma
 
 
-def _si_pass(state: CompressionState, targets: list[list[float]], row: list[float],
-             top: int, x: int, z: int, passes_used: int) -> tuple[bool, int, int]:
-    """One subspace-compression sweep over targets v = x..n-1.
+def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: LimitMatrix,
+                         rl: np.ndarray, on_swap: SwapHook | None = None) -> tuple[int, int]:
+    """Initialize the subspace spanning qubits x..n in round r; returns (swaps, passes).
 
-    Updates the round's limit *row* in place as each sub-register settles
-    and returns (changed, swaps, passes); *top* is the top-level head.
+    One sweep subspace-compresses each target v = head..n-1 that is short of
+    its round-r target, and writes the settled sub-register into row r of
+    *rl*, which is updated in place.  While a sweep still moves the row, the
+    call re-enters itself: at the head (z = 0) if it stays short of its
+    round-r target, then with z = 1 at each deeper qubit below its
+    previous-round target.  The re-entries run from an explicit stack.
+    *passes* counts the passes of every re-entry, and
+    ``config.iteration_cap`` bounds it.
     """
-    r = state.round_index
-    before = row.copy()
-    ttswaps = 0
-    passes = 0
-    for v in range(x, len(row)):
-        if row[v - 1] < targets[r - 1][v - 1]:
-            gamma, nswaps, npasses = _sub_compress(
-                state, targets, top, x, z, v, row[v - 1:], passes_used + passes)
-            row[v - 1:] = gamma
-            ttswaps += nswaps
-            passes += npasses
-    return before != row, ttswaps, passes
-
-
-def subspace_compression(state: CompressionState, x: int, z: int,
-                         targets: LimitMatrix, rl: np.ndarray) -> tuple[int, np.ndarray]:
-    """Initialize the subspace spanning qubits x..n for the state's round.
-
-    Re-enters itself while the head stays short of its round target or any
-    ancilla sits below its previous-round target and the limit row is still
-    moving; *rl* is updated in place and returned with the exchange count.
-    """
-    n = state.defaults.size
+    n = config.biases.n
+    if not 1 <= r <= config.rounds:
+        raise ValueError(f"round {r} out of range 1..{config.rounds}")
     if not 1 <= x <= n - 1:
         raise ValueError(f"subspace head {x} out of range 1..{n - 1}")
     if z not in (0, 1):
         raise ValueError(f"re-entry flag must be 0 or 1, got {z!r}")
     tgt = targets.values.tolist()
-    r = state.round_index
+    floor = config.biases.values.tolist()
     row = rl[r - 1].tolist()
 
-    tttswaps = 0
-    passes_used = 0
+    swaps = 0
+    passes = 0
     stack: list[tuple[int, int]] = [(x, z)]
     while stack:
         head, flag = stack.pop()
-        changed, swaps, passes = _si_pass(state, tgt, row, x, head, flag, passes_used)
-        tttswaps += swaps
-        passes_used += passes
-        if not changed:
+        before = row.copy()
+        for v in range(head, n):
+            if row[v - 1] < tgt[r - 1][v - 1]:
+                gamma, nswaps, npasses = _sub_compress(
+                    config, tgt, r, x, head, flag, v, row[v - 1:], floor[v - 1:],
+                    passes, on_swap)
+                row[v - 1:] = gamma
+                swaps += nswaps
+                passes += npasses
+        if row == before:
             continue
         # Re-entry order matches the tail of the recursive form: first the
         # head itself if short of this round's target, then each deeper qubit
@@ -338,7 +317,7 @@ def subspace_compression(state: CompressionState, x: int, z: int,
                 pending.append((i, 1))
         stack.extend(reversed(pending))
     rl[r - 1] = row
-    return tttswaps, rl
+    return swaps, passes
 
 
 def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = None,
@@ -351,7 +330,6 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
     each finished row seeds the next round.
     """
     n = config.biases.n
-    defaults = config.biases.values
     if targets is None:
         targets = numerical_limits(config.biases, config.rounds, config.precision,
                                    iteration_cap=config.iteration_cap)
@@ -361,19 +339,16 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
             f"({config.rounds}, {n})")
 
     rl = np.zeros((config.rounds, n))
-    rl[0] = defaults
-    state = CompressionState(
-        defaults=defaults, round_index=1, mode=config.mode,
-        precision=config.precision, iteration_cap=config.iteration_cap,
-        on_swap=on_swap)
+    rl[0] = config.biases.values
     complexity = 0
+    while_passes = 0
     per_round: list[int] = []
     for r in range(1, config.rounds + 1):
-        state.round_index = r
         totswaps = 0
         for x in range(1, n - r):
-            tttswaps, rl = subspace_compression(state, x, 0, targets, rl)
-            totswaps += tttswaps
+            swaps, passes = subspace_compression(config, r, x, 0, targets, rl, on_swap)
+            totswaps += swaps
+            while_passes += passes
         if r < config.rounds:
             rl[r] = rl[r - 1]
         complexity += totswaps
@@ -383,7 +358,7 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
         round_limits=LimitMatrix(rl),
         per_round_swaps=tuple(per_round),
         targets=targets,
-        while_passes=state.while_passes)
+        while_passes=while_passes)
 
 
 def complexity_sweep(n_values: Sequence[int], eps: float, rounds: int | None = None,

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import regstate
 from .compress import _beneficial_mask, _complements, _halves
-from .errors import DivergenceError, ResourceCapError
-from .regstate import DiagDist, RegisterBiases, _marginal_raw, _probamps_raw
+from .errors import DivergenceError
+from .regstate import DiagDist, RegisterBiases, _check_size, _marginal_raw, _probamps_raw
 
 #: Above this value of f * eps the limit tanh(f * atanh(eps)) rounds to 1.0.
 TANH_CROSSOVER = 30.0
@@ -177,9 +177,7 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
     if not isinstance(biases, RegisterBiases):
         biases = RegisterBiases.from_values(biases)
     n = biases.n
-    if n > size_cap:
-        raise ResourceCapError(
-            f"register of {n} qubits exceeds the size cap {size_cap}")
+    _check_size(n, size_cap)
     if not 1 <= rounds <= max_rounds(n):
         raise ValueError(
             f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")

@@ -23,74 +23,63 @@ DEFAULT_SIZE_CAP = 26
 NORM_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Bias:
-    """Polarization of a single qubit toward |0>, a real in [0, 1].
+def _check_size(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
+    """Raise :class:`ResourceCapError` for a register of more than *size_cap* qubits."""
+    if n > size_cap:
+        raise ResourceCapError(f"register of {n} qubits exceeds the size cap {size_cap}")
 
-    0 is the maximally mixed state, 1 the pure |0> state.  The populations
-    are ``plus`` = (1 + value)/2 and ``minus`` = (1 - value)/2.
+
+@dataclass(frozen=True, eq=False)
+class RegisterBiases:
+    """Ordered per-qubit biases toward |0>; index 0 is qubit 1, the top of the hierarchy.
+
+    *values* is a read-only float64 array, validated once: each bias lies in
+    [0, 1], where 0 is the maximally mixed state and 1 the pure |0> state.
     """
 
-    value: float
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = float(self.value)
-        if not (0.0 <= v <= 1.0):  # also rejects NaN
-            raise ValueError(f"bias must lie in [0, 1], got {self.value!r}")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def plus(self) -> float:
-        return (1.0 + self.value) / 2.0
-
-    @property
-    def minus(self) -> float:
-        return (1.0 - self.value) / 2.0
-
-
-@dataclass(frozen=True)
-class RegisterBiases:
-    """Ordered per-qubit biases; index 0 is qubit 1, the top of the hierarchy."""
-
-    biases: tuple[Bias, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.biases) < 1:
+        arr = np.array(self.values, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError("biases must be one-dimensional")
+        if arr.size < 1:
             raise ValueError("register needs at least one qubit")
-        if not all(isinstance(b, Bias) for b in self.biases):
-            raise TypeError("biases must be Bias instances; see from_values()")
+        bad = ~((arr >= 0.0) & (arr <= 1.0))  # also flags NaN
+        if bad.any():
+            raise ValueError(f"bias must lie in [0, 1], got {float(arr[bad.argmax()])!r}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "RegisterBiases":
-        return cls(tuple(Bias(float(v)) for v in values))
+        return cls([float(v) for v in values])
 
     @classmethod
     def equal(cls, n: int, eps: float) -> "RegisterBiases":
         if n < 1:
             raise ValueError("register needs at least one qubit")
-        return cls((Bias(float(eps)),) * n)
+        return cls(np.full(n, float(eps)))
 
     @property
     def n(self) -> int:
-        return len(self.biases)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([b.value for b in self.biases], dtype=float)
+        return self.values.size
 
     def with_target_first(self, m: int) -> "RegisterBiases":
         """Swap qubit m (1-based) into position 1, so it becomes the target."""
         if not 1 <= m <= self.n:
             raise ValueError(f"qubit index {m} out of range 1..{self.n}")
-        lst = list(self.biases)
-        lst[0], lst[m - 1] = lst[m - 1], lst[0]
-        return RegisterBiases(tuple(lst))
+        arr = self.values.copy()
+        arr[[0, m - 1]] = arr[[m - 1, 0]]
+        return RegisterBiases(arr)
 
-    def __len__(self) -> int:
-        return len(self.biases)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RegisterBiases):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
-    def __getitem__(self, i: int) -> Bias:
-        return self.biases[i]
+    def __hash__(self) -> int:
+        return hash(tuple(self.values.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +125,11 @@ def _probamps_raw(values: Sequence[float] | np.ndarray) -> np.ndarray:
 def probamps(register: RegisterBiases, *, size_cap: int = DEFAULT_SIZE_CAP) -> DiagDist:
     """Build the diagonal distribution of the product state described by *register*.
 
-    Entry j is the product over qubits i of plus(eps_i) if bit i of j
-    (MSB-first) is 0, else minus(eps_i).  Registers larger than *size_cap*
+    Entry j is the product over qubits i of (1 + eps_i)/2 if bit i of j
+    (MSB-first) is 0, else (1 - eps_i)/2.  Registers larger than *size_cap*
     qubits raise :class:`ResourceCapError`.
     """
-    if register.n > size_cap:
-        raise ResourceCapError(
-            f"register of {register.n} qubits exceeds the size cap {size_cap}")
+    _check_size(register.n, size_cap)
     return DiagDist(_probamps_raw(register.values))
 
 

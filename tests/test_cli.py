@@ -13,6 +13,10 @@ from oracles import swap_rows
 from qcool import circuit_permutation, lim_comp, parse_text
 
 
+#: A register size far past the size cap, and past a C index.
+HUGE = "99999999999999999999"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -274,6 +278,25 @@ class TestExitCodesAndDeterminism:
     def test_size_cap_exit(self, capsys):
         code, _, _ = run(capsys, "optswaps", "--n", "30", "--epsilon", "0.1")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("optswaps", "--n", HUGE, "--epsilon", "0.1"),
+        ("cool", "--n", HUGE, "--epsilon", "0.1"),
+        ("limits", "--n", HUGE, "--epsilon", "0.1"),
+        ("sweep", "--ns", f"3,{HUGE}", "--epsilon", "0.1"),
+    ], ids=lambda argv: argv[0])
+    def test_huge_size_exits_before_allocation(self, capsys, argv):
+        # the size is checked before the register is built; building it
+        # first overflowed with a traceback
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: register of {HUGE} qubits exceeds the size cap 26\n"
+
+    @pytest.mark.parametrize("biases, bad", [("0.1,1.5", "1.5"), ("nan", "nan")])
+    def test_bad_bias_message(self, capsys, biases, bad):
+        code, out, err = run(capsys, "optswaps", "--biases", biases)
+        assert (code, out) == (2, "")
+        assert err == f"error: bias must lie in [0, 1], got {bad}\n"
 
     def test_verify_past_fourteen_qubits(self, capsys):
         # verification shares the 26-qubit size cap; n = 15 once exited 3

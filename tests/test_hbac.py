@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcool.hbac as hbac
-from qcool import (CompressionState, DivergenceError, HbacConfig,
-                   RegisterBiases, analytic_limit, complexity_sweep,
+from qcool import (DivergenceError, HbacConfig, RegisterBiases,
+                   analytic_limit, complexity_sweep,
                    numerical_limits, register_compression, single_round_limit,
                    subspace_compression)
 from qcool.compress import _beneficial, _beneficial_mask
@@ -164,23 +164,22 @@ class TestSubspaceCompression:
         targets = numerical_limits([0.2] * 4, 1)
         rl = np.zeros((1, 4))
         rl[0] = targets.values[0]  # already initialized to the limits
-        state = CompressionState(defaults=np.full(4, 0.2), round_index=1)
-        swaps, out = subspace_compression(state, 1, 0, targets, rl)
-        assert swaps == 0
-        assert np.array_equal(out[0], targets.values[0])
+        swaps, passes = subspace_compression(HbacConfig.equal(4, 0.2, 1), 1, 1, 0, targets, rl)
+        assert swaps == 0 and passes == 0
+        assert np.array_equal(rl[0], targets.values[0])
 
     def test_first_exchange_is_the_three_qubit_compressor(self):
         targets = numerical_limits([0.2] * 3, 1)
         rl = np.zeros((1, 3))
         rl[0] = 0.2
         seen = []
-        state = CompressionState(defaults=np.full(3, 0.2), round_index=1,
-                                 on_swap=lambda r, x, v, k: seen.append((r, x, v, k)))
-        swaps, out = subspace_compression(state, 1, 0, targets, rl)
+        swaps, passes = subspace_compression(
+            HbacConfig.equal(3, 0.2, 1), 1, 1, 0, targets, rl,
+            on_swap=lambda r, x, v, k: seen.append((r, x, v, k)))
         assert seen[0] == (1, 1, 1, 3)
-        assert swaps == len(seen)
-        assert out[0, 0] == pytest.approx(single_round_limit(0.2, 2), rel=1e-7)
-        assert out[0, 1] == 0.2 and out[0, 2] == 0.2
+        assert swaps == len(seen) and passes >= swaps
+        assert rl[0, 0] == pytest.approx(single_round_limit(0.2, 2), rel=1e-7)
+        assert rl[0, 1] == 0.2 and rl[0, 2] == 0.2
 
     def test_pass_starting_at_cap_counts_and_exchanges_nothing(self):
         # Round 2, re-entry at head 1: the head's cap is its round-1 level,
@@ -191,20 +190,36 @@ class TestSubspaceCompression:
         rl = np.array([t[0], [(t[0, 0] + t[1, 0]) / 2, *t[1, 1:]]])
         before = rl.copy()
         seen = []
-        state = CompressionState(defaults=np.full(4, 0.2), round_index=2,
-                                 on_swap=lambda *e: seen.append(e))
-        swaps, out = subspace_compression(state, 1, 1, targets, rl)
-        assert state.while_passes == 1
+        swaps, passes = subspace_compression(HbacConfig.equal(4, 0.2, 2), 2, 1, 1, targets, rl,
+                                             on_swap=lambda *e: seen.append(e))
+        assert passes == 1
         assert swaps == 0 and seen == []
-        assert np.array_equal(out, before)
+        assert np.array_equal(rl, before)
 
     def test_validates_head_and_flag(self):
         targets = numerical_limits([0.2] * 3, 1)
-        state = CompressionState(defaults=np.full(3, 0.2), round_index=1)
+        config = HbacConfig.equal(3, 0.2, 1)
         with pytest.raises(ValueError):
-            subspace_compression(state, 3, 0, targets, np.zeros((1, 3)))
+            subspace_compression(config, 1, 3, 0, targets, np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            subspace_compression(state, 1, 2, targets, np.zeros((1, 3)))
+            subspace_compression(config, 1, 1, 2, targets, np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            subspace_compression(config, 2, 1, 0, targets, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("mode", ["full", "lim"])
+    def test_while_passes_sums_returned_passes(self, monkeypatch, mode):
+        real = hbac.subspace_compression
+        returned = []
+
+        def counted(*args, **kw):
+            swaps, passes = real(*args, **kw)
+            returned.append(passes)
+            return swaps, passes
+
+        monkeypatch.setattr(hbac, "subspace_compression", counted)
+        report = run_equal(5, 0.1, 3, mode=mode)
+        assert len(returned) == 3 + 2 + 1  # heads 1..n-r-1 of rounds 1..3
+        assert report.while_passes == sum(returned) > 0
 
 
 class TestComplexitySweep:

@@ -1,32 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcool import (Bias, DiagDist, RegisterBiases, ResourceCapError,
+from qcool import (DiagDist, RegisterBiases, ResourceCapError,
                    marginal_bias, marginal_register, probamps)
+from qcool.regstate import _probamps_raw
 from oracles import block_marginal, product_probamps
 
 biases_st = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=8)
-
-
-class TestBias:
-    def test_populations(self):
-        b = Bias(0.2)
-        assert b.plus == pytest.approx(0.6)
-        assert b.minus == pytest.approx(0.4)
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            Bias(bad)
-
-    @given(st.floats(0.0, 1.0, allow_nan=False))
-    def test_populations_sum_to_one_exactly(self, eps):
-        b = Bias(eps)
-        assert b.plus + b.minus == 1.0
 
 
 class TestRegisterBiases:
@@ -42,6 +27,34 @@ class TestRegisterBiases:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             RegisterBiases(())
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_rejects_out_of_range(self, bad):
+        # the message names the first bad bias as a Python float
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            RegisterBiases.from_values([0.2, bad, 2.0])
+
+    def test_values_read_only(self):
+        src = np.array([0.1, 0.2])
+        r = RegisterBiases(src)
+        with pytest.raises(ValueError):
+            r.values[0] = 0.5
+        src[0] = 0.5  # the register holds its own copy
+        assert r.values[0] == 0.1
+
+    def test_equality_and_hash_by_value(self):
+        a = RegisterBiases.equal(3, 0.1)
+        b = RegisterBiases.from_values([0.1, 0.1, 0.1])
+        assert a == b and hash(a) == hash(b)
+        assert a != RegisterBiases.equal(3, 0.2)
+
+    def test_factors(self):
+        assert np.allclose(_probamps_raw([0.2]), [0.6, 0.4])
+
+    @given(st.floats(0.0, 1.0, allow_nan=False))
+    def test_factors_sum_to_one_exactly(self, eps):
+        plus, minus = _probamps_raw([eps])
+        assert plus + minus == 1.0
 
 
 class TestDiagDist:
