@@ -32,7 +32,8 @@ the former.  Such a pass, like every ``lim`` pass, costs O(q) scalar
 products for a q-qubit sub-register.  Only the rare other ``full`` passes
 build all 2^q probamps and the full beneficial mask.  Both paths yield
 bit-identical exchanges.  A pass whose head starts at its cap exchanges
-nothing and ends before the walk.
+nothing and ends before the walk.  The walk, the gate and its margin proof
+live in :mod:`qcool.compress`, which :func:`numerical_limits` shares.
 
 Every individual pair exchange is counted; the total is the run's
 complexity.  Pass counts are reported alongside for the coarser reading of
@@ -41,13 +42,13 @@ a "swap" as one full compression application.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .compress import _beneficial, _beneficial_mask, _halves
+from .compress import (_beneficial, _beneficial_mask, _halves, _limiting_probamps,
+                       _only_limiting_pair)
 from .errors import DivergenceError
 from .limits import DEFAULT_ITERATION_CAP, LimitMatrix, max_rounds, numerical_limits
 from .regstate import RegisterBiases, _probamps_raw
@@ -104,69 +105,6 @@ class CoolingReport:
     @property
     def final_biases(self) -> np.ndarray:
         return self.round_limits.values[-1].copy()
-
-
-#: Margin by which the gate must rule out every non-limiting pair: it accepts
-#: only when the best such pair's probamp ratio, tail over head, is below
-#: exp(-2 GATE_MARGIN).  Take as exact the product of the rounded factors
-#: fl(1 -+ b) / 2 that the walk and the full build share (u = 2^-53).  Each
-#: computed probamp is a product of at most 26 of them, within 26u
-#: relative of it; r = fl(1 - b) / fl(1 + b) is within u, and the gate's
-#: two sides are within 60u of exact.  The full build's ratio of any pair
-#: is within 52u.  Together that is below 1e-14 relative, far inside the
-#: 2e-9 that separates exp(-2 GATE_MARGIN) from 1, so a pair the gate rules
-#: out is not beneficial in the full build either.  The 1e-12 relative tie
-#: tolerance of the beneficial test only ever removes pairs, so the gate
-#: stays conservative.
-GATE_MARGIN = 1e-9
-_GATE_RATIO = math.exp(-2.0 * GATE_MARGIN)
-
-#: Smallest ((1 - max beta) / 2)^q the gate accepts.  No probamp entry or
-#: partial product of the build falls below that bound, so above this floor
-#: none is subnormal and float rounding cannot reorder a complementary pair
-#: whose exact ratio the margin separates from 1.
-_NORMAL_FLOOR = 1e-280
-
-
-def _limiting_probamps(beta: list[float]) -> tuple[float, float, float]:
-    """Probamps of |011..1> and |100..0>, and the smallest ancilla bias.
-
-    The probamps are bit-identical to the full build's entries: it
-    multiplies each entry's factors left to right in qubit order, starting
-    from 1.0 (and 1.0 * x is exact); so does this walk, head factor first.
-    """
-    head = beta[0]
-    p_k, p_kk = (1.0 + head) / 2.0, (1.0 - head) / 2.0
-    b_min = math.inf
-    for b in beta[1:]:
-        p_k *= (1.0 - b) / 2.0
-        p_kk *= (1.0 + b) / 2.0
-        if b < b_min:
-            b_min = b
-    return p_k, p_kk, b_min
-
-
-def _only_limiting_pair(beta: list[float], p_k: float, p_kk: float, b_min: float) -> bool:
-    """True when no pair but the limiting one |011..1> <-> |100..0> can be beneficial.
-
-    Takes the scalars of :func:`_limiting_probamps` for *beta*.  A
-    complementary pair's tail over head ratio is the product over qubits of
-    (1 - s_i beta_i) / (1 + s_i beta_i), with s_i = +1 where bit i of its
-    index is 0, else -1; the head qubit has s_1 = +1.  The limiting pair,
-    p_kk / p_k, has every other s_i = -1.  Each s_i = +1 among the
-    ancillas multiplies its ratio by ((1 - beta_i) / (1 + beta_i))^2 <= 1,
-    so the best other pair flips only the smallest ancilla bias: its ratio
-    is p_kk r^2 / p_k with r = (1 - b_min) / (1 + b_min).  Rounding of
-    (1 +- b) / 2 is monotone in b, so the same holds for the rounded
-    factors of the full build.  Biases outside [0, 1) or near-saturated
-    registers defer to the full mask.
-    """
-    b_max = max(beta)
-    if not (beta[0] >= 0.0 and b_min >= 0.0 and b_max < 1.0
-            and ((1.0 - b_max) / 2.0) ** len(beta) >= _NORMAL_FLOOR):
-        return False
-    r = (1.0 - b_min) / (1.0 + b_min)
-    return p_kk * r * r < _GATE_RATIO * p_k
 
 
 def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: int, x: int,

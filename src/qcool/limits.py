@@ -7,6 +7,15 @@ where the integer exponent f(r, k, n) counts how many default-bias units
 qubit k effectively draws on in round r.  For unequal defaults the limit is
 defined operationally by :func:`numerical_limits`, which iterates subspace
 compression with ancilla biases pinned at their round-entry values.
+
+Those ancillas stay fixed while one target converges, so each (round,
+target) builds one pass: the ancillas' factor pairs, a preallocated buffer
+per level of the product build and qubit 1's sign vector.  A pass refills
+the buffers from the current target bias and asks the value-domain gate it
+shares with register cooling (:mod:`qcool.compress`) whether only the
+limiting pair can gain; if so it exchanges that one pair in place, else it
+applies the full beneficial mask.  The matrices are bit-identical to a
+fresh build, mask and marginal on every pass.
 """
 
 from __future__ import annotations
@@ -14,14 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import regstate
-from .compress import _beneficial_mask, _complements, _halves
+from .compress import (_beneficial, _beneficial_mask, _complements, _halves,
+                       _only_limiting_pair)
 from .errors import DivergenceError
-from .regstate import DiagDist, RegisterBiases, _check_size, _marginal_raw, _probamps_raw
+from .regstate import DiagDist, RegisterBiases, _check_size, _sign_vector
 
 #: Above this value of f * eps the limit tanh(f * atanh(eps)) rounds to 1.0.
 TANH_CROSSOVER = 30.0
@@ -149,13 +159,46 @@ class LimitMatrix:
         return self.values[key]
 
 
-def _compress_pass(biases: np.ndarray) -> float:
-    """One full optswap application on a product state; returns the head's new bias."""
-    p = _probamps_raw(biases)
-    sel = np.nonzero(_beneficial_mask(*_halves(p)))[0]
-    comp = _complements(sel, p.size)
-    p[sel], p[comp] = p[comp], p[sel]
-    return _marginal_raw(p, 1, biases.size)
+def _target_pass(ancillas: Sequence[float]) -> Callable[[float], float]:
+    """One optswap compression of (target, *ancillas) as a function of the target bias.
+
+    Built once per (round, target): the ancillas' factor pairs, one output
+    buffer per level of the product build and qubit 1's sign vector.  Each
+    call fills the levels in qubit order, so every probamp is the product
+    :func:`~qcool.regstate.probamps` forms, bit for bit.  When the shared gate
+    proves that only the limiting pair |011..1> <-> |100..0> can gain, that
+    pair is exchanged in place if beneficial; otherwise the full beneficial
+    mask is applied.  Both give the same distribution, and the new target
+    bias is the same ``np.dot`` marginal.
+    """
+    rest = [float(b) for b in ancillas]
+    q = len(rest) + 1
+    half = 1 << (q - 1)
+    b_min = min(rest)
+    factors = [np.array([(1.0 + b) / 2.0, (1.0 - b) / 2.0]) for b in rest]
+    flat = [np.empty(1 << i) for i in range(1, q + 1)]
+    # Level i as (rows, 2) output of its products, and as a column of rows.
+    outs = [level.reshape(-1, 2) for level in flat[1:]]
+    cols = [level[:, None] for level in flat[:-1]]
+    levels = list(zip(cols, factors, outs))
+    lead, p = flat[0], flat[-1]
+    sign = _sign_vector(1, q)
+
+    def compress(target: float) -> float:
+        lead[0], lead[1] = (1.0 + target) / 2.0, (1.0 - target) / 2.0
+        for col, factor, out in levels:
+            np.multiply(col, factor, out=out)
+        p_k, p_kk = p.item(half - 1), p.item(half)
+        if _only_limiting_pair([target, *rest], p_k, p_kk, b_min):
+            if _beneficial(p_k, p_kk):
+                p[half - 1], p[half] = p_kk, p_k
+        else:
+            sel = np.nonzero(_beneficial_mask(*_halves(p)))[0]
+            comp = _complements(sel, p.size)
+            p[sel], p[comp] = p[comp], p[sel]
+        return float(np.dot(sign, p))
+
+    return compress
 
 
 def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
@@ -167,7 +210,9 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
     For each round r and each target v = 1..n-r-1, repeatedly compresses the
     sub-register v..n built from the target's current bias and the ancillas'
     round-entry biases (ancilla losses are deliberately ignored), until the
-    target's relative bias increase per pass is within *precision*.  Qubits
+    target's relative bias increase per pass is within *precision*.  Each
+    (round, target) builds its pass once (see :func:`_target_pass`), and a
+    pass the shared gate clears exchanges only the limiting pair.  Qubits
     beyond n-r-1 carry their prior-round values forward; each finished row
     seeds the next round.  A (round, target) that needs more than
     *iteration_cap* passes raises :class:`DivergenceError`: a *precision*
@@ -192,10 +237,10 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
         seed = original.copy() if r == 1 else matrix[r - 2].copy()
         row = seed.copy()
         for v in range(1, n - r):  # targets 1..n-r-1
-            target = seed[v - 1]
+            target = seed[v - 1].item()
+            compress = _target_pass(seed[v:])
             for _ in range(iteration_cap):
-                sub = np.concatenate(([target], seed[v:]))
-                increased = _compress_pass(sub)
+                increased = compress(target)
                 if target == 0.0:
                     converged = increased == 0.0
                 else:

@@ -133,10 +133,15 @@ def probamps(register: RegisterBiases, *, size_cap: int = DEFAULT_SIZE_CAP) -> D
     return DiagDist(_probamps_raw(register.values))
 
 
+def _sign_vector(i: int, n: int) -> np.ndarray:
+    """+1.0 where bit i (1-based, MSB first) of an n-bit index is 0, else -1.0."""
+    sign = np.ones(1 << n)
+    sign.reshape(1 << (i - 1), 2, 1 << (n - i))[:, 1, :] = -1.0
+    return sign
+
+
 def _marginal_raw(p: np.ndarray, i: int, n: int) -> float:
-    idx = np.arange(p.size)
-    sign = 1.0 - 2.0 * ((idx >> (n - i)) & 1)
-    return float(np.dot(sign, p))
+    return float(np.dot(_sign_vector(i, n), p))
 
 
 def marginal_bias(dist: DiagDist, i: int) -> float:

@@ -39,6 +39,63 @@ def block_marginal(p: np.ndarray, i: int, n: int) -> float:
     return total
 
 
+def marginal_arange(p: np.ndarray, i: int, n: int) -> float:
+    """Qubit-i marginal as ``np.dot`` with a sign vector built from index bits."""
+    idx = np.arange(p.size)
+    sign = 1.0 - 2.0 * ((idx >> (n - i)) & 1)
+    return float(np.dot(sign, p))
+
+
+def compress_pass(biases) -> float:
+    """One full optswap application on a product state; returns the head's new bias.
+
+    The numerical-limits pass as first written: a fresh outer-product build
+    in qubit order, the full tie-tolerant mask, one fancy-index exchange and
+    the bit-sign marginal of qubit 1.
+    """
+    p = np.array([1.0])
+    for eps in biases:
+        p = (p[:, None] * np.array([(1.0 + eps) / 2.0, (1.0 - eps) / 2.0])).ravel()
+    half = p.size // 2
+    head, tail = p[:half], p[::-1][:half]
+    sel = np.nonzero((tail - head) > TIE_RTOL * np.maximum(np.abs(head), np.abs(tail)))[0]
+    comp = p.size - 1 - sel
+    p[sel], p[comp] = p[comp], p[sel]
+    return marginal_arange(p, 1, len(biases))
+
+
+def numerical_limits_loop(values, rounds: int, precision: float = 1e-9,
+                          max_passes: int = 10 ** 6) -> np.ndarray:
+    """Per-round limit matrix by the defining loop over :func:`compress_pass`.
+
+    Each target v = 1..n-r-1 of round r is compressed with the ancillas
+    v+1..n at their round-entry values until its relative change per pass
+    is within *precision*; the finished row seeds the next round.
+    """
+    n = len(values)
+    matrix = np.zeros((rounds, n))
+    seed = np.array(values, dtype=float)
+    for r in range(rounds):
+        row = seed.copy()
+        for v in range(1, n - r - 1):
+            target = seed[v - 1]
+            for _ in range(max_passes):
+                increased = compress_pass(np.concatenate(([target], seed[v:])))
+                if target == 0.0:
+                    converged = increased == 0.0
+                else:
+                    converged = abs(increased / target - 1.0) <= precision
+                target = increased
+                if converged:
+                    break
+            else:
+                raise AssertionError(f"round {r + 1} target {v} did not settle")
+            row[v - 1] = target
+        matrix[r] = row
+        seed = row
+    return matrix
+
+
 def select_swaps_brute(p: np.ndarray) -> list[int]:
     """Beneficial complementary pairs by direct comparison, tie-tolerant."""
     size = p.size

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import qcool.hbac as hbac
 from qcool import (DivergenceError, HbacConfig, RegisterBiases,
@@ -13,6 +12,7 @@ from qcool import (DivergenceError, HbacConfig, RegisterBiases,
 from qcool.compress import _beneficial, _beneficial_mask
 from qcool.regstate import _probamps_raw
 from oracles import cool_head_fixed_point
+from strategies import product_registers
 
 UNEQUAL_SETS = [
     (0.3, 0.05, 0.2, 0.1),
@@ -237,32 +237,6 @@ class TestComplexitySweep:
     def test_explicit_rounds(self):
         rows = complexity_sweep([4, 5], 0.1, rounds=1)
         assert all(c > 0 for _, c in rows)
-
-
-def _bias():
-    # zero, tiny, anywhere in [0, 1), and within 1e-9 of 1 (1 included)
-    return st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 1.0, exclude_max=True),
-                     st.floats(1.0 - 1e-9, 1.0))
-
-
-@st.composite
-def product_registers(draw):
-    """Biases of q = 2..9 qubits, many with the head near a decision boundary.
-
-    With a_i = atanh(beta_i), the best non-limiting pair turns beneficial at
-    a_1 = sum_{i>=2} a_i - 2 min_{i>=2} a_i ("gate") and the limiting pair at
-    a_1 = sum_{i>=2} a_i ("tie").
-    """
-    q = draw(st.integers(2, 9))
-    rest = draw(st.lists(_bias(), min_size=q - 1, max_size=q - 1))
-    edge = draw(st.sampled_from(["free", "gate", "tie"]))
-    if edge == "free" or max(rest) >= 1.0:
-        return [draw(_bias()), *rest]
-    a = [math.atanh(b) for b in rest]
-    at = sum(a) - (2.0 * min(a) if edge == "gate" else 0.0)
-    shift = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9])
-                 | st.floats(-1e-8, 1e-8))
-    return [math.tanh(max(at + shift, 0.0)), *rest]
 
 
 def gate(beta):

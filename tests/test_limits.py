@@ -1,17 +1,35 @@
+import importlib.util
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcool import (DiagDist, RegisterBiases, analytic_limit, f, find_optswaps,
                    apply_swaps, marginal_bias, max_rounds, numerical_limits,
                    probamps, shannon_bound, single_round_limit, sort_bound,
                    sqrt_bound)
+import qcool.hbac as hbac
+import qcool.limits as limits
 from qcool.errors import DivergenceError
-from qcool.limits import TANH_CROSSOVER
-from oracles import exponent_recursion
+from qcool.limits import TANH_CROSSOVER, _target_pass
+from oracles import compress_pass, exponent_recursion, numerical_limits_loop
+from strategies import product_registers
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _benchmark_workloads()
 
 
 class TestExponentRecursion:
@@ -224,3 +242,64 @@ def _settles(values, rounds, cap) -> bool:
     except DivergenceError:
         return False
     return True
+
+
+# Every register whose limits a benchmark digest or golden file pins.
+ORACLE_REGISTERS = (
+    [pytest.param((eps,) * n, id=f"n{n}-eps{eps}")
+     for n in range(3, 10) for eps in (0.1, 1e-2, 1e-5)]
+    + [pytest.param(b, id=f"pool{i}") for i, b in enumerate(_WORKLOADS.limits_pool())]
+    + [pytest.param(b, id=f"unequal{len(b)}") for b in _WORKLOADS.UNEQUAL_REGISTERS]
+)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestTargetPass:
+    @settings(max_examples=500, deadline=None)
+    @given(product_registers(min_q=3, max_q=10), st.floats(0.0, 1.0))
+    @example([1.0, 1.0, 1.0], 0.5)
+    @example([0.0, 0.0, 0.0], 1.0)
+    @example([1.0, 0.3, 0.2, 0.1], 0.0)
+    @example([0.999999999, 0.999999999, 0.9999999995, 1.0 - 1e-9], 0.0)
+    @example([0.0] + [1.0 - 2e-10] * 9, 0.5)
+    @example([0.01] + [0.0] * 9, 0.0)
+    def test_matches_oracle_pass(self, beta, other):
+        # One pass object serves every target of its ancillas: a pass at an
+        # unrelated target first must leave no trace in the next result.
+        compress = _target_pass(beta[1:])
+        compress(other)
+        got = compress(beta[0])
+        assert _same_float(got, compress_pass(np.array(beta)))
+
+    @pytest.mark.parametrize("values", ORACLE_REGISTERS)
+    def test_matrices_bit_identical_to_oracle_loop(self, values):
+        rounds = len(values) - 2
+        got = numerical_limits(list(values), rounds).values
+        assert got.tobytes() == numerical_limits_loop(values, rounds).tobytes()
+
+    def test_gated_and_fallback_paths_both_run(self, monkeypatch):
+        real_gate = limits._only_limiting_pair
+        verdicts = []
+        monkeypatch.setattr(limits, "_only_limiting_pair",
+                            lambda *args: verdicts.append(real_gate(*args)) or verdicts[-1])
+        hbac_calls = []
+        monkeypatch.setattr(hbac, "_only_limiting_pair",
+                            lambda *args: hbac_calls.append(args) or False)
+        values = [1e-5] * 8
+        got = numerical_limits(values, 6).values
+        assert sum(verdicts) > 0.9 * len(verdicts)
+        assert not all(verdicts)  # the fallback ran as well
+        assert not hbac_calls  # the limits pass asks the gate through its own module
+        want = numerical_limits_loop(values, 6)
+        assert got.tobytes() == want.tobytes()
+        monkeypatch.setattr(limits, "_only_limiting_pair", lambda *args: False)
+        assert numerical_limits(values, 6).values.tobytes() == want.tobytes()
+
+    def test_known_defect_n10_still_rounds_above_one(self):
+        # `limits --n 10 --epsilon 0.1`: a limit rounds above 1.  Fixing it
+        # changes limit bits, so it waits for a change to the benchmark.
+        with pytest.raises(ValueError, match=re.escape("limit entries must lie in [0, 1]")):
+            numerical_limits([0.1] * 10, 8)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qcool import (DiagDist, RegisterBiases, ResourceCapError,
                    marginal_bias, marginal_register, probamps)
 from qcool.regstate import _probamps_raw
-from oracles import block_marginal, product_probamps
+from oracles import block_marginal, marginal_arange, product_probamps
 
 biases_st = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=8)
 
@@ -172,6 +172,16 @@ class TestMarginals:
         i = data.draw(st.integers(1, n))
         assert math.isclose(marginal_bias(d, i), block_marginal(d.probamps, i, n),
                             rel_tol=1e-12, abs_tol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_sign_vector_keeps_the_index_bit_marginals(self, n):
+        # The strided sign vector has the index-bit vector's values, so every
+        # marginal is the same np.dot, bit for bit; also off product states.
+        rng = np.random.default_rng(n)
+        p = probamps(RegisterBiases.from_values(rng.random(n))).probamps
+        for dist in (DiagDist(p), DiagDist(rng.permutation(p))):
+            want = [marginal_arange(dist.probamps, i, n) for i in range(1, n + 1)]
+            assert marginal_register(dist).tobytes() == np.array(want).tobytes()
 
 
 class TestPairProductConstancy:
