@@ -177,10 +177,9 @@ def _target_pass(ancillas: Sequence[float]) -> Callable[[float], float]:
     b_min = min(rest)
     factors = [np.array([(1.0 + b) / 2.0, (1.0 - b) / 2.0]) for b in rest]
     flat = [np.empty(1 << i) for i in range(1, q + 1)]
-    # Level i as (rows, 2) output of its products, and as a column of rows.
-    outs = [level.reshape(-1, 2) for level in flat[1:]]
-    cols = [level[:, None] for level in flat[:-1]]
-    levels = list(zip(cols, factors, outs))
+    # Each level is the column of the one before it times a factor pair.
+    levels = [(prev[:, None], factor, out.reshape(-1, 2))
+              for prev, factor, out in zip(flat, factors, flat[1:])]
     lead, p = flat[0], flat[-1]
     sign = _sign_vector(1, q)
 
