@@ -244,7 +244,7 @@ def _settles(values, rounds, cap) -> bool:
     return True
 
 
-# Every register whose limits a benchmark digest or golden file pins.
+# Equal registers, the benchmark's eight limits-pool registers and its unequal cooling registers.
 ORACLE_REGISTERS = (
     [pytest.param((eps,) * n, id=f"n{n}-eps{eps}")
      for n in range(3, 10) for eps in (0.1, 1e-2, 1e-5)]
