@@ -7,7 +7,7 @@ from .compress import (Counterexample, OptimalityReport, apply_swaps,
 from .errors import DivergenceError, ResourceCapError
 from .hbac import (CoolingReport, HbacConfig, complexity_sweep, register_compression,
                    subspace_compression)
-from .limits import (LimitMatrix, analytic_limit, f, max_rounds,
+from .limits import (LimitMatrix, analytic_limit, analytic_limits, f, max_rounds,
                      numerical_limits, shannon_bound, single_round_limit,
                      sort_bound, sqrt_bound)
 from .regstate import (DiagDist, RegisterBiases, marginal_bias, marginal_register,
@@ -20,7 +20,7 @@ __all__ = [
     "marginal_register",
     "find_optswaps", "apply_swaps", "bias_gain", "verify_optimality",
     "OptimalityReport", "Counterexample",
-    "f", "analytic_limit", "single_round_limit", "numerical_limits",
+    "f", "analytic_limit", "analytic_limits", "single_round_limit", "numerical_limits",
     "LimitMatrix", "sort_bound", "shannon_bound", "sqrt_bound", "max_rounds",
     "HbacConfig", "CoolingReport",
     "register_compression", "subspace_compression", "complexity_sweep",

@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 2 usage or parse error, 3 size-cap violation,
 4 non-convergence (a pass cap, set with ``--iteration-cap``, was exceeded).
-Identical invocations produce byte-identical output.
+Identical invocations produce byte-identical output, with one caveat: a
+marginal bias is a BLAS dot product, so from about 14 qubits on the last
+digits of ``optswaps``' target bias can vary with the BLAS thread count.
+``limits --analytic`` fills at most ANALYTIC_GRID_CAP (2^20) entries,
+rounds x n, and exits 3 past it before the register is built.
 
 ``optswaps`` prints one row per swap, up to 1.64M rows at n = 23.  The rows
 of all three formats come from :func:`render_swaps`, which fills byte
@@ -15,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,8 +28,9 @@ from .circuits import export_text, lim_comp, nb_maxcomp
 from .compress import _gain, _optswap_indices, find_optswaps, verify_optimality
 from .errors import DivergenceError, ResourceCapError
 from .hbac import HbacConfig, register_compression
-from .limits import (DEFAULT_ITERATION_CAP, analytic_limit, max_rounds, numerical_limits,
-                     shannon_bound, single_round_limit, sqrt_bound)
+from .limits import (DEFAULT_ITERATION_CAP, _check_grid, analytic_limit, analytic_limits,
+                     max_rounds, numerical_limits, shannon_bound, single_round_limit,
+                     sqrt_bound)
 from .regstate import RegisterBiases, _check_size, marginal_bias, probamps
 
 SCHEMA_VERSION = 1
@@ -100,8 +105,8 @@ def _parse_list(text: str, convert, what: str) -> list:
         raise UsageError(f"bad {what} list {text!r}: {exc}") from None
 
 
-def _parse_biases(args, capped: bool = True) -> RegisterBiases:
-    """The register of --biases or of --n/--epsilon; *capped* checks --n first."""
+def _parse_biases(args, check: Callable[[int], None] = _check_size) -> RegisterBiases:
+    """The register of --biases or of --n/--epsilon; *check* vets --n before the build."""
     has_list = getattr(args, "biases", None) is not None
     has_pair = getattr(args, "n", None) is not None or getattr(args, "epsilon", None) is not None
     if has_list and has_pair:
@@ -110,8 +115,7 @@ def _parse_biases(args, capped: bool = True) -> RegisterBiases:
         return RegisterBiases.from_values(_parse_list(args.biases, float, "bias"))
     if args.n is None or args.epsilon is None:
         raise UsageError("provide either --biases or both --n and --epsilon")
-    if capped:
-        _check_size(args.n)
+    check(args.n)
     return RegisterBiases.equal(args.n, args.epsilon)
 
 
@@ -237,20 +241,26 @@ def cmd_optswaps(args) -> int:
     return EXIT_OK
 
 
-def cmd_limits(args) -> int:
-    register = _parse_biases(args, capped=not args.analytic)
-    n = register.n
+def _limit_rounds(args, n: int) -> int:
     rounds = args.rounds if args.rounds is not None else max_rounds(n)
     if not 1 <= rounds <= max_rounds(n):
         raise UsageError(f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")
+    return rounds
+
+
+def cmd_limits(args) -> int:
+    if args.analytic:
+        # the grid, not the register, bounds the work: check it before the build
+        register = _parse_biases(args, lambda n: _check_grid(_limit_rounds(args, n), n))
+    else:
+        register = _parse_biases(args)
+    n = register.n
+    rounds = _limit_rounds(args, n)
     if args.analytic:
         values = register.values
         if np.unique(values).size != 1:
             raise UsageError("--analytic requires equal biases")
-        eps = float(values[0])
-        matrix = np.array([[analytic_limit(r, k, n, eps)
-                            for k in range(1, n + 1)]
-                           for r in range(1, rounds + 1)])
+        matrix = analytic_limits(n, rounds, float(values[0])).values
     else:
         matrix = numerical_limits(register, rounds, args.precision,
                                   iteration_cap=args.iteration_cap).values

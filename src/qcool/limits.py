@@ -9,13 +9,19 @@ defined operationally by :func:`numerical_limits`, which iterates subspace
 compression with ancilla biases pinned at their round-entry values.
 
 Those ancillas stay fixed while one target converges, so each (round,
-target) builds one pass: the ancillas' factor pairs, a preallocated buffer
-per level of the product build and qubit 1's sign vector.  A pass refills
-the buffers from the current target bias and asks the value-domain gate it
-shares with register cooling (:mod:`qcool.compress`) whether only the
-limiting pair can gain; if so it exchanges that one pair in place, else it
-applies the full beneficial mask.  The matrices are bit-identical to a
-fresh build, mask and marginal on every pass.
+target) builds one pass: a factor block that holds the fixed factors of up
+to the last 12 ancillas (at most 13 x 8192 doubles, 0.85 MB, whatever the
+register size) and qubit 1's sign vector.  A pass fills the block's prefix
+row from the current target bias, reduces the block into the distribution
+with one ``np.multiply.reduce`` per 8192-entry slice, and asks the
+value-domain gate it shares with register cooling (:mod:`qcool.compress`)
+whether only the limiting pair can gain; if so it exchanges that one pair
+in place, else it applies the full beneficial mask.  The matrices are
+bit-identical to a fresh build, mask and marginal on every pass.
+
+The analytic matrix for equal biases, :func:`analytic_limits`, takes each
+column's exponents as one running binomial sum and is capped at
+ANALYTIC_GRID_CAP entries.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from . import regstate
 from .compress import (_beneficial, _beneficial_mask, _complements, _halves,
                        _only_limiting_pair)
-from .errors import DivergenceError
+from .errors import DivergenceError, ResourceCapError
 from .regstate import DiagDist, RegisterBiases, _check_size, _sign_vector
 
 #: Above this value of f * eps the limit tanh(f * atanh(eps)) rounds to 1.0.
@@ -39,6 +45,13 @@ TANH_CROSSOVER = 30.0
 #: Default bound on the compression passes of one loop: per (round, target)
 #: in :func:`numerical_limits`, per (round, head) in register cooling.
 DEFAULT_ITERATION_CAP = 10 ** 6
+
+#: Most ancillas whose factors one block of a numerical-limits pass holds:
+#: a block is at most (_BLOCK_ANCILLAS + 1) x 2^(_BLOCK_ANCILLAS + 1) doubles.
+_BLOCK_ANCILLAS = 12
+
+#: Most entries, rounds x n, of the analytic limit matrix :func:`analytic_limits` builds.
+ANALYTIC_GRID_CAP = 1 << 20
 
 
 def max_rounds(n: int) -> int:
@@ -159,34 +172,87 @@ class LimitMatrix:
         return self.values[key]
 
 
+def _check_grid(rounds: int, n: int) -> None:
+    """Raise :class:`ResourceCapError` past ANALYTIC_GRID_CAP entries."""
+    if rounds * n > ANALYTIC_GRID_CAP:
+        raise ResourceCapError(f"analytic grid of {rounds} rounds x {n} qubits exceeds "
+                               f"the cap of {ANALYTIC_GRID_CAP} entries")
+
+
+def _exponent_grid(rounds: int, n: int) -> list[list[int]]:
+    """f(r, k, n) for r = 1..rounds (rows) and k = 1..n (columns).
+
+    Each column is one running binomial sum, so the grid costs O(rounds * n)
+    integer operations, where calling :func:`f` per entry costs O(rounds^2 * n).
+    """
+    columns = []
+    for k in range(1, n + 1):
+        m = max(n - k - 1, 0)
+        total = term = 1
+        column = []
+        for r in range(1, rounds + 1):
+            if r <= m:
+                term = term * (m + 1 - r) // r  # C(m, r), exactly
+                total += term
+            column.append(total)
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
+
+
+def analytic_limits(n: int, rounds: int, eps: float) -> LimitMatrix:
+    """Rounds x n matrix of :func:`analytic_limit` for equal default biases *eps*.
+
+    Grids of more than ANALYTIC_GRID_CAP entries raise :class:`ResourceCapError`.
+    """
+    if not 1 <= rounds <= max_rounds(n):
+        raise ValueError(f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")
+    _check_grid(rounds, n)
+    return LimitMatrix(np.array([[_tanh_ratio(eps, e) for e in row]
+                                 for row in _exponent_grid(rounds, n)]))
+
+
 def _target_pass(ancillas: Sequence[float]) -> Callable[[float], float]:
     """One optswap compression of (target, *ancillas) as a function of the target bias.
 
-    Built once per (round, target): the ancillas' factor pairs, one output
-    buffer per level of the product build and qubit 1's sign vector.  Each
-    call fills the levels in qubit order, so every probamp is the product
-    :func:`~qcool.regstate.probamps` forms, bit for bit.  When the shared gate
-    proves that only the limiting pair |011..1> <-> |100..0> can gain, that
-    pair is exchanged in place if beneficial; otherwise the full beneficial
-    mask is applied.  Both give the same distribution, and the new target
-    bias is the same ``np.dot`` marginal.
+    Built once per (round, target): qubit 1's sign vector and a factor
+    block of k + 1 rows by 2^(k+1) columns, k = min(q - 1, _BLOCK_ANCILLAS).
+    Rows 1..k hold the fixed factors (1 +- b)/2 of the last k ancillas, one
+    column per probamp index, so the block takes at most 0.85 MB whatever
+    the register size.  Each call fills each half of row 0 with a prefix,
+    the product of the target factor and the factors of the leading
+    ancillas outside the block, formed left to right.  It then reduces the
+    block over its rows into each 2^(k+1)-entry slice of the distribution:
+    one slice for q <= _BLOCK_ANCILLAS + 1, 2^(q-k-1) beyond.  Multiply has
+    no pairwise reduction, so every probamp is the product
+    :func:`~qcool.regstate.probamps` forms, bit for bit.  When the shared
+    gate proves that only the limiting pair |011..1> <-> |100..0> can gain,
+    that pair is exchanged in place if beneficial; otherwise the full
+    beneficial mask is applied.  Both give the same distribution, and the
+    new target bias is the same ``np.dot`` marginal.
     """
     rest = [float(b) for b in ancillas]
     q = len(rest) + 1
     half = 1 << (q - 1)
     b_min = min(rest)
-    factors = [np.array([(1.0 + b) / 2.0, (1.0 - b) / 2.0]) for b in rest]
-    flat = [np.empty(1 << i) for i in range(1, q + 1)]
-    # Each level is the column of the one before it times a factor pair.
-    levels = [(prev[:, None], factor, out.reshape(-1, 2))
-              for prev, factor, out in zip(flat, factors, flat[1:])]
-    lead, p = flat[0], flat[-1]
+    k = min(q - 1, _BLOCK_ANCILLAS)
+    block = np.empty((k + 1, 1 << (k + 1)))
+    for i, b in enumerate(rest[q - 1 - k:], start=1):
+        bits = block[i].reshape(1 << i, 2, -1)  # bit i of the column index
+        bits[:, 0], bits[:, 1] = (1.0 + b) / 2.0, (1.0 - b) / 2.0
+    lead = [((1.0 + b) / 2.0, (1.0 - b) / 2.0) for b in rest[:q - 1 - k]]
+    row_lo, row_hi = block[0].reshape(2, -1)
+    p = np.empty(1 << q)
+    slices = list(p.reshape(-1, block.shape[1]))
     sign = _sign_vector(1, q)
 
     def compress(target: float) -> float:
-        lead[0], lead[1] = (1.0 + target) / 2.0, (1.0 - target) / 2.0
-        for col, factor, out in levels:
-            np.multiply(col, factor, out=out)
+        prefix = [(1.0 + target) / 2.0, (1.0 - target) / 2.0]
+        for pair in lead:
+            prefix = [x * y for x in prefix for y in pair]
+        for out, lo, hi in zip(slices, prefix[::2], prefix[1::2]):
+            row_lo.fill(lo)
+            row_hi.fill(hi)
+            np.multiply.reduce(block, axis=0, out=out)
         p_k, p_kk = p.item(half - 1), p.item(half)
         if _only_limiting_pair([target, *rest], p_k, p_kk, b_min):
             if _beneficial(p_k, p_kk):

@@ -15,6 +15,7 @@ from qcool import circuit_permutation, lim_comp, parse_text
 
 #: A register size far past the size cap, and past a C index.
 HUGE = "99999999999999999999"
+SIZE_CAP_ERR = f"error: register of {HUGE} qubits exceeds the size cap 26\n"
 
 
 def run(capsys, *argv):
@@ -279,18 +280,21 @@ class TestExitCodesAndDeterminism:
         code, _, _ = run(capsys, "optswaps", "--n", "30", "--epsilon", "0.1")
         assert code == 3
 
-    @pytest.mark.parametrize("argv", [
-        ("optswaps", "--n", HUGE, "--epsilon", "0.1"),
-        ("cool", "--n", HUGE, "--epsilon", "0.1"),
-        ("limits", "--n", HUGE, "--epsilon", "0.1"),
-        ("sweep", "--ns", f"3,{HUGE}", "--epsilon", "0.1"),
-    ], ids=lambda argv: argv[0])
-    def test_huge_size_exits_before_allocation(self, capsys, argv):
+    @pytest.mark.parametrize("argv, err", [
+        pytest.param(("optswaps", "--n", HUGE, "--epsilon", "0.1"), SIZE_CAP_ERR, id="optswaps"),
+        pytest.param(("cool", "--n", HUGE, "--epsilon", "0.1"), SIZE_CAP_ERR, id="cool"),
+        pytest.param(("limits", "--n", HUGE, "--epsilon", "0.1"), SIZE_CAP_ERR, id="limits"),
+        pytest.param(("sweep", "--ns", f"3,{HUGE}", "--epsilon", "0.1"), SIZE_CAP_ERR,
+                     id="sweep"),
+        pytest.param(("limits", "--n", HUGE, "--epsilon", "0.1", "--analytic"),
+                     f"error: analytic grid of {int(HUGE) - 2} rounds x {HUGE} qubits "
+                     "exceeds the cap of 1048576 entries\n", id="limits-analytic"),
+    ])
+    def test_huge_size_exits_before_allocation(self, capsys, argv, err):
         # the size is checked before the register is built; building it
         # first overflowed with a traceback
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (3, "")
-        assert err == f"error: register of {HUGE} qubits exceeds the size cap 26\n"
+        code, out, got = run(capsys, *argv)
+        assert (code, out, got) == (3, "", err)
 
     @pytest.mark.parametrize("biases, bad", [("0.1,1.5", "1.5"), ("nan", "nan")])
     def test_bad_bias_message(self, capsys, biases, bad):

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcool import (DiagDist, RegisterBiases, analytic_limit, f, find_optswaps,
-                   apply_swaps, marginal_bias, max_rounds, numerical_limits,
+from qcool import (DiagDist, RegisterBiases, analytic_limit, analytic_limits, f,
+                   find_optswaps, apply_swaps, marginal_bias, max_rounds, numerical_limits,
                    probamps, shannon_bound, single_round_limit, sort_bound,
                    sqrt_bound)
 import qcool.hbac as hbac
 import qcool.limits as limits
-from qcool.errors import DivergenceError
+from qcool.errors import DivergenceError, ResourceCapError
 from qcool.limits import TANH_CROSSOVER, _target_pass
 from oracles import compress_pass, exponent_recursion, numerical_limits_loop
 from strategies import product_registers
@@ -54,6 +55,12 @@ class TestExponentRecursion:
                 for k in range(n - r, n + 1):
                     assert f(r, k, n) == f(r - 1, k, n)
 
+    def test_exponent_grid_running_sums_match_f(self):
+        for n in range(3, 61):
+            grid = limits._exponent_grid(max_rounds(n), n)
+            assert grid == [[f(r, k, n) for k in range(1, n + 1)]
+                            for r in range(1, n - 1)]
+
     def test_closed_form_matches_recursion(self):
         for n in range(3, 61):
             for r in range(1, n - 1):
@@ -67,6 +74,19 @@ class TestExponentRecursion:
 
 
 class TestAnalyticLimit:
+    @pytest.mark.parametrize("n, rounds, eps", [(5, 3, 0.1), (9, 4, 1e-5), (12, 10, 0.5),
+                                                (40, 38, 1e-17)])
+    def test_matrix_matches_entries(self, n, rounds, eps):
+        want = [[analytic_limit(r, k, n, eps) for k in range(1, n + 1)]
+                for r in range(1, rounds + 1)]
+        assert analytic_limits(n, rounds, eps).values.tobytes() == np.array(want).tobytes()
+
+    def test_matrix_grid_cap_and_rounds(self):
+        with pytest.raises(ResourceCapError, match="cap of 1048576 entries"):
+            analytic_limits(1026, 1024, 0.1)
+        with pytest.raises(ValueError, match=re.escape("rounds must lie in 1..3 for n = 5")):
+            analytic_limits(5, 4, 0.1)
+
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.97, 1.0])
     def test_unit_exponent_is_identity(self, eps):
         # k >= n-1 in round 1 gives f = 1
@@ -257,6 +277,15 @@ def _same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def _record_gate(monkeypatch) -> list[bool]:
+    """The verdicts of every gate call the limits pass makes from now on."""
+    real_gate = limits._only_limiting_pair
+    verdicts = []
+    monkeypatch.setattr(limits, "_only_limiting_pair",
+                        lambda *args: verdicts.append(real_gate(*args)) or verdicts[-1])
+    return verdicts
+
+
 class TestTargetPass:
     @settings(max_examples=500, deadline=None)
     @given(product_registers(min_q=3, max_q=10), st.floats(0.0, 1.0))
@@ -297,6 +326,36 @@ class TestTargetPass:
         assert got.tobytes() == want.tobytes()
         monkeypatch.setattr(limits, "_only_limiting_pair", lambda *args: False)
         assert numerical_limits(values, 6).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q", [13, 14, 15, 16])
+    @pytest.mark.parametrize("kind", ["gated", "fallback", "tie"])
+    def test_blocked_build_matches_oracle(self, monkeypatch, q, kind):
+        # q = 13 fills one factor block; q = 14..16 reduce it into 2, 4 and 8
+        # slices of the distribution, each with its own prefix row.
+        beta = {"gated": [0.5] + [0.01] * (q - 1),
+                "fallback": [0.1] * q,
+                "tie": [0.3, 0.3] + [0.0] * (q - 2)}[kind]  # exact probamp ties
+        verdicts = _record_gate(monkeypatch)
+        compress = _target_pass(beta[1:])
+        compress(0.2)
+        got = compress(beta[0])
+        assert verdicts[-1] is (kind == "gated")
+        assert _same_float(got, compress_pass(np.array(beta)))
+
+    def test_pass_memory_is_bounded_by_the_distribution(self, monkeypatch):
+        # The distribution and the sign vector take 2 * 2^q doubles; the
+        # factor block adds at most 0.85 MB, where a q x 2^q factor matrix
+        # would take 160 MB at q = 20.
+        q = 20
+        verdicts = _record_gate(monkeypatch)
+        tracemalloc.start()
+        try:
+            _target_pass([0.01] * (q - 1))(0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdicts == [True]
+        assert peak < 3 * (1 << q) * 8
 
     def test_known_defect_n10_still_rounds_above_one(self):
         # `limits --n 10 --epsilon 0.1`: a limit rounds above 1.  Fixing it
