@@ -126,7 +126,7 @@ def apply_circuit(dist: DiagDist, c: Circuit) -> DiagDist:
     perm = circuit_permutation(c)
     out = np.empty_like(dist.probamps)
     out[perm] = dist.probamps
-    return DiagDist(out)
+    return DiagDist._own(out)
 
 
 def export_text(c: Circuit) -> str:

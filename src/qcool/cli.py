@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 usage or parse error, 3 size-cap violation,
 4 non-convergence (a pass cap, set with ``--iteration-cap``, was exceeded).
+``--out PATH`` is opened, and truncated, before the command computes
+anything; a path that cannot be opened for writing (a missing directory, a
+directory) exits 2 with a message that names it.
 Identical invocations produce byte-identical output, with one caveat: a
 marginal bias is a BLAS dot product, so from about 14 qubits on the last
 digits of ``optswaps``' target bias can vary with the BLAS thread count.
@@ -9,9 +12,13 @@ digits of ``optswaps``' target bias can vary with the BLAS thread count.
 rounds x n, and exits 3 past it before the register is built.
 
 ``optswaps`` prints one row per swap, up to 1.64M rows at n = 23.  The rows
-of all three formats come from :func:`render_swaps`, which fills byte
-matrices from a fixed row template; :func:`_to_json` writes only the
-report around them and takes the rendered ``swaps`` array verbatim.
+of all three formats come from :func:`render_swaps`, which fills one byte
+matrix per chunk of rows from a fixed row template and yields it as text.
+The command computes the swap indices, the gain, the target bias and the
+optional verification, drops the distribution, and then writes the report
+around the rows piece by piece: the text before the rows, each chunk, and
+the text after them.  Its memory is about one probamp vector, plus the swap
+index array, plus the marginal's sign vector, whatever the output size.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,12 +93,15 @@ def _to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(sink, pieces: Iterable[str]) -> None:
+    """Write *pieces* in order to *sink*, the open ``--out`` file, or to stdout if None.
+
+    ``sys.stdout`` is looked up here, not earlier, so a caller's redirection
+    of it is honoured.
+    """
+    write = (sink or sys.stdout).write
+    for piece in pieces:
+        write(piece)
 
 
 def _parse_list(text: str, convert, what: str) -> list:
@@ -157,8 +167,10 @@ def _put_digits(cols: np.ndarray, keep: np.ndarray, v: np.ndarray) -> None:
     keep[:, -1] = True  # zero still prints one digit
 
 
-def render_swaps(idx: np.ndarray, n: int, fmt: str, chunk: int = 1 << 16) -> str:
-    """The rows of the swap indices *idx* in format *fmt*, joined by its separator.
+def render_swaps(idx: np.ndarray, n: int, fmt: str, chunk: int = 1 << 14) -> Iterator[str]:
+    """The rows of the swap indices *idx* in format *fmt*, one string per chunk of rows.
+
+    Joined, the chunks are the rows separated by the format's separator.
 
     Each chunk of rows is one byte matrix with a fixed column layout: the
     template's pieces, the decimals of j and of its complement 2^n - 1 - j
@@ -172,7 +184,6 @@ def render_swaps(idx: np.ndarray, n: int, fmt: str, chunk: int = 1 << 16) -> str
     # Column offsets of the pieces, the two decimals and the two kets.
     at = np.cumsum([0, len(consts[0]), width, len(consts[1]), width,
                     len(consts[2]), n, len(consts[3]), n, len(consts[4])])
-    out = []
     for lo in range(0, idx.size, chunk):
         j = idx[lo:lo + chunk]
         mat = np.empty((j.size, at[-1]), dtype=np.uint8)
@@ -184,21 +195,32 @@ def render_swaps(idx: np.ndarray, n: int, fmt: str, chunk: int = 1 << 16) -> str
         bits = np.unpackbits(j.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
         np.add(bits[:, 64 - n:], 48, out=mat[:, at[5]:at[6]])
         np.subtract(49, bits[:, 64 - n:], out=mat[:, at[7]:at[8]])
-        out.append(str(mat[keep].data, "ascii"))
-    if out:
-        out[-1] = out[-1][:-len(sep)]
-    return "".join(out)
+        text = str(mat[keep].data, "ascii")
+        yield text if lo + chunk < idx.size else text[:-len(sep)]
+
+
+#: Stands for the swap rows in the text of an ``optswaps`` report.
+_ROWS = "\0rows\0"
+
+
+def _around(text: str, rows: Iterable[str]) -> Iterator[str]:
+    """*text* with *rows* streamed in place of its _ROWS marker, if it has one."""
+    lead, _, trail = text.partition(_ROWS)
+    yield lead
+    yield from rows
+    yield trail
 
 
 def cmd_optswaps(args) -> int:
     register = _parse_biases(args)
+    n = register.n
     dist = probamps(register)
     idx = _optswap_indices(dist)
     gain = _gain(dist.probamps, idx)
     before = marginal_bias(dist, 1)
-    n = register.n
-    rows = [render_swaps(idx, n, args.format)] if idx.size else []
     verification = verify_optimality(dist) if args.verify else None
+    del dist  # the rows need only idx: free the 2^n vector before rendering them
+    rows = [_ROWS] if idx.size else []
     if args.format == "json":
         report = {
             "schema": SCHEMA_VERSION,
@@ -221,10 +243,9 @@ def cmd_optswaps(args) -> int:
                     {"case": c.case, "k": c.k, "l": c.l, "excess": c.excess}
                     for c in verification.counterexamples],
             }
-        _emit(_to_json(report) + "\n", args.out)
+        text = _to_json(report) + "\n"
     elif args.format == "csv":
-        lines = ["zero_t,one_t,ket_zero_t,ket_one_t", *rows]
-        _emit("\n".join(lines + [""]), args.out)
+        text = "\n".join(["zero_t,one_t,ket_zero_t,ket_one_t", *rows, ""])
     else:
         lines = [f"n: {n}", f"swaps: {idx.size}", *rows]
         lines.append(f"gain: {_fmt(gain)}")
@@ -237,7 +258,8 @@ def cmd_optswaps(args) -> int:
                 f"case1={word(verification.case1_passed)} "
                 f"case2={word(verification.case2_passed)} "
                 f"case3={word(verification.case3_passed)}")
-        _emit("\n".join(lines + [""]), args.out)
+        text = "\n".join(lines + [""])
+    _emit(args.sink, _around(text, render_swaps(idx, n, args.format)))
     return EXIT_OK
 
 
@@ -265,9 +287,9 @@ def cmd_limits(args) -> int:
         matrix = numerical_limits(register, rounds, args.precision,
                                   iteration_cap=args.iteration_cap).values
     if args.format == "csv":
-        _emit(_matrix_csv(matrix), args.out)
+        _emit(args.sink, [_matrix_csv(matrix)])
     else:
-        _emit(_to_json({
+        _emit(args.sink, [_to_json({
             "schema": SCHEMA_VERSION,
             "command": "limits",
             "n": n,
@@ -275,7 +297,7 @@ def cmd_limits(args) -> int:
             "precision": args.precision,
             "analytic": bool(args.analytic),
             "matrix": _matrix_rows(matrix),
-        }) + "\n", args.out)
+        }) + "\n"])
     return EXIT_OK
 
 
@@ -299,7 +321,7 @@ def cmd_cool(args) -> int:
         "round_limits": _matrix_rows(report.round_limits.values),
         "targets": _matrix_rows(report.targets.values),
     }
-    _emit(_to_json(payload) + "\n", args.out)
+    _emit(args.sink, [_to_json(payload) + "\n"])
     return EXIT_OK
 
 
@@ -314,7 +336,7 @@ def cmd_circuit(args) -> int:
         circuit = nb_maxcomp(register.n, swaps)
     else:
         raise UsageError("provide --lim N or --from-biases LIST")
-    _emit(export_text(circuit), args.out)
+    _emit(args.sink, [export_text(circuit)])
     return EXIT_OK
 
 
@@ -342,17 +364,17 @@ def cmd_sweep(args) -> int:
                             mode=args.mode, iteration_cap=args.iteration_cap)
         rows.append((n if key == "n" else eps, register_compression(config).complexity))
     if args.format == "json":
-        _emit(_to_json({
+        _emit(args.sink, [_to_json({
             "schema": SCHEMA_VERSION,
             "command": "sweep",
             "rows": [{key: v, "complexity": c} for v, c in rows],
-        }) + "\n", args.out)
+        }) + "\n"])
     else:
         lines = [f"{key},complexity"]
         for v, c in rows:
             value = str(v) if key == "n" else _fmt(v)
             lines.append(f"{value},{c}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(args.sink, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -372,7 +394,7 @@ def cmd_bounds(args) -> int:
         "single_round_limit": single_round_limit(eps, n - 1),
         "analytic_limit": analytic_limit(rounds, k, n, eps),
     }
-    _emit(_to_json(payload) + "\n", args.out)
+    _emit(args.sink, [_to_json(payload) + "\n"])
     return EXIT_OK
 
 
@@ -462,6 +484,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.sink = open(args.out, "w", newline="") if args.out else None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot write --out {args.out!r}: {reason}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -475,6 +503,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if args.sink is not None:
+            args.sink.close()
 
 
 if __name__ == "__main__":

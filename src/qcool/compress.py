@@ -109,10 +109,23 @@ def _beneficial_mask(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return (tail - head) > REL_TIE_TOL * np.maximum(np.abs(head), np.abs(tail))
 
 
+#: Pairs per slice of a blocked beneficial-pair scan; bounds its temporaries
+#: to a few 512 KiB arrays, whatever the register size.
+_MASK_BLOCK = 1 << 16
+
+
+def _beneficial_indices(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Sorted int64 indices where :func:`_beneficial_mask` holds, one slice at a time."""
+    mask = np.empty(head.size, dtype=bool)
+    for lo in range(0, head.size, _MASK_BLOCK):
+        hi = lo + _MASK_BLOCK
+        mask[lo:hi] = _beneficial_mask(head[lo:hi], tail[lo:hi])
+    return np.flatnonzero(mask)
+
+
 def _optswap_indices(dist: DiagDist) -> np.ndarray:
     """Sorted int64 indices j of every beneficial complementary exchange."""
-    head, tail = _halves(dist.probamps)
-    return np.flatnonzero(_beneficial_mask(head, tail))
+    return _beneficial_indices(*_halves(dist.probamps))
 
 
 def find_optswaps(dist: DiagDist) -> frozenset[int]:
@@ -138,7 +151,7 @@ def apply_swaps(dist: DiagDist, swaps: frozenset[int] | set[int]) -> DiagDist:
     idx = _sorted_indices(swaps)
     comp = _complements(idx, p.size)
     p[idx], p[comp] = p[comp], p[idx]
-    return DiagDist(p)
+    return DiagDist._own(p)
 
 
 def _gain(p: np.ndarray, idx: np.ndarray) -> float:
@@ -221,8 +234,8 @@ def verify_optimality(dist: DiagDist, *, max_n: int = DEFAULT_SIZE_CAP) -> Optim
         raise ResourceCapError(
             f"optimality check on {n} qubits exceeds the cap {max_n}")
     head, tail = _halves(dist.probamps)
-    K = np.flatnonzero(_beneficial_mask(head, tail))
-    L = np.flatnonzero(_beneficial_mask(tail, head))  # ties belong to neither side
+    K = _beneficial_indices(head, tail)
+    L = _beneficial_indices(tail, head)  # ties belong to neither side
     if K.size:
         t_K = tail[K]
         case1 = _violations(1, K, t_K, L, tail[L])

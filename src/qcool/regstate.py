@@ -82,44 +82,92 @@ class RegisterBiases:
         return hash(tuple(self.values.tolist()))
 
 
+def _validated(arr: np.ndarray) -> np.ndarray:
+    """*arr*, made read-only, once it passes every probamp check.
+
+    Two reductions decide "finite and non-negative" (min and max propagate
+    NaN), so the checks allocate nothing of the vector's size.
+    """
+    if arr.ndim != 1:
+        raise ValueError("probamps must be one-dimensional")
+    size = arr.size
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"length must be a power of two >= 2, got {size}")
+    if not (arr.min() >= 0.0 and arr.max() < np.inf):
+        raise ValueError("probamps must be finite and non-negative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > NORM_ATOL:
+        raise ValueError(f"probamps sum to {total!r}, expected 1 within {NORM_ATOL}")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class DiagDist:
-    """The 2^n diagonal probability vector of the global register state."""
+    """The 2^n diagonal probability vector of the global register state.
+
+    ``DiagDist(arr)`` validates a read-only copy of *arr*, so the caller's
+    array stays its own.
+    """
 
     probamps: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.probamps, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("probamps must be one-dimensional")
-        size = arr.size
-        if size < 2 or size & (size - 1):
-            raise ValueError(f"length must be a power of two >= 2, got {size}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError("probamps must be finite and non-negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORM_ATOL:
-            raise ValueError(f"probamps sum to {total!r}, expected 1 within {NORM_ATOL}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "probamps", arr)
+        object.__setattr__(self, "probamps", _validated(np.array(self.probamps, dtype=float)))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "DiagDist":
+        """Take over a fresh float64 vector that no caller keeps: same checks, no copy."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probamps", _validated(arr))
+        return dist
 
     @property
     def n(self) -> int:
         return self.probamps.size.bit_length() - 1
 
 
-def _probamps_raw(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Outer-product build of the probamp vector, fixed qubit order 1..n.
+#: Past the top qubits, the build finishes one block of 2^_BLOCK_BITS
+#: entries (512 KiB) at a time, so each block's remaining levels stay in cache.
+_BLOCK_BITS = 16
 
-    Entry j is the running product from 1.0 of each qubit's factor, taken
-    left to right in qubit order, so a scalar product in that order
-    reproduces any single entry bit for bit.
+
+def _grow(p: np.ndarray, values: Sequence[float], w: int) -> None:
+    """Expand the entries of *p* at stride *w* by the factors of *values*, in place.
+
+    Entry m*w holds a running product; the next qubit's factors turn it
+    into entries m*w (bit 0) and m*w + w/2 (bit 1), at the halved stride.
     """
-    p = np.array([1.0])
     for eps in values:
-        p = (p[:, None] * np.array([(1.0 + eps) / 2.0, (1.0 - eps) / 2.0])).ravel()
-    return p
+        h = w >> 1
+        src = p[::w]
+        np.multiply(src, (1.0 - eps) / 2.0, out=p[h::w])
+        src *= (1.0 + eps) / 2.0
+        w = h
+
+
+def _probamps_raw(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Probamp vector of one or more biases, built in place in one 2^n array.
+
+    Entry j is the running product of each qubit's factor, taken left to
+    right in qubit order (the first factor is exact, as 1.0 * x is), so a
+    scalar product in that order reproduces any single entry bit for bit,
+    for any float biases.  The top qubits are expanded across the whole
+    vector; each 2^_BLOCK_BITS-entry block then takes the remaining ones.
+    The build allocates nothing beyond the result.
+    """
+    n = len(values)
+    out = np.empty(1 << n)
+    eps = values[0]
+    out[0] = (1.0 + eps) / 2.0
+    out[out.size >> 1] = (1.0 - eps) / 2.0
+    top = max(n - _BLOCK_BITS, 1)
+    _grow(out, values[1:top], out.size >> 1)
+    # With n <= _BLOCK_BITS the one block is the whole vector at stride 2^(n-1).
+    block = 1 << _BLOCK_BITS
+    for lo in range(0, out.size, block):
+        _grow(out[lo:lo + block], values[top:], out.size >> top)
+    return out
 
 
 def probamps(register: RegisterBiases, *, size_cap: int = DEFAULT_SIZE_CAP) -> DiagDist:
@@ -130,7 +178,7 @@ def probamps(register: RegisterBiases, *, size_cap: int = DEFAULT_SIZE_CAP) -> D
     qubits raise :class:`ResourceCapError`.
     """
     _check_size(register.n, size_cap)
-    return DiagDist(_probamps_raw(register.values))
+    return DiagDist._own(_probamps_raw(register.values))
 
 
 def _sign_vector(i: int, n: int) -> np.ndarray:

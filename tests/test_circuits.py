@@ -125,6 +125,15 @@ class TestApplyCircuit:
         out = apply_circuit(d, nb_maxcomp(2, {1}))
         assert out.probamps == pytest.approx([0.45, 0.30, 0.15, 0.10], abs=1e-15)
 
+    def test_result_is_read_only_and_input_untouched(self):
+        d = probamps(RegisterBiases.from_values([0.2, 0.5]))
+        before = d.probamps.copy()
+        out = apply_circuit(d, nb_maxcomp(2, {1}))
+        assert np.array_equal(d.probamps, before)
+        assert np.array_equal(out.probamps, before[[0, 2, 1, 3]])
+        with pytest.raises(ValueError):
+            out.probamps[0] = 0.0
+
     def test_inverse_restores(self):
         d = probamps(RegisterBiases.from_values([0.3, 0.1, 0.6]))
         c = nb_maxcomp(3, {0, 3})

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,7 +88,8 @@ class TestSwapRenderer:
         n, swaps = subset
         idx = np.array(swaps, dtype=np.int64)
         for fmt, sep in self.SEPARATORS.items():
-            assert cli.render_swaps(idx, n, fmt, chunk) == sep.join(swap_rows(swaps, n, fmt))
+            assert ("".join(cli.render_swaps(idx, n, fmt, chunk))
+                    == sep.join(swap_rows(swaps, n, fmt)))
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("biases", [
@@ -100,6 +102,45 @@ class TestSwapRenderer:
         code, nothing, _ = run(capsys, *argv, "--out", str(path))
         assert code == 0 and nothing == ""
         assert path.read_bytes() == stdout.encode()
+
+
+    def test_streamed_peak_memory(self, tmp_path):
+        # The vector, the marginal's sign vector, the swap indices and one
+        # chunk of rows; no copy of the vector and none of the 9.5 MB output.
+        path = tmp_path / "out.csv"
+        argv = ["optswaps", "--n", "20", "--epsilon", "0.01", "--format", "csv",
+                "--out", str(path)]
+        assert cli.main(argv[:2] + ["3"] + argv[3:]) == 0  # warm up
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert path.stat().st_size > (8 << 20)
+        assert peak <= 2.5 * (8 << 20)
+
+
+class TestOutPath:
+    """An --out path that cannot be written exits 2 before any computation."""
+
+    @pytest.mark.parametrize("argv", [
+        ("optswaps", "--n", "3", "--epsilon", "0.1"),
+        ("limits", "--n", "3", "--epsilon", "0.1"),
+    ])
+    @pytest.mark.parametrize("kind", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, kind):
+        path = tmp_path / "no" / "x" if kind == "missing_dir" else tmp_path
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --out {str(path)!r}: ")
+        assert "Traceback" not in err
+
+    def test_checked_before_the_size_cap(self, capsys, tmp_path):
+        code, _, err = run(capsys, "optswaps", "--n", "27", "--epsilon", "0.1",
+                           "--out", str(tmp_path / "no" / "x"))
+        assert code == 2 and "cannot write --out" in err
 
 
 class TestLimits:

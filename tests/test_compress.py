@@ -81,6 +81,15 @@ class TestApplySwaps:
         out = apply_swaps(d, frozenset())
         assert np.array_equal(out.probamps, d.probamps)
 
+    def test_result_is_read_only_and_input_untouched(self):
+        d = dist_of([0.2, 0.5])
+        before = d.probamps.copy()
+        out = apply_swaps(d, {1})
+        assert np.array_equal(d.probamps, before)
+        assert np.array_equal(out.probamps, before[[0, 2, 1, 3]])
+        with pytest.raises(ValueError):
+            out.probamps[0] = 0.0
+
     def test_rejects_one_t_indices(self):
         d = dist_of([0.3, 0.6])
         with pytest.raises(ValueError):

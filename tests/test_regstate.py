@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qcool import (DiagDist, RegisterBiases, ResourceCapError,
                    marginal_bias, marginal_register, probamps)
+from qcool import regstate
 from qcool.regstate import _probamps_raw
 from oracles import block_marginal, marginal_arange, product_probamps
 
@@ -75,6 +77,19 @@ class TestDiagDist:
         with pytest.raises(ValueError):
             d.probamps[0] = 1.0
 
+    def test_public_constructor_copies(self):
+        src = np.array([0.25, 0.25, 0.25, 0.25])
+        d = DiagDist(src)
+        src[0] = 0.5  # the distribution holds its own copy
+        assert np.array_equal(d.probamps, [0.25, 0.25, 0.25, 0.25])
+        with pytest.raises(ValueError):
+            d.probamps[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            DiagDist(np.array([0.5, 0.5, 0.0, bad]))
+
 
 class TestProbamps:
     def test_pure_single_qubit(self):
@@ -104,6 +119,34 @@ class TestProbamps:
     def test_normalization(self, values):
         d = probamps(RegisterBiases.from_values(values))
         assert abs(float(d.probamps.sum()) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("block_bits", [None, 1, 2, 3, 5])
+    def test_builder_bit_identical_to_oracle(self, monkeypatch, block_bits):
+        # Small block sizes split even these registers into many blocks; the
+        # biases include values outside [0, 1], as hbac's fallback passes
+        # raw ones.
+        if block_bits is not None:
+            monkeypatch.setattr(regstate, "_BLOCK_BITS", block_bits)
+        rng = np.random.default_rng(7)
+        for n in range(1, 13):
+            values = rng.uniform(-0.5, 1.5, n).tolist()
+            got = _probamps_raw(values)
+            assert np.array_equal(got.view(np.int64),
+                                  product_probamps(values).view(np.int64)), (n, values)
+            assert np.array_equal(_probamps_raw(np.array(values)).view(np.int64),
+                                  got.view(np.int64))
+
+    def test_build_peak_memory_is_one_vector(self):
+        register = RegisterBiases.equal(22, 0.01)
+        probamps(RegisterBiases.equal(3, 0.1))  # warm up
+        tracemalloc.start()
+        try:
+            d = probamps(register)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.probamps.nbytes == 8 << 22
+        assert peak <= 1.1 * (8 << 22)
 
     def test_normalization_large_register(self):
         rng = np.random.default_rng(11)
