@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage or parse error, 3 size-cap violation,
 4 non-convergence (a pass cap, set with ``--iteration-cap``, was exceeded).
 ``--out PATH`` is opened, and truncated, before the command computes
 anything; a path that cannot be opened for writing (a missing directory, a
-directory) exits 2 with a message that names it.
+directory) exits 2 with a message that names it.  A reader that closes
+stdout early (``| head``) ends the output quietly, with exit 0.
 Identical invocations produce byte-identical output, with one caveat: a
 marginal bias is a BLAS dot product, so from about 14 qubits on the last
 digits of ``optswaps``' target bias can vary with the BLAS thread count.
@@ -24,6 +25,7 @@ index array, plus the marginal's sign vector, whatever the output size.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -503,6 +505,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does, and wants no more
+        # output.  Point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     finally:
         if args.sink is not None:
             args.sink.close()

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -294,6 +297,18 @@ class TestBounds:
 
 
 class TestExitCodesAndDeterminism:
+    def test_reader_closing_the_pipe_early(self):
+        # 2.1 MB of rows: the writer fills the pipe, then writes into it closed
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcool.cli", "optswaps", "--n", "18", "--epsilon", "0.01",
+             "--format", "csv"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"zero_t,one_t,ket_zero_t,ket_one_t\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0, err
+        assert err == ""
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "optswaps", "--biases", "0.2,oops")
         assert code == 2 and "error:" in err
