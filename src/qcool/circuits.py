@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
+from .compress import _swap_pairs
 from .errors import ResourceCapError
 from .regstate import DiagDist
 
@@ -83,17 +85,12 @@ def _swap_block(n: int, j: int) -> list[Gate]:
     return fold + [flip] + fold[::-1]
 
 
-def nb_maxcomp(n: int, swaps: frozenset[int] | set[int]) -> Circuit:
-    """Circuit realizing every exchange in *swaps* and fixing all other states."""
+def nb_maxcomp(n: int, swaps: ArrayLike) -> Circuit:
+    """Circuit realizing every exchange of the swap set *swaps*, fixing all other states."""
     if n < 1:
         raise ValueError("circuit needs at least one wire")
-    half = 1 << (n - 1)
-    gates: list[Gate] = []
-    for j in sorted(swaps):
-        if not 0 <= j < half:
-            raise ValueError(f"swap index {j} out of range [0, {half})")
-        gates.extend(_swap_block(n, j))
-    return Circuit(n, tuple(gates))
+    idx, _ = _swap_pairs(swaps, 1 << n)
+    return Circuit(n, tuple(g for j in idx.tolist() for g in _swap_block(n, j)))
 
 
 def lim_comp(n: int) -> Circuit:

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 usage or parse error, 3 size-cap violation,
 4 non-convergence (a pass cap, set with ``--iteration-cap``, was exceeded).
-``--out PATH`` is opened, and truncated, before the command computes
-anything; a path that cannot be opened for writing (a missing directory, a
-directory) exits 2 with a message that names it.  A reader that closes
-stdout early (``| head``) ends the output quietly, with exit 0.
+``--out PATH`` makes a new file beside PATH before the command computes
+anything and moves it onto PATH only on exit 0; a path that cannot be
+written (a missing directory, a directory) exits 2 naming it.  A reader
+that closes stdout early (``| head``) ends the output quietly, with exit 0.
 Identical invocations produce byte-identical output, with one caveat: a
 marginal bias is a BLAS dot product, so from about 14 qubits on the last
 digits of ``optswaps``' target bias can vary with the BLAS thread count.
@@ -26,19 +26,20 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
 from .circuits import export_text, lim_comp, nb_maxcomp
-from .compress import _gain, _optswap_indices, find_optswaps, verify_optimality
+from .compress import bias_gain, find_optswaps, verify_optimality
 from .errors import DivergenceError, ResourceCapError
 from .hbac import HbacConfig, register_compression
 from .limits import (DEFAULT_ITERATION_CAP, _check_grid, analytic_limit, analytic_limits,
-                     max_rounds, numerical_limits, shannon_bound, single_round_limit,
+                     check_rounds, numerical_limits, shannon_bound, single_round_limit,
                      sqrt_bound)
 from .regstate import RegisterBiases, _check_size, marginal_bias, probamps
 
@@ -217,8 +218,8 @@ def cmd_optswaps(args) -> int:
     register = _parse_biases(args)
     n = register.n
     dist = probamps(register)
-    idx = _optswap_indices(dist)
-    gain = _gain(dist.probamps, idx)
+    idx = find_optswaps(dist)
+    gain = bias_gain(dist, idx)
     before = marginal_bias(dist, 1)
     verification = verify_optimality(dist) if args.verify else None
     del dist  # the rows need only idx: free the 2^n vector before rendering them
@@ -265,21 +266,14 @@ def cmd_optswaps(args) -> int:
     return EXIT_OK
 
 
-def _limit_rounds(args, n: int) -> int:
-    rounds = args.rounds if args.rounds is not None else max_rounds(n)
-    if not 1 <= rounds <= max_rounds(n):
-        raise UsageError(f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")
-    return rounds
-
-
 def cmd_limits(args) -> int:
     if args.analytic:
         # the grid, not the register, bounds the work: check it before the build
-        register = _parse_biases(args, lambda n: _check_grid(_limit_rounds(args, n), n))
+        register = _parse_biases(args, lambda n: _check_grid(check_rounds(n, args.rounds), n))
     else:
         register = _parse_biases(args)
     n = register.n
-    rounds = _limit_rounds(args, n)
+    rounds = check_rounds(n, args.rounds)
     if args.analytic:
         values = register.values
         if np.unique(values).size != 1:
@@ -305,8 +299,7 @@ def cmd_limits(args) -> int:
 
 def cmd_cool(args) -> int:
     register = _parse_biases(args)
-    rounds = args.rounds if args.rounds is not None else max_rounds(register.n)
-    config = HbacConfig(register, rounds, precision=args.precision, mode=args.mode,
+    config = HbacConfig(register, args.rounds, precision=args.precision, mode=args.mode,
                         iteration_cap=args.iteration_cap)
     report = register_compression(config)
     payload = {
@@ -314,7 +307,7 @@ def cmd_cool(args) -> int:
         "command": "cool",
         "n": register.n,
         "biases": register.values.tolist(),
-        "rounds": rounds,
+        "rounds": config.rounds,
         "precision": args.precision,
         "mode": args.mode,
         "complexity": report.complexity,
@@ -334,8 +327,7 @@ def cmd_circuit(args) -> int:
         circuit = lim_comp(args.lim)
     elif args.from_biases is not None:
         register = RegisterBiases.from_values(_parse_list(args.from_biases, float, "bias"))
-        swaps = find_optswaps(probamps(register))
-        circuit = nb_maxcomp(register.n, swaps)
+        circuit = nb_maxcomp(register.n, find_optswaps(probamps(register)))
     else:
         raise UsageError("provide --lim N or --from-biases LIST")
     _emit(args.sink, [export_text(circuit)])
@@ -361,8 +353,7 @@ def cmd_sweep(args) -> int:
         _check_size(n)
     rows: list[tuple[float | int, int]] = []
     for n, eps in points:
-        rounds = args.rounds if args.rounds is not None else max_rounds(n)
-        config = HbacConfig(RegisterBiases.equal(n, eps), rounds, precision=args.precision,
+        config = HbacConfig(RegisterBiases.equal(n, eps), args.rounds, precision=args.precision,
                             mode=args.mode, iteration_cap=args.iteration_cap)
         rows.append((n if key == "n" else eps, register_compression(config).complexity))
     if args.format == "json":
@@ -382,7 +373,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bounds(args) -> int:
     n, eps = args.n, args.epsilon
-    rounds = args.rounds if args.rounds is not None else max_rounds(n)
+    rounds = check_rounds(n, args.rounds)
     k = args.k
     payload = {
         "schema": SCHEMA_VERSION,
@@ -482,37 +473,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_out(path: str) -> tuple[TextIO, str | None, str]:
+    """A writer for ``--out`` *path*, the new file it writes (or None) and the target.
+
+    A file or a new path gets a new file beside it, with the mode ``open(path,
+    "w")`` would give, to replace it on success; a device or pipe is written
+    directly.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        return open(path, "w", newline=""), None, target
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"
+    sink = open(temp, "x", newline="")
+    if os.path.exists(target):
+        shutil.copymode(target, temp)
+    return sink, temp, target
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.sink = open(args.out, "w", newline="") if args.out else None
+        args.sink, temp, target = _open_out(args.out) if args.out else (None, None, None)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         reason = getattr(exc, "strerror", None) or exc
         print(f"error: cannot write --out {args.out!r}: {reason}", file=sys.stderr)
         return EXIT_USAGE
+    code = None
     try:
-        return args.func(args)
-    except UsageError as exc:
+        code = args.func(args)
+    except (ResourceCapError, ValueError) as exc:  # a UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        code = EXIT_RESOURCE if isinstance(exc, ResourceCapError) else EXIT_USAGE
     except DivergenceError as exc:
         print(f"error: {exc}; --iteration-cap raises the limit", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_NONCONVERGENCE
     except BrokenPipeError:
         # The reader closed stdout early, as `| head` does, and wants no more
         # output.  Point stdout at devnull so the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        code = EXIT_OK
     finally:
         if args.sink is not None:
             args.sink.close()
+        if temp is not None and code == EXIT_OK:
+            os.replace(temp, target)
+        elif temp is not None:
+            os.unlink(temp)
+    return code
 
 
 if __name__ == "__main__":

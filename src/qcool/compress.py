@@ -9,6 +9,9 @@ checking the three pairwise optimality cases.  Each case reduces exactly to
 one comparison of two probamps, so a threshold over the register finds the
 rows that fail, in O(2^n), and only those rows are compared pair by pair.
 
+A swap set, as :func:`find_optswaps` returns it and :func:`_swap_pairs`
+checks it, is a 1-D integer array of strictly increasing 0T indices j.
+
 The value-domain gate of register cooling and of the numerical limits
 lives here as well: from the limiting pair |011..1> <-> |100..0> and the
 smallest ancilla bias it proves, in O(q), when no other pair of a q-qubit
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ResourceCapError
 from .regstate import DEFAULT_SIZE_CAP, DiagDist
@@ -123,44 +127,40 @@ def _beneficial_indices(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _optswap_indices(dist: DiagDist) -> np.ndarray:
-    """Sorted int64 indices j of every beneficial complementary exchange."""
+def find_optswaps(dist: DiagDist) -> np.ndarray:
+    """The swap set of every beneficial complementary exchange, per strict comparison."""
     return _beneficial_indices(*_halves(dist.probamps))
 
 
-def find_optswaps(dist: DiagDist) -> frozenset[int]:
-    """Indices j of every beneficial complementary exchange, per strict comparison."""
-    return frozenset(_optswap_indices(dist).tolist())
+def _swap_pairs(swaps: ArrayLike, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 (idx, partners size - 1 - idx) of the swap set *swaps* on *size* entries.
 
-
-def _sorted_indices(swaps: frozenset[int] | set[int]) -> np.ndarray:
-    return np.sort(np.fromiter(swaps, np.int64, count=len(swaps)))
-
-
-def _complements(idx: np.ndarray, size: int) -> np.ndarray:
-    """Partners size - 1 - j of the sorted swap indices j, which must lie in [0, size/2)."""
+    *swaps* is any 1-D integer array-like, [] included, of strictly increasing
+    indices in [0, size/2); anything else raises :class:`ValueError`.
+    """
     half = size // 2
-    if idx.size and (idx[0] < 0 or idx[-1] >= half):
-        raise ValueError(f"swap indices must lie in [0, {half})")
-    return size - 1 - idx
+    idx = np.asarray(swaps)
+    if idx.ndim == 1 and (idx.size == 0 or idx.dtype.kind in "iu"):
+        idx = idx.astype(np.int64, copy=False)  # a uint64 past int64 wraps negative
+        if idx.size == 0 or (idx[0] >= 0 and idx[-1] < half and np.all(idx[1:] > idx[:-1])):
+            return idx, size - 1 - idx
+    raise ValueError("swaps must be a 1-D integer array of strictly increasing indices "
+                     f"in [0, {half})")
 
 
-def apply_swaps(dist: DiagDist, swaps: frozenset[int] | set[int]) -> DiagDist:
-    """Exchange each listed complementary pair; the probamp multiset is preserved."""
+def apply_swaps(dist: DiagDist, swaps: ArrayLike) -> DiagDist:
+    """Exchange each pair of the swap set *swaps*; the probamp multiset is preserved."""
     p = dist.probamps.copy()
-    idx = _sorted_indices(swaps)
-    comp = _complements(idx, p.size)
+    idx, comp = _swap_pairs(swaps, p.size)
     p[idx], p[comp] = p[comp], p[idx]
     return DiagDist._own(p)
 
 
-def _gain(p: np.ndarray, idx: np.ndarray) -> float:
-    return float(2.0 * np.sum(p[_complements(idx, p.size)] - p[idx]))
-
-
-def bias_gain(dist: DiagDist, swaps: frozenset[int] | set[int]) -> float:
-    """Target-bias increase from performing *swaps*: 2 * sum of pair differences."""
-    return _gain(dist.probamps, _sorted_indices(swaps))
+def bias_gain(dist: DiagDist, swaps: ArrayLike) -> float:
+    """Target-bias increase from performing the swap set *swaps*: 2 * sum of pair differences."""
+    p = dist.probamps
+    idx, comp = _swap_pairs(swaps, p.size)
+    return float(2.0 * np.sum(p[comp] - p[idx]))
 
 
 @dataclass(frozen=True)

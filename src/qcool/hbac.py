@@ -47,10 +47,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compress import (_beneficial, _beneficial_mask, _halves, _limiting_probamps,
+from .compress import (_beneficial, _beneficial_indices, _halves, _limiting_probamps,
                        _only_limiting_pair)
 from .errors import DivergenceError
-from .limits import DEFAULT_ITERATION_CAP, LimitMatrix, max_rounds, numerical_limits
+from .limits import DEFAULT_ITERATION_CAP, LimitMatrix, check_rounds, numerical_limits
 from .regstate import RegisterBiases, _probamps_raw
 
 MODE_FULL = "full"
@@ -62,7 +62,7 @@ SwapHook = Callable[[int, int, int, int], None]
 
 @dataclass(frozen=True)
 class HbacConfig:
-    """Inputs of a register-compression run.
+    """Inputs of a register-compression run; *rounds* None means n - 2.
 
     *iteration_cap* bounds the passes of each (round, head), summed over its
     re-entries, and those of each (round, target) of the default targets'
@@ -70,16 +70,13 @@ class HbacConfig:
     """
 
     biases: RegisterBiases
-    rounds: int
+    rounds: int | None
     precision: float = 1e-9
     mode: str = MODE_FULL
     iteration_cap: int = DEFAULT_ITERATION_CAP
 
     def __post_init__(self) -> None:
-        n = self.biases.n
-        if not 1 <= self.rounds <= max_rounds(n):
-            raise ValueError(
-                f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {self.rounds}")
+        object.__setattr__(self, "rounds", check_rounds(self.biases.n, self.rounds))
         if not self.precision > 0.0:
             raise ValueError(f"precision must be positive, got {self.precision!r}")
         if self.mode not in (MODE_FULL, MODE_LIM):
@@ -101,10 +98,6 @@ class CoolingReport:
     per_round_swaps: tuple[int, ...]
     targets: LimitMatrix
     while_passes: int
-
-    @property
-    def final_biases(self) -> np.ndarray:
-        return self.round_limits.values[-1].copy()
 
 
 def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: int, x: int,
@@ -184,7 +177,7 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
             # Complementary pairs are disjoint, so the pass-start beneficial
             # set equals on-the-fly re-testing; walk it in index order.
             head, tail = _halves(_probamps_raw(raw))
-            ks = np.nonzero(_beneficial_mask(head, tail))[0]
+            ks = _beneficial_indices(head, tail)
             for k, d in zip(ks.tolist(), (tail[ks] - head[ks]).tolist()):
                 if gamma[0] >= cap:
                     break
@@ -308,8 +301,7 @@ def complexity_sweep(n_values: Sequence[int], eps: float, rounds: int | None = N
     """
     rows: list[tuple[int, int]] = []
     for n in n_values:
-        r = max_rounds(n) if rounds is None else rounds
-        config = HbacConfig(RegisterBiases.equal(n, eps), r,
+        config = HbacConfig(RegisterBiases.equal(n, eps), rounds,
                             precision=precision, mode=mode)
         report = register_compression(config)
         rows.append((n, report.complexity))

@@ -33,9 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import regstate
-from .compress import (_beneficial, _beneficial_mask, _complements, _halves,
-                       _only_limiting_pair)
+from .compress import _beneficial, _beneficial_indices, _halves, _only_limiting_pair
 from .errors import DivergenceError, ResourceCapError
 from .regstate import DiagDist, RegisterBiases, _check_size, _sign_vector
 
@@ -59,6 +57,16 @@ def max_rounds(n: int) -> int:
     return n - 2
 
 
+def check_rounds(n: int, rounds: int | None) -> int:
+    """*rounds*, None meaning n - 2, once n >= 3 and 1 <= rounds <= n - 2 hold."""
+    if n < 3:
+        raise ValueError(f"register must have n >= 3 qubits, got {n}")
+    rounds = max_rounds(n) if rounds is None else rounds
+    if not 1 <= rounds <= max_rounds(n):
+        raise ValueError(f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")
+    return rounds
+
+
 def f(r: int, k: int, n: int) -> int:
     """Exponent of the round-r cooling limit for qubit k in an n-qubit register.
 
@@ -67,14 +75,9 @@ def f(r: int, k: int, n: int) -> int:
     which no further round improves any qubit.  The terms are built from
     each other, so the cost is O(min(r, m)) integer operations.
     """
-    if n < 3:
-        raise ValueError(f"register must have n >= 3 qubits, got {n}")
+    check_rounds(n, r)
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
-    if r < 1:
-        raise ValueError(f"round must be >= 1, got {r}")
-    if r > max_rounds(n):
-        raise ValueError(f"round {r} exceeds the maximum n - 2 = {max_rounds(n)}")
     m = max(n - k - 1, 0)
     total = term = 1
     for i in range(1, min(r, m) + 1):
@@ -199,13 +202,12 @@ def _exponent_grid(rounds: int, n: int) -> list[list[int]]:
     return [list(row) for row in zip(*columns)]
 
 
-def analytic_limits(n: int, rounds: int, eps: float) -> LimitMatrix:
+def analytic_limits(n: int, rounds: int | None, eps: float) -> LimitMatrix:
     """Rounds x n matrix of :func:`analytic_limit` for equal default biases *eps*.
 
     Grids of more than ANALYTIC_GRID_CAP entries raise :class:`ResourceCapError`.
     """
-    if not 1 <= rounds <= max_rounds(n):
-        raise ValueError(f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")
+    rounds = check_rounds(n, rounds)
     _check_grid(rounds, n)
     return LimitMatrix(np.array([[_tanh_ratio(eps, e) for e in row]
                                  for row in _exponent_grid(rounds, n)]))
@@ -258,17 +260,15 @@ def _target_pass(ancillas: Sequence[float]) -> Callable[[float], float]:
             if _beneficial(p_k, p_kk):
                 p[half - 1], p[half] = p_kk, p_k
         else:
-            sel = np.nonzero(_beneficial_mask(*_halves(p)))[0]
-            comp = _complements(sel, p.size)
-            p[sel], p[comp] = p[comp], p[sel]
+            sel = _beneficial_indices(*_halves(p))
+            p[sel], p[-1 - sel] = p[-1 - sel], p[sel]  # -1 - j indexes 2^q - 1 - j
         return float(np.dot(sign, p))
 
     return compress
 
 
-def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
+def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int | None,
                      precision: float = 1e-9, *,
-                     size_cap: int = regstate.DEFAULT_SIZE_CAP,
                      iteration_cap: int = DEFAULT_ITERATION_CAP) -> LimitMatrix:
     """Per-round cooling limits of every qubit, for arbitrary default biases.
 
@@ -287,10 +287,8 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int,
     if not isinstance(biases, RegisterBiases):
         biases = RegisterBiases.from_values(biases)
     n = biases.n
-    _check_size(n, size_cap)
-    if not 1 <= rounds <= max_rounds(n):
-        raise ValueError(
-            f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")
+    _check_size(n)
+    rounds = check_rounds(n, rounds)
     if not precision > 0.0:
         raise ValueError(f"precision must be positive, got {precision!r}")
     if iteration_cap < 1:

@@ -32,7 +32,7 @@ def test_criterion_01_three_qubit_compressor_recovery():
     with criterion(1, "3B-Comp recovery"):
         for eps in (0.01, 0.2, 0.9):
             dist = probamps(RegisterBiases.equal(3, eps))
-            assert find_optswaps(dist) == {3}
+            assert find_optswaps(dist).tolist() == [3]
         dist = probamps(RegisterBiases.equal(3, 0.2))
         find_optswaps(dist)  # warm-up
         timings = []
@@ -64,7 +64,7 @@ def test_criterion_02_stress_sets_optimality_and_large_passes():
                 dist = probamps(RegisterBiases.from_values(biases))
                 swaps = find_optswaps(dist)
                 settled = apply_swaps(dist, swaps)
-                assert find_optswaps(settled) == frozenset()
+                assert find_optswaps(settled).size == 0
             elapsed = time.perf_counter() - t0
             assert elapsed < 60.0, f"n={n} swap passes took {elapsed:.1f}s"
 
@@ -160,7 +160,7 @@ def test_criterion_09_circuit_soundness():
             n = int(rng.integers(1, 9))
             half = 2 ** (n - 1)
             count = int(rng.integers(0, half + 1))
-            swaps = set(map(int, rng.choice(half, size=count, replace=False)))
+            swaps = np.sort(rng.choice(half, size=count, replace=False))
             circuit = nb_maxcomp(n, swaps)
             perm = circuit_permutation(circuit)
             assert np.array_equal(perm, transposition_perm(n, swaps))
@@ -193,7 +193,7 @@ def test_criterion_11_conservation_suite():
             dist = probamps(RegisterBiases.from_values(values))
             half = 2 ** (n - 1)
             count = int(rng.integers(0, half + 1))
-            swaps = set(map(int, rng.choice(half, size=count, replace=False)))
+            swaps = np.sort(rng.choice(half, size=count, replace=False))
             swapped = apply_swaps(dist, swaps)
             assert np.array_equal(np.sort(swapped.probamps), np.sort(dist.probamps))
             assert abs(float(swapped.probamps.sum()) - float(dist.probamps.sum())) < 1e-12

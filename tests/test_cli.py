@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -64,6 +66,17 @@ class TestOptswaps:
         payload = json.loads(out)
         assert payload["target_bias_after"] == pytest.approx(
             payload["target_bias_before"] + payload["gain"], abs=1e-16)
+
+    def test_calls_the_public_selection_and_gain(self, capsys, monkeypatch):
+        calls = []
+        for name in ("find_optswaps", "bias_gain"):
+            def spy(*args, _name=name, _real=getattr(cli, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(cli, name, spy)
+        code, out, _ = run(capsys, "optswaps", "--n", "5", "--epsilon", "0.1")
+        assert code == 0 and "swaps: 5" in out
+        assert sorted(calls) == ["bias_gain", "find_optswaps"]
 
 
 @st.composite
@@ -146,6 +159,65 @@ class TestOutPath:
         assert code == 2 and "cannot write --out" in err
 
 
+class TestOutFile:
+    """--out replaces its target only when the command succeeds."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (("limits", "--n", "10", "--epsilon", "0.1"), 2),
+        (("cool", "--n", "5", "--epsilon", "1e-5", "--iteration-cap", "653"), 4),
+    ])
+    def test_failed_command_keeps_the_old_file(self, capsys, tmp_path, argv, want):
+        path = tmp_path / "f.json"
+        path.write_text("keep")
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == want and out == "" and err.startswith("error: ")
+        assert path.read_text() == "keep"
+        assert os.listdir(tmp_path) == ["f.json"]
+
+    def test_success_replaces_the_old_file_with_stdout(self, capsys, tmp_path):
+        argv = ("limits", "--n", "5", "--epsilon", "0.1", "--format", "csv")
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "f.csv"
+        path.write_text("keep, and longer than the new content " * 100)
+        path.chmod(0o600)
+        code, nothing, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and nothing == ""
+        assert path.read_bytes() == stdout.encode()
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert os.listdir(tmp_path) == ["f.csv"]
+
+    def test_new_file_mode_is_that_of_open(self, capsys, tmp_path):
+        with open(tmp_path / "reference", "w"):
+            pass
+        path = tmp_path / "new.nbmc"
+        assert run(capsys, "circuit", "--lim", "3", "--out", str(path))[0] == 0
+        assert path.stat().st_mode == (tmp_path / "reference").stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["new.nbmc", "reference"]
+
+    def test_symlink_target_is_written_through(self, capsys, tmp_path):
+        stdout = run(capsys, "circuit", "--lim", "3")[1]
+        real = tmp_path / "real.txt"
+        real.write_text("keep")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        assert run(capsys, "circuit", "--lim", "3", "--out", str(link))[0] == 0
+        assert link.is_symlink() and real.read_text() == stdout
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+    def test_pipe_target_is_written_directly(self, capsys, tmp_path):
+        stdout = run(capsys, "circuit", "--lim", "3")[1]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run(capsys, "circuit", "--lim", "3", "--out", str(fifo))[0] == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == [stdout]
+        assert stat.S_ISFIFO(fifo.stat().st_mode) and os.listdir(tmp_path) == ["fifo"]
+
+
 class TestLimits:
     def test_zero_biases_zero_matrix(self, capsys):
         code, out, _ = run(capsys, "limits", "--biases", "0,0,0", "--rounds", "1")
@@ -167,15 +239,18 @@ class TestLimits:
         assert code == 2
         assert "equal biases" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("--biases", "0", "--analytic", "--format", "csv"),
-        ("--n", "2", "--epsilon", "0.1", "--analytic"),
-        ("--n", "5", "--epsilon", "0.1", "--analytic", "--rounds", "0"),
-    ])
-    def test_analytic_rejects_rounds_out_of_range(self, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (("--biases", "0", "--analytic", "--format", "csv"),
+         "register must have n >= 3 qubits, got 1"),
+        (("--n", "2", "--epsilon", "0.1", "--analytic"),
+         "register must have n >= 3 qubits, got 2"),
+        (("--n", "5", "--epsilon", "0.1", "--analytic", "--rounds", "0"),
+         "rounds must lie in 1..3 for n = 5, got 0"),
+    ], ids=["argv0", "argv1", "argv2"])
+    def test_analytic_rejects_rounds_out_of_range(self, capsys, argv, message):
         # these once printed an empty matrix, or a traceback for CSV
         code, out, err = run(capsys, "limits", *argv)
-        assert code == 2 and out == "" and "rounds must lie in" in err
+        assert code == 2 and out == "" and message in err
 
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "limits", "--n", "4", "--epsilon", "0.1",

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcool import (DiagDist, RegisterBiases, apply_swaps, bias_gain,
-                   find_optswaps, marginal_bias, probamps, sort_bound,
-                   verify_optimality)
+                   circuit_permutation, find_optswaps, marginal_bias, nb_maxcomp,
+                   probamps, sort_bound, verify_optimality)
 from fixture_sets import STRESS_SETS
 from oracles import select_swaps_brute, optimality_cases_brute
 
@@ -44,7 +44,7 @@ def tied_probamps(weights, nudges) -> np.ndarray:
 class TestFindOptswaps:
     @pytest.mark.parametrize("eps", [0.01, 0.2, 0.9])
     def test_three_qubit_equal_biases(self, eps):
-        assert find_optswaps(dist_of([eps] * 3)) == {3}
+        assert find_optswaps(dist_of([eps] * 3)).tolist() == [3]
 
     def test_five_qubit_pattern(self):
         # eps1+ eps2- eps3+ eps4- eps5- < eps1- eps2+ eps3- eps4+ eps5+
@@ -52,39 +52,73 @@ class TestFindOptswaps:
         assert 11 in swaps  # |01011> <-> |10100>, decimal 11 <-> 20
 
     def test_pure_target_swaps_nothing(self):
-        assert find_optswaps(dist_of([1.0, 0.3, 0.7])) == frozenset()
-        assert find_optswaps(dist_of([1.0, 0.5])) == frozenset()
+        assert find_optswaps(dist_of([1.0, 0.3, 0.7])).size == 0
+        assert find_optswaps(dist_of([1.0, 0.5])).size == 0
 
     @given(biases_st)
     @settings(max_examples=60)
     def test_matches_brute_selection(self, values):
         d = dist_of(values)
-        assert find_optswaps(d) == set(select_swaps_brute(d.probamps))
+        swaps = find_optswaps(d)
+        assert swaps.dtype == np.int64 and swaps.ndim == 1
+        assert np.all(np.diff(swaps) > 0)
+        assert swaps.tolist() == select_swaps_brute(d.probamps)
+
+
+#: The three consumers of a swap set, each called on a 3-qubit register.
+SWAP_SET_USERS = {
+    "apply_swaps": lambda swaps: apply_swaps(dist_of([0.2, 0.3, 0.4]), swaps).probamps,
+    "bias_gain": lambda swaps: bias_gain(dist_of([0.2, 0.3, 0.4]), swaps),
+    "nb_maxcomp": lambda swaps: circuit_permutation(nb_maxcomp(3, swaps)),
+}
+
+
+class TestSwapSetForm:
+    """A swap set is a 1-D integer array of strictly increasing indices in [0, 2^(n-1))."""
+
+    @pytest.mark.parametrize("user", SWAP_SET_USERS)
+    @pytest.mark.parametrize("swaps", [
+        {1, 3}, frozenset({1}), [3, 1], [1, 1], [-1, 2], [4], [0, 4],
+        np.array([1.0, 3.0]), [1.0], np.array([[1, 3]]), np.array(1), [True],
+        np.array([2 ** 64 - 1], np.uint64), "1",
+    ], ids=["set", "frozenset", "unsorted", "duplicate", "negative", "one_t", "past_half",
+            "float_array", "float_list", "two_d", "scalar", "bool", "uint64_wrap", "str"])
+    def test_rejects_every_other_form(self, user, swaps):
+        with pytest.raises(ValueError, match=r"strictly increasing indices in \[0, 4\)"):
+            SWAP_SET_USERS[user](swaps)
+
+    @pytest.mark.parametrize("user", SWAP_SET_USERS)
+    def test_accepts_lists_and_integer_arrays_alike(self, user):
+        call = SWAP_SET_USERS[user]
+        assert np.array_equal(call([]), call(np.array([], np.int64)))
+        want = call(np.array([1, 3], np.int64))
+        for swaps in ([1, 3], (1, 3), np.array([1, 3], np.uint8), np.array([1, 3], np.int32)):
+            assert np.array_equal(call(swaps), want)
 
 
 class TestApplySwaps:
     def test_uniform_unchanged(self):
         d = dist_of([0.0, 0.0])
-        out = apply_swaps(d, {0, 1})
+        out = apply_swaps(d, [0, 1])
         assert np.array_equal(out.probamps, d.probamps)
 
     def test_hand_exchange(self):
         d = dist_of([0.2, 0.5])
         assert d.probamps == pytest.approx([0.45, 0.15, 0.30, 0.10], abs=1e-15)
-        out = apply_swaps(d, {1})
+        out = apply_swaps(d, [1])
         assert out.probamps == pytest.approx([0.45, 0.30, 0.15, 0.10], abs=1e-15)
         # the exchange itself moves entries verbatim
         assert np.array_equal(out.probamps, d.probamps[[0, 2, 1, 3]])
 
     def test_empty_set_is_identity(self):
         d = dist_of([0.3, 0.6, 0.1])
-        out = apply_swaps(d, frozenset())
+        out = apply_swaps(d, [])
         assert np.array_equal(out.probamps, d.probamps)
 
     def test_result_is_read_only_and_input_untouched(self):
         d = dist_of([0.2, 0.5])
         before = d.probamps.copy()
-        out = apply_swaps(d, {1})
+        out = apply_swaps(d, [1])
         assert np.array_equal(d.probamps, before)
         assert np.array_equal(out.probamps, before[[0, 2, 1, 3]])
         with pytest.raises(ValueError):
@@ -93,14 +127,14 @@ class TestApplySwaps:
     def test_rejects_one_t_indices(self):
         d = dist_of([0.3, 0.6])
         with pytest.raises(ValueError):
-            apply_swaps(d, {2})
+            apply_swaps(d, [2])
 
     @given(biases_st, st.data())
     @settings(max_examples=60)
     def test_conservation(self, values, data):
         d = dist_of(values)
         half = d.probamps.size // 2
-        swaps = data.draw(st.sets(st.integers(0, half - 1)))
+        swaps = sorted(data.draw(st.sets(st.integers(0, half - 1))))
         out = apply_swaps(d, swaps)
         assert np.array_equal(np.sort(out.probamps), np.sort(d.probamps))
         assert abs(float(out.probamps.sum()) - float(d.probamps.sum())) < 1e-12
@@ -110,18 +144,18 @@ class TestBiasGain:
     def test_two_qubit_gain(self):
         d = dist_of([0.2, 0.5])
         swaps = find_optswaps(d)
-        assert swaps == {1}
+        assert swaps.tolist() == [1]
         assert bias_gain(d, swaps) == pytest.approx(0.3, abs=1e-14)
 
     def test_empty_set_zero(self):
-        assert bias_gain(dist_of([0.4, 0.4]), frozenset()) == 0.0
+        assert bias_gain(dist_of([0.4, 0.4]), []) == 0.0
 
     @pytest.mark.parametrize("eps", [0.2, 0.5, 0.77])
     def test_equal_three_qubit_closed_form(self, eps):
         d = dist_of([eps] * 3)
-        gain = bias_gain(d, {3})
+        gain = bias_gain(d, [3])
         assert gain == pytest.approx((eps - eps ** 3) / 2, abs=1e-14)
-        post = marginal_bias(apply_swaps(d, {3}), 1)
+        post = marginal_bias(apply_swaps(d, [3]), 1)
         assert post == pytest.approx(marginal_bias(d, 1) + gain, abs=1e-14)
 
     @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=12))
@@ -140,14 +174,14 @@ class TestBiasGain:
         swaps = find_optswaps(d)
         gain = bias_gain(d, swaps)
         assert gain >= 0.0
-        assert (gain == 0.0) == (not swaps)
+        assert (gain == 0.0) == (swaps.size == 0)
 
     @given(biases_st)
     @settings(max_examples=60)
     def test_idempotence(self, values):
         d = dist_of(values)
         once = apply_swaps(d, find_optswaps(d))
-        assert find_optswaps(once) == frozenset()
+        assert find_optswaps(once).size == 0
 
 
 class TestSortBoundAttainment:
