@@ -502,12 +502,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     code = None
     try:
         code = args.func(args)
-    except (ResourceCapError, ValueError) as exc:  # a UsageError is a ValueError
+    except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_RESOURCE if isinstance(exc, ResourceCapError) else EXIT_USAGE
+        code = EXIT_RESOURCE
     except DivergenceError as exc:
         print(f"error: {exc}; --iteration-cap raises the limit", file=sys.stderr)
         code = EXIT_NONCONVERGENCE
+    except ValueError as exc:  # a UsageError among them
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout early, as `| head` does, and wants no more
         # output.  Point stdout at devnull so the flush at exit cannot fail.
