@@ -14,6 +14,7 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -62,7 +63,7 @@ class Circuit:
         if self.n < 1:
             raise ValueError("circuit needs at least one wire")
         gates = tuple(self.gates)
-        for g in gates:
+        for g in _distinct(gates):
             if g.max_wire > self.n:
                 raise ValueError(f"gate on wire {g.max_wire} exceeds n = {self.n}")
         object.__setattr__(self, "gates", gates)
@@ -75,29 +76,42 @@ class Circuit:
         return len(self.gates)
 
 
-def _swap_block(n: int, j: int) -> list[Gate]:
+def _distinct(gates: tuple[Gate, ...]) -> Iterable[Gate]:
+    """Each gate object of *gates* once; circuits share their fold gates."""
+    return {id(g): g for g in gates}.values()
+
+
+def _fold(n: int) -> tuple[Gate, ...]:
+    """The gates XOR-folding wires 2..n onto a pattern controlled by wire 1."""
+    return tuple(Gate(target=w, controls_on_0=(1,)) for w in range(2, n + 1))
+
+
+def _swap_block(n: int, j: int, fold: tuple[Gate, ...]) -> tuple[Gate, ...]:
     """Compute-flip-uncompute gate block for the exchange j <-> 2^n - 1 - j."""
     comp = (1 << n) - 1 - j
-    fold = [Gate(target=w, controls_on_0=(1,)) for w in range(2, n + 1)]
     c0 = tuple(w for w in range(2, n + 1) if not (comp >> (n - w)) & 1)
     c1 = tuple(w for w in range(2, n + 1) if (comp >> (n - w)) & 1)
     flip = Gate(target=1, controls_on_0=c0, controls_on_1=c1)
-    return fold + [flip] + fold[::-1]
+    return fold + (flip,) + fold[::-1]
 
 
 def nb_maxcomp(n: int, swaps: ArrayLike) -> Circuit:
-    """Circuit realizing every exchange of the swap set *swaps*, fixing all other states."""
+    """Circuit realizing every exchange of the swap set *swaps*, fixing all other states.
+
+    Every block shares the same n - 1 fold gate objects.
+    """
     if n < 1:
         raise ValueError("circuit needs at least one wire")
     idx, _ = _swap_pairs(swaps, 1 << n)
-    return Circuit(n, tuple(g for j in idx.tolist() for g in _swap_block(n, j)))
+    fold = _fold(n)
+    return Circuit(n, tuple(g for j in idx.tolist() for g in _swap_block(n, j, fold)))
 
 
 def lim_comp(n: int) -> Circuit:
     """Circuit for the limiting swap |011...1> <-> |100...0>."""
     if n < 2:
         raise ValueError(f"limiting swap needs n >= 2 wires, got {n}")
-    return Circuit(n, tuple(_swap_block(n, (1 << (n - 1)) - 1)))
+    return Circuit(n, _swap_block(n, (1 << (n - 1)) - 1, _fold(n)))
 
 
 def circuit_permutation(c: Circuit, *, size_cap: int = DEFAULT_PERM_CAP) -> np.ndarray:
@@ -128,12 +142,10 @@ def apply_circuit(dist: DiagDist, c: Circuit) -> DiagDist:
 
 def export_text(c: Circuit) -> str:
     """Serialize to the .nbmc text grammar; byte-exact for a given circuit."""
-    lines = [f"WIRES {c.n}"]
-    for g in c.gates:
-        c0 = ",".join(str(w) for w in g.controls_on_0)
-        c1 = ",".join(str(w) for w in g.controls_on_1)
-        lines.append(f"MCX t={g.target} c0=[{c0}] c1=[{c1}]")
-    return "\n".join(lines) + "\n"
+    line = {id(g): f"MCX t={g.target} c0=[{','.join(map(str, g.controls_on_0))}] "
+                   f"c1=[{','.join(map(str, g.controls_on_1))}]"
+            for g in _distinct(c.gates)}
+    return "\n".join([f"WIRES {c.n}", *(line[id(g)] for g in c.gates)]) + "\n"
 
 
 def _parse_wires(s: str) -> tuple[int, ...]:

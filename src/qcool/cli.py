@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage or parse error, 3 size-cap violation,
 4 non-convergence (a pass cap, set with ``--iteration-cap``, was exceeded).
 ``--out PATH`` makes a new file beside PATH before the command computes
-anything and moves it onto PATH only on exit 0; a path that cannot be
+anything and moves it onto PATH only on exit 0; a device, a pipe or the file
+open as stdout or stderr is written directly, and a path that cannot be
 written (a missing directory, a directory) exits 2 naming it.  A reader
 that closes stdout early (``| head``) ends the output quietly, with exit 0.
 Identical invocations produce byte-identical output, with one caveat: a
@@ -13,18 +14,25 @@ digits of ``optswaps``' target bias can vary with the BLAS thread count.
 rounds x n, and exits 3 past it before the register is built.
 
 ``optswaps`` prints one row per swap, up to 1.64M rows at n = 23.  The rows
-of all three formats come from :func:`render_swaps`, which fills one byte
-matrix per chunk of rows from a fixed row template and yields it as text.
+of all three formats come from :func:`render_swaps`.  Over a run of rows in
+which the decimals of j and of 2^n - 1 - j keep their widths, it fills one
+fixed-width byte matrix (at most 2^14 rows) from a row template, digit
+columns and a byte table for the kets, and yields it as text.
 The command computes the swap indices, the gain, the target bias and the
 optional verification, drops the distribution, and then writes the report
-around the rows piece by piece: the text before the rows, each chunk, and
+around the rows piece by piece: the text before the rows, each matrix, and
 the text after them.  Its memory is about one probamp vector, plus the swap
 index array, plus the marginal's sign vector, whatever the output size.
+
+``circuit`` text costs one formatted line per distinct gate: every block of
+an NB-MaxComp circuit shares its fold gates, and ``export_text`` formats
+each gate object once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shutil
 import sys
@@ -156,50 +164,61 @@ ROW_TEMPLATES = {
 }
 
 
-def _put_digits(cols: np.ndarray, keep: np.ndarray, v: np.ndarray) -> None:
-    """Write the zero-padded decimals of *v* into *cols* as ASCII; unmark leading zeros."""
-    width = cols.shape[1]
-    digits = np.empty((width, v.size), dtype=np.uint8)
+#: Entry b holds the 8 ASCII binary digits of byte b, MSB first, as one word,
+#: so a ket is one gather per byte of j.
+KET_DIGITS = np.frombuffer(b"".join(format(b, "08b").encode() for b in range(256)),
+                           dtype=np.uint64)
+
+
+def _put_digits(cols: np.ndarray, v: np.ndarray) -> None:
+    """Write the decimals of *v*, each exactly cols.shape[1] digits long, into *cols*."""
     u = v.astype(np.min_scalar_type(v.max()))  # narrow integers divide faster
-    for k in range(width - 1, -1, -1):
+    for k in range(cols.shape[1] - 1, 0, -1):
         q = u // 10
-        digits[k] = u - 10 * q
+        cols[:, k] = u - 10 * q + 48
         u = q
-    np.add(digits.T, 48, out=cols)
-    keep[:] = (v >= 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)[:, None]).T
-    keep[:, -1] = True  # zero still prints one digit
+    cols[:, 0] = u + 48
+
+
+def _render_run(j: np.ndarray, n: int, consts: list[bytes]) -> str:
+    """The rows of *j*, over which the decimals of j and of 2^n - 1 - j keep their widths."""
+    top = (1 << n) - 1
+    widths = [len(str(int(j[0]))), len(str(top - int(j[0]))), n, n]
+    template = b"".join(c + b"0" * w for c, w in zip(consts, widths)) + consts[4]
+    # Field i spans at[2i + 1]:at[2i + 2], right after consts[i].
+    at = np.cumsum([0] + [x for c, w in zip(consts, widths) for x in (len(c), w)])
+    mat = np.empty((j.size, len(template)), dtype=np.uint8)
+    mat[:] = np.frombuffer(template, np.uint8)
+    _put_digits(mat[:, at[1]:at[2]], j)
+    _put_digits(mat[:, at[3]:at[4]], top - j)
+    octets = j.astype(">u8").view(np.uint8).reshape(-1, 8)[:, -((n + 7) // 8):]
+    ket = KET_DIGITS[octets].view(np.uint8).reshape(j.size, -1)[:, -n:]
+    mat[:, at[5]:at[6]] = ket
+    np.subtract(97, ket, out=mat[:, at[7]:at[8]])  # the complement flips every bit
+    return str(mat.data, "ascii")
 
 
 def render_swaps(idx: np.ndarray, n: int, fmt: str, chunk: int = 1 << 14) -> Iterator[str]:
-    """The rows of the swap indices *idx* in format *fmt*, one string per chunk of rows.
+    """The rows of the swap indices *idx* in format *fmt*, streamed as strings.
 
-    Joined, the chunks are the rows separated by the format's separator.
+    Joined, the strings are the rows separated by the format's separator.
 
-    Each chunk of rows is one byte matrix with a fixed column layout: the
-    template's pieces, the decimals of j and of its complement 2^n - 1 - j
-    as zero-padded digit columns, and the n bits of j's ket; the
-    complement's ket flips every bit.  A mask then drops the leading zeros.
+    The indices increase, so the decimal widths of j and of its complement
+    2^n - 1 - j are constant over runs of rows.  Each run, cut further into
+    at most *chunk* rows, is one byte matrix with a fixed column layout: the
+    template's pieces broadcast from one row, the two decimals' digit
+    columns, and the n bits of j's ket from a byte table; the complement's
+    ket flips every bit.
     """
     pieces, sep = ROW_TEMPLATES[fmt]
     consts = [piece.encode() for piece in (*pieces[:4], pieces[4] + sep)]
     top = (1 << n) - 1
-    width = len(str(top))
-    # Column offsets of the pieces, the two decimals and the two kets.
-    at = np.cumsum([0, len(consts[0]), width, len(consts[1]), width,
-                    len(consts[2]), n, len(consts[3]), n, len(consts[4])])
-    for lo in range(0, idx.size, chunk):
-        j = idx[lo:lo + chunk]
-        mat = np.empty((j.size, at[-1]), dtype=np.uint8)
-        keep = np.ones(mat.shape, dtype=bool)
-        for c, const in zip(at[::2], consts):
-            mat[:, c:c + len(const)] = np.frombuffer(const, np.uint8)
-        _put_digits(mat[:, at[1]:at[2]], keep[:, at[1]:at[2]], j)
-        _put_digits(mat[:, at[3]:at[4]], keep[:, at[3]:at[4]], top - j)
-        bits = np.unpackbits(j.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
-        np.add(bits[:, 64 - n:], 48, out=mat[:, at[5]:at[6]])
-        np.subtract(49, bits[:, 64 - n:], out=mat[:, at[7]:at[8]])
-        text = str(mat[keep].data, "ascii")
-        yield text if lo + chunk < idx.size else text[:-len(sep)]
+    powers = [10 ** k for k in range(1, len(str(top)))]
+    cuts = np.searchsorted(idx, powers + [top + 1 - p for p in powers])
+    bounds = np.unique(np.concatenate([cuts, np.arange(0, idx.size, chunk), [idx.size]]))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        text = _render_run(idx[lo:hi], n, consts)
+        yield text if hi < idx.size else text[:-len(sep)]
 
 
 #: Stands for the swap rows in the text of an ``optswaps`` report.
@@ -473,13 +492,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path: str) -> tuple[TextIO, str | None, str]:
+def _open_out(path: str) -> tuple[TextIO, str | None, str | None]:
     """A writer for ``--out`` *path*, the new file it writes (or None) and the target.
 
     A file or a new path gets a new file beside it, with the mode ``open(path,
     "w")`` would give, to replace it on success; a device or pipe is written
-    directly.
+    directly.  So is the file open as stdout or stderr (``--out /dev/stdout``
+    under a redirection): through that descriptor, at its offset, so what the
+    shell wrote there before and writes after stays.
     """
+    for fd in (1, 2):
+        with contextlib.suppress(OSError):  # no such path, or a closed descriptor
+            if os.path.samestat(os.stat(path), os.fstat(fd)):
+                return open(os.dup(fd), "w", newline=""), None, None
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         return open(path, "w", newline=""), None, target
@@ -490,9 +515,11 @@ def _open_out(path: str) -> tuple[TextIO, str | None, str]:
     return sink, temp, target
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.sink, temp, target = _open_out(args.out) if args.out else (None, None, None)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path

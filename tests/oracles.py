@@ -127,6 +127,23 @@ def swap_rows(swaps, n: int, fmt: str) -> list[str]:
     return rows
 
 
+def nbmc_text(n: int, swaps) -> str:
+    """The .nbmc text of NB-MaxComp on *swaps*, one f-string per gate line.
+
+    Each exchange j <-> 2^n - 1 - j is n - 1 fold gates (target w = 2..n,
+    fired by wire 1 at 0), one flip of wire 1 fired by bits 2..n of the
+    complement, and the fold gates in reverse.
+    """
+    fold = [f"MCX t={w} c0=[1] c1=[]" for w in range(2, n + 1)]
+    lines = [f"WIRES {n}"]
+    for j in swaps:
+        comp = format(2 ** n - 1 - j, f"0{n}b")
+        c0 = ",".join(str(w) for w in range(2, n + 1) if comp[w - 1] == "0")
+        c1 = ",".join(str(w) for w in range(2, n + 1) if comp[w - 1] == "1")
+        lines += fold + [f"MCX t=1 c0=[{c0}] c1=[{c1}]"] + fold[::-1]
+    return "\n".join(lines) + "\n"
+
+
 def exchange(p: np.ndarray, swaps) -> np.ndarray:
     q = p.copy()
     for k in swaps:

@@ -7,7 +7,7 @@ from qcool import (Circuit, Gate, RegisterBiases, ResourceCapError,
                    apply_circuit, apply_swaps, circuit_permutation,
                    export_text, find_optswaps, lim_comp, nb_maxcomp,
                    parse_text, probamps)
-from oracles import transposition_perm
+from oracles import nbmc_text, transposition_perm
 
 
 @st.composite
@@ -32,6 +32,13 @@ class TestGateAndCircuit:
     def test_circuit_rejects_wide_gates(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate(target=3),))
+
+    def test_circuit_rejects_a_shared_wide_gate(self):
+        wide = Gate(target=3)
+        with pytest.raises(ValueError, match="wire 3 exceeds n = 2"):
+            Circuit(2, (Gate(target=1), wide, Gate(target=2), wide))
+        with pytest.raises(ValueError, match="wire 3 exceeds n = 2"):
+            Circuit(2, nb_maxcomp(3, [1, 2]).gates)
 
     def test_controls_stored_sorted(self):
         g = Gate(target=1, controls_on_1=(4, 2), controls_on_0=(5, 3))
@@ -73,6 +80,35 @@ class TestNbMaxcomp:
         c = nb_maxcomp(n, swaps)
         perm = circuit_permutation(c)
         assert np.array_equal(perm[perm], np.arange(2 ** n))
+
+
+class TestSharedFoldGates:
+    """Every block of a circuit shares one set of fold gate objects."""
+
+    @staticmethod
+    def swap_sets(n):
+        half = 2 ** (n - 1)
+        rng = np.random.default_rng(n)
+        return [[], [0], list(range(half)),
+                np.flatnonzero(rng.random(half) < 0.3).tolist(),
+                find_optswaps(probamps(RegisterBiases.equal(n, 0.1))).tolist()]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_text_matches_reference(self, n):
+        for swaps in self.swap_sets(n):
+            assert export_text(nb_maxcomp(n, swaps)) == nbmc_text(n, swaps)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_distinct_gate_objects(self, n):
+        for swaps in self.swap_sets(n):
+            c = nb_maxcomp(n, swaps)
+            assert len(c) == (2 * n - 1) * len(swaps)
+            distinct = len({id(g) for g in c.gates})
+            assert distinct == ((n - 1) + len(swaps) if swaps else 0)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_lim_comp_text(self, n):
+        assert export_text(lim_comp(n)) == nbmc_text(n, [2 ** (n - 1) - 1])
 
 
 class TestLimComp:

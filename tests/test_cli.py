@@ -107,6 +107,22 @@ class TestSwapRenderer:
             assert ("".join(cli.render_swaps(idx, n, fmt, chunk))
                     == sep.join(swap_rows(swaps, n, fmt)))
 
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("swaps", [
+        [],
+        list(range(9990, 10010)),  # j crosses 9999 -> 10000
+        list(range(31060, 31080)),  # 2^17 - 1 - j crosses 100000 -> 99999 at 31072
+        [9999, 10000, 31071, 31072, 65535],
+    ], ids=["empty", "j", "complement", "both"])
+    def test_width_boundaries(self, swaps, chunk):
+        # chunk 7 splits the 10-row runs on either side of each boundary
+        idx = np.array(swaps, dtype=np.int64)
+        for fmt, sep in self.SEPARATORS.items():
+            got = list(cli.render_swaps(idx, 17, fmt, chunk))
+            assert "".join(got) == sep.join(swap_rows(swaps, 17, fmt))
+            if fmt == "csv":  # streamed: no piece holds more than chunk rows
+                assert all(piece.count("\n") <= chunk for piece in got)
+
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("biases", [
         "0.1,0.1", ",".join(map(str, STRESS_SETS[9][0]))], ids=["empty", "n9"])
@@ -159,6 +175,26 @@ class TestOutPath:
         assert code == 2 and "cannot write --out" in err
 
 
+class TestParserReuse:
+    """One parser serves every call of main; no state carries over."""
+
+    def test_verify_does_not_leak(self, capsys):
+        argv = ["optswaps", "--n", "4", "--epsilon", "0.1", "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--verify")
+        assert code == 0 and "verify" in json.loads(out)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "verify" not in json.loads(out)
+
+    def test_usage_error_after_success(self, capsys):
+        assert run(capsys, "bounds", "--n", "5", "--epsilon", "0.1")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--n", "5"])
+        assert exc.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
+        code, out, err = run(capsys, "optswaps", "--n", "5")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
 class TestOutFile:
     """--out replaces its target only when the command succeeds."""
 
@@ -204,6 +240,30 @@ class TestOutFile:
         assert run(capsys, "circuit", "--lim", "3", "--out", str(link))[0] == 0
         assert link.is_symlink() and real.read_text() == stdout
         assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+    @pytest.mark.parametrize("stream, fd", [("stdout", 1), ("stderr", 2)])
+    def test_redirected_std_stream_keeps_the_shell_output(self, tmp_path, stream, fd):
+        # The file the shell redirected the stream to is written at the
+        # stream's offset, not replaced: the lines around the command stay.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        cmd = f"{sys.executable} -m qcool.cli circuit --lim 3"
+        want = subprocess.run(cmd.split(), capture_output=True, env=env, check=True).stdout
+        script = (f"{{ echo head >&{fd}; {cmd} --out /dev/{stream}; echo tail >&{fd}; }}"
+                  f" {fd}> f")
+        proc = subprocess.run(script, shell=True, cwd=tmp_path, env=env,
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "f").read_bytes() == b"head\n" + want + b"tail\n"
+        assert os.listdir(tmp_path) == ["f"]
+
+    def test_stdout_pipe_target(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-m", "qcool.cli", "circuit", "--lim", "3"]
+        want = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+        proc = subprocess.run(argv + ["--out", "/dev/stdout"], capture_output=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout == want
 
     def test_pipe_target_is_written_directly(self, capsys, tmp_path):
         stdout = run(capsys, "circuit", "--lim", "3")[1]
