@@ -505,9 +505,9 @@ def _open_out(path: str) -> tuple[TextIO, str | None, str | None]:
         with contextlib.suppress(OSError):  # no such path, or a closed descriptor
             if os.path.samestat(os.stat(path), os.fstat(fd)):
                 return open(os.dup(fd), "w", newline=""), None, None
+    if os.path.exists(path) and not os.path.isfile(path):
+        return open(path, "w", newline=""), None, None
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        return open(path, "w", newline=""), None, target
     temp = f"{target}.{os.urandom(4).hex()}.tmp"
     sink = open(temp, "x", newline="")
     if os.path.exists(target):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -246,17 +247,19 @@ class TestOutFile:
         # The file the shell redirected the stream to is written at the
         # stream's offset, not replaced: the lines around the command stay.
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        cmd = f"{sys.executable} -m qcool.cli circuit --lim 3"
-        want = subprocess.run(cmd.split(), capture_output=True, env=env, check=True).stdout
-        script = (f"{{ echo head >&{fd}; {cmd} --out /dev/{stream}; echo tail >&{fd}; }}"
-                  f" {fd}> f")
+        argv = [sys.executable, "-m", "qcool.cli", "circuit", "--lim", "3"]
+        want = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+        cmd = shlex.join(argv + ["--out", f"/dev/{stream}"])
+        script = f"{{ echo head >&{fd}; {cmd}; echo tail >&{fd}; }} {fd}> f"
         proc = subprocess.run(script, shell=True, cwd=tmp_path, env=env,
                               capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "f").read_bytes() == b"head\n" + want + b"tail\n"
         assert os.listdir(tmp_path) == ["f"]
 
-    def test_stdout_pipe_target(self):
+    def test_inherited_pipe_targets(self):
+        # /dev/stdout and /dev/fd/N name a pipe through a link that
+        # resolves to no path; the pipe is written directly.
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         argv = [sys.executable, "-m", "qcool.cli", "circuit", "--lim", "3"]
         want = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
@@ -264,6 +267,16 @@ class TestOutFile:
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stderr == b""
         assert proc.stdout == want
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as reader:
+            try:
+                proc = subprocess.run(argv + ["--out", f"/dev/fd/{w}"], pass_fds=(w,),
+                                      capture_output=True, env=env, timeout=60)
+            finally:
+                os.close(w)
+            got = reader.read()
+        assert proc.returncode == 0 and proc.stderr == b"" and proc.stdout == b""
+        assert got == want
 
     def test_pipe_target_is_written_directly(self, capsys, tmp_path):
         stdout = run(capsys, "circuit", "--lim", "3")[1]
