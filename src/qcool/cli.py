@@ -1,11 +1,13 @@
 """Command-line front end: every operation, with JSON/CSV output.
 
-Exit codes: 0 success, 2 usage or parse error, 3 size-cap violation,
-4 non-convergence (a pass cap, set with ``--iteration-cap``, was exceeded).
+Exit codes: 0 success, 2 usage or parse error, 3 size-cap violation or an
+allocation that failed (one ``error: out of memory: ...`` line), 4
+non-convergence (a pass cap, set with ``--iteration-cap``, was exceeded).
 ``--out PATH`` makes a new file beside PATH before the command computes
-anything and moves it onto PATH only on exit 0; a device, a pipe or the file
-open as stdout or stderr is written directly, and a path that cannot be
-written (a missing directory, a directory) exits 2 naming it.  A reader
+anything and moves it onto PATH only on exit 0; a device, a pipe, the file
+open as stdout or stderr, or the file that a ``/dev/fd/N`` path names is
+written directly, and a path that cannot be written (a missing directory, a
+directory) exits 2 naming it.  A reader
 that closes stdout early (``| head``) ends the output quietly, with exit 0.
 Identical invocations produce byte-identical output, with one caveat: a
 marginal bias is a BLAS dot product, so from about 14 qubits on the last
@@ -18,11 +20,16 @@ of all three formats come from :func:`render_swaps`.  Over a run of rows in
 which the decimals of j and of 2^n - 1 - j keep their widths, it fills one
 fixed-width byte matrix (at most 2^14 rows) from a row template, digit
 columns and a byte table for the kets, and yields it as text.
-The command computes the swap indices, the gain, the target bias and the
-optional verification, drops the distribution, and then writes the report
-around the rows piece by piece: the text before the rows, each matrix, and
-the text after them.  Its memory is about one probamp vector, plus the swap
-index array, plus the marginal's sign vector, whatever the output size.
+CSV prints only the rows, so without ``--verify`` the command takes the
+swap indices from the register itself, one pair of 2^16-entry blocks at a
+time, and builds no 2^n vector; its ``--verify`` line goes to stderr.  Text
+and JSON also print the gain and the target bias: for them, and for any
+``--verify``, the command builds the distribution, computes the indices, the
+gain, the target bias and the optional verification from it, and drops it.
+It then writes the report around the rows piece by piece: the text before
+the rows, each matrix, and the text after them.  Whatever the output size,
+its memory is the swap index array and one block pair for CSV, plus one
+probamp vector and the marginal's sign vector for text and JSON.
 
 ``circuit`` text costs one formatted line per distinct gate: every block of
 an NB-MaxComp circuit shares its fold gates, and ``export_text`` formats
@@ -34,6 +41,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import shutil
 import sys
 from dataclasses import dataclass
@@ -233,15 +241,31 @@ def _around(text: str, rows: Iterable[str]) -> Iterator[str]:
     yield trail
 
 
+def _optimality_line(verification) -> str:
+    def word(flag):
+        return "n/a" if flag is None else ("pass" if flag else "FAIL")
+    return (f"optimality: swaps={verification.swaps_performed} "
+            f"case1={word(verification.case1_passed)} "
+            f"case2={word(verification.case2_passed)} "
+            f"case3={word(verification.case3_passed)}")
+
+
 def cmd_optswaps(args) -> int:
     register = _parse_biases(args)
     n = register.n
-    dist = probamps(register)
-    idx = find_optswaps(dist)
-    gain = bias_gain(dist, idx)
-    before = marginal_bias(dist, 1)
-    verification = verify_optimality(dist) if args.verify else None
-    del dist  # the rows need only idx: free the 2^n vector before rendering them
+    summary = args.format != "csv"  # json and text print the gain and the target bias
+    verification = None
+    if summary or args.verify:
+        dist = probamps(register)
+        idx = find_optswaps(dist)
+        if summary:
+            gain = bias_gain(dist, idx)
+            before = marginal_bias(dist, 1)
+        if args.verify:
+            verification = verify_optimality(dist)
+        del dist  # the rows need only idx: free the 2^n vector before rendering them
+    else:
+        idx = find_optswaps(register)  # one block pair at a time, no 2^n vector
     rows = [_ROWS] if idx.size else []
     if args.format == "json":
         report = {
@@ -267,19 +291,15 @@ def cmd_optswaps(args) -> int:
             }
         text = _to_json(report) + "\n"
     elif args.format == "csv":
+        if verification is not None:  # the rows are the whole of stdout
+            print(_optimality_line(verification), file=sys.stderr)
         text = "\n".join(["zero_t,one_t,ket_zero_t,ket_one_t", *rows, ""])
     else:
         lines = [f"n: {n}", f"swaps: {idx.size}", *rows]
         lines.append(f"gain: {_fmt(gain)}")
         lines.append(f"target bias: {_fmt(before)} -> {_fmt(before + gain)}")
         if verification is not None:
-            def word(flag):
-                return "n/a" if flag is None else ("pass" if flag else "FAIL")
-            lines.append(
-                f"optimality: swaps={verification.swaps_performed} "
-                f"case1={word(verification.case1_passed)} "
-                f"case2={word(verification.case2_passed)} "
-                f"case3={word(verification.case3_passed)}")
+            lines.append(_optimality_line(verification))
         text = "\n".join(lines + [""])
     _emit(args.sink, _around(text, render_swaps(idx, n, args.format)))
     return EXIT_OK
@@ -346,7 +366,7 @@ def cmd_circuit(args) -> int:
         circuit = lim_comp(args.lim)
     elif args.from_biases is not None:
         register = RegisterBiases.from_values(_parse_list(args.from_biases, float, "bias"))
-        circuit = nb_maxcomp(register.n, find_optswaps(probamps(register)))
+        circuit = nb_maxcomp(register.n, find_optswaps(register))
     else:
         raise UsageError("provide --lim N or --from-biases LIST")
     _emit(args.sink, [export_text(circuit)])
@@ -492,16 +512,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A path that names an open descriptor of this process.
+_FD_PATH = re.compile(r"/(?:dev|proc/self)/fd/([0-9]+)")
+
+
 def _open_out(path: str) -> tuple[TextIO, str | None, str | None]:
     """A writer for ``--out`` *path*, the new file it writes (or None) and the target.
 
     A file or a new path gets a new file beside it, with the mode ``open(path,
     "w")`` would give, to replace it on success; a device or pipe is written
     directly.  So is the file open as stdout or stderr (``--out /dev/stdout``
-    under a redirection): through that descriptor, at its offset, so what the
-    shell wrote there before and writes after stays.
+    under a redirection), and the file that a ``/dev/fd/N`` or
+    ``/proc/self/fd/N`` path names: through that descriptor, at its offset, so
+    what the shell wrote there before and writes after stays.
     """
-    for fd in (1, 2):
+    named = _FD_PATH.fullmatch(path)
+    for fd in (1, 2) if named is None else (1, 2, int(named[1])):
         with contextlib.suppress(OSError):  # no such path, or a closed descriptor
             if os.path.samestat(os.stat(path), os.fstat(fd)):
                 return open(os.dup(fd), "w", newline=""), None, None
@@ -531,6 +557,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         code = EXIT_RESOURCE
     except DivergenceError as exc:
         print(f"error: {exc}; --iteration-cap raises the limit", file=sys.stderr)

@@ -11,6 +11,11 @@ rows that fail, in O(2^n), and only those rows are compared pair by pair.
 
 A swap set, as :func:`find_optswaps` returns it and :func:`_swap_pairs`
 checks it, is a 1-D integer array of strictly increasing 0T indices j.
+The set is a property of the product register: from a register,
+:func:`find_optswaps` builds each head block of the product vector beside
+its mirror tail block with the vector's own block builder and masks the
+pair, so it holds two blocks, never the 2^n vector, and selects exactly
+what the scan of the full vector selects.
 
 The value-domain gate of register cooling and of the numerical limits
 lives here as well: from the limiting pair |011..1> <-> |100..0> and the
@@ -22,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import ResourceCapError
-from .regstate import DEFAULT_SIZE_CAP, DiagDist
+from .regstate import (DEFAULT_SIZE_CAP, DiagDist, RegisterBiases, _block_starts, _check_size,
+                       _fill_block)
 
 #: Pairs whose relative difference is below this are treated as equal
 #: (no swap), preventing zero-gain churn in iterative callers.
@@ -118,18 +125,55 @@ def _beneficial_mask(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
 _MASK_BLOCK = 1 << 16
 
 
-def _beneficial_indices(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Sorted int64 indices where :func:`_beneficial_mask` holds, one slice at a time."""
-    mask = np.empty(head.size, dtype=bool)
-    for lo in range(0, head.size, _MASK_BLOCK):
-        hi = lo + _MASK_BLOCK
-        mask[lo:hi] = _beneficial_mask(head[lo:hi], tail[lo:hi])
+def _mask_indices(slices: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -> np.ndarray:
+    """Sorted int64 indices where :func:`_beneficial_mask` holds over *size* pairs.
+
+    *slices* yields consecutive (head, tail) slices of the pairs; each is
+    masked before the next is drawn, so a producer may reuse its buffers.
+    """
+    mask = np.empty(size, dtype=bool)
+    lo = 0
+    for head, tail in slices:
+        hi = lo + head.size
+        mask[lo:hi] = _beneficial_mask(head, tail)
+        lo = hi
     return np.flatnonzero(mask)
 
 
-def find_optswaps(dist: DiagDist) -> np.ndarray:
-    """The swap set of every beneficial complementary exchange, per strict comparison."""
-    return _beneficial_indices(*_halves(dist.probamps))
+def _beneficial_indices(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Sorted int64 indices where :func:`_beneficial_mask` holds, one slice at a time."""
+    return _mask_indices(((head[lo:lo + _MASK_BLOCK], tail[lo:lo + _MASK_BLOCK])
+                          for lo in range(0, head.size, _MASK_BLOCK)), head.size)
+
+
+def _register_slices(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(head, tail) of each block pair of the build of *values*, in one reused buffer.
+
+    Head block b and its mirror, block 2^top - 1 - b, are filled side by
+    side, so the buffer's halves pair entry j with 2^n - 1 - j as the
+    vector's do; with a single block the buffer is the whole vector.
+    """
+    starts, rest = _block_starts(values)
+    buf = np.empty(min(starts.size, 2) << len(rest))
+    blocks = buf.reshape(-1, 1 << len(rest))
+    for b in range(max(starts.size // 2, 1)):
+        for block, start in zip(blocks, (starts[b], starts[-1 - b])):
+            _fill_block(block, start, rest)
+        yield _halves(buf)
+
+
+def find_optswaps(source: DiagDist | RegisterBiases) -> np.ndarray:
+    """The swap set of every beneficial complementary exchange, per strict comparison.
+
+    A register is never built as a vector: each head block of at most
+    2^16 entries is built beside its mirror tail block and masked, and the
+    result equals that of ``find_optswaps(probamps(register))``.  Registers
+    larger than the size cap raise :class:`ResourceCapError`.
+    """
+    if isinstance(source, RegisterBiases):
+        _check_size(source.n)
+        return _mask_indices(_register_slices(source.values), 1 << (source.n - 1))
+    return _beneficial_indices(*_halves(source.probamps))
 
 
 def _swap_pairs(swaps: ArrayLike, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -146,27 +146,41 @@ def _grow(p: np.ndarray, values: Sequence[float], w: int) -> None:
         w = h
 
 
+def _block_starts(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, Sequence[float]]:
+    """The running product of the top qubits' factors for each block, and the other biases.
+
+    The vector splits into blocks of 2^len(rest) entries, at most
+    2^_BLOCK_BITS; entry b of the starts belongs to block b.  With n <=
+    _BLOCK_BITS there is one block, the whole vector, and its start is 1.0.
+    """
+    top = max(len(values) - _BLOCK_BITS, 0)
+    starts = np.ones(1 << top)
+    _grow(starts, values[:top], starts.size)
+    return starts, values[top:]
+
+
+def _fill_block(block: np.ndarray, start: float, rest: Sequence[float]) -> None:
+    """Write into *block* the entries of the block that begins with *start*."""
+    block[0] = start
+    _grow(block, rest, block.size)
+
+
 def _probamps_raw(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Probamp vector of one or more biases, built in place in one 2^n array.
 
     Entry j is the running product of each qubit's factor, taken left to
     right in qubit order (the first factor is exact, as 1.0 * x is), so a
     scalar product in that order reproduces any single entry bit for bit,
-    for any float biases.  The top qubits are expanded across the whole
-    vector; each 2^_BLOCK_BITS-entry block then takes the remaining ones.
-    The build allocates nothing beyond the result.
+    for any float biases.  The top qubits are expanded once per block
+    start; each block of at most 2^_BLOCK_BITS entries then takes the
+    remaining ones, so any block filled alone by :func:`_fill_block` equals
+    its slice of the vector.  The build allocates nothing beyond the result
+    and the starts.
     """
-    n = len(values)
-    out = np.empty(1 << n)
-    eps = values[0]
-    out[0] = (1.0 + eps) / 2.0
-    out[out.size >> 1] = (1.0 - eps) / 2.0
-    top = max(n - _BLOCK_BITS, 1)
-    _grow(out, values[1:top], out.size >> 1)
-    # With n <= _BLOCK_BITS the one block is the whole vector at stride 2^(n-1).
-    block = 1 << _BLOCK_BITS
-    for lo in range(0, out.size, block):
-        _grow(out[lo:lo + block], values[top:], out.size >> top)
+    starts, rest = _block_starts(values)
+    out = np.empty(1 << len(values))
+    for block, start in zip(out.reshape(starts.size, -1), starts):
+        _fill_block(block, start, rest)
     return out
 
 

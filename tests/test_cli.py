@@ -79,6 +79,38 @@ class TestOptswaps:
         assert code == 0 and "swaps: 5" in out
         assert sorted(calls) == ["bias_gain", "find_optswaps"]
 
+    def test_csv_scans_the_register(self, capsys, monkeypatch):
+        # CSV prints only the swap set: no vector, gain or marginal.
+        calls = []
+        for name in ("probamps", "bias_gain", "marginal_bias", "find_optswaps"):
+            def spy(*args, _name=name, _real=getattr(cli, name)):
+                calls.append((_name, type(args[0]).__name__))
+                return _real(*args)
+            monkeypatch.setattr(cli, name, spy)
+        code, out, _ = run(capsys, "optswaps", "--n", "5", "--epsilon", "0.1",
+                           "--format", "csv")
+        assert code == 0 and out.splitlines()[1] == "7,24,00111,11000"
+        assert calls == [("find_optswaps", "RegisterBiases")]
+
+    @pytest.mark.parametrize("biases", ["0.2,0.2,0.2", "1.0,0.5"], ids=["swaps", "none"])
+    def test_csv_verify_reports_on_stderr(self, capsys, biases):
+        argv = ["optswaps", "--biases", biases, "--format", "csv"]
+        code, plain, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = run(capsys, *argv, "--verify")
+        assert code == 0 and out == plain
+        text = run(capsys, *argv[:3], "--verify")[1]
+        assert err.splitlines() == [ln for ln in text.splitlines()
+                                    if ln.startswith("optimality: ")]
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def fail(register):
+            raise MemoryError("Unable to allocate 128. MiB")
+        monkeypatch.setattr(cli, "probamps", fail)
+        code, out, err = run(capsys, "optswaps", "--n", "24", "--epsilon", "0.01")
+        assert code == 3 and out == ""
+        assert err == "error: out of memory: Unable to allocate 128. MiB\n"
+
 
 @st.composite
 def swap_subsets(draw):
@@ -138,8 +170,8 @@ class TestSwapRenderer:
 
 
     def test_streamed_peak_memory(self, tmp_path):
-        # The vector, the marginal's sign vector, the swap indices and one
-        # chunk of rows; no copy of the vector and none of the 9.5 MB output.
+        # The swap indices, one block pair and one chunk of rows: less than
+        # the 8 MiB vector, and none of the 9.5 MB output.
         path = tmp_path / "out.csv"
         argv = ["optswaps", "--n", "20", "--epsilon", "0.01", "--format", "csv",
                 "--out", str(path)]
@@ -152,7 +184,7 @@ class TestSwapRenderer:
             tracemalloc.stop()
         assert code == 0
         assert path.stat().st_size > (8 << 20)
-        assert peak <= 2.5 * (8 << 20)
+        assert peak <= 8 << 20
 
 
 class TestOutPath:
@@ -251,6 +283,21 @@ class TestOutFile:
         want = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
         cmd = shlex.join(argv + ["--out", f"/dev/{stream}"])
         script = f"{{ echo head >&{fd}; {cmd}; echo tail >&{fd}; }} {fd}> f"
+        proc = subprocess.run(script, shell=True, cwd=tmp_path, env=env,
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "f").read_bytes() == b"head\n" + want + b"tail\n"
+        assert os.listdir(tmp_path) == ["f"]
+
+    @pytest.mark.parametrize("prefix", ["/dev/fd", "/proc/self/fd"])
+    def test_fd_path_keeps_the_shell_output(self, tmp_path, prefix):
+        # /dev/fd/3 resolves to the regular file f; it is written through
+        # descriptor 3, not replaced, so the lines around the command stay.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-m", "qcool.cli", "circuit", "--lim", "2"]
+        want = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+        cmd = shlex.join(argv + ["--out", f"{prefix}/3"])
+        script = f"{{ echo head >&3; {cmd}; echo tail >&3; }} 3> f"
         proc = subprocess.run(script, shell=True, cwd=tmp_path, env=env,
                               capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

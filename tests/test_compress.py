@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qcool import (DiagDist, RegisterBiases, apply_swaps, bias_gain,
                    circuit_permutation, find_optswaps, marginal_bias, nb_maxcomp,
                    probamps, sort_bound, verify_optimality)
+from qcool import regstate
+from qcool.errors import ResourceCapError
 from fixture_sets import STRESS_SETS
 from oracles import select_swaps_brute, optimality_cases_brute
 
@@ -63,6 +65,50 @@ class TestFindOptswaps:
         assert swaps.dtype == np.int64 and swaps.ndim == 1
         assert np.all(np.diff(swaps) > 0)
         assert swaps.tolist() == select_swaps_brute(d.probamps)
+
+
+@st.composite
+def block_registers(draw):
+    """Registers of 17..19 qubits, so a scan crosses 2^16-entry blocks.
+
+    Biases come from 0, 1, one shared value, values a few 1e-13 relative
+    from it (pairs near the tie tolerance) and free draws.
+    """
+    n = draw(st.integers(17, 19))
+    base = draw(st.floats(0.0, 1.0))
+    near = [min(base * (1.0 + k * 1e-13), 1.0) for k in (-5, -1, 1, 5)]
+    bias = st.one_of(st.sampled_from([0.0, 1.0, base, *near]), st.floats(0.0, 1.0))
+    return RegisterBiases.from_values(draw(st.lists(bias, min_size=n, max_size=n)))
+
+
+class TestRegisterScan:
+    """find_optswaps(register) scans block pairs; it equals the scan of the vector."""
+
+    @given(block_registers())
+    @example(RegisterBiases.equal(18, 0.01))
+    @example(RegisterBiases.equal(17, 0.0))
+    @example(RegisterBiases.from_values([1.0] + [0.3] * 18))
+    @example(RegisterBiases.from_values([0.0] + [0.3] * 16))
+    @example(RegisterBiases.from_values([0.2, 0.2 * (1 + 1e-13)] * 9))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_vector_past_one_block(self, register):
+        got = find_optswaps(register)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, find_optswaps(probamps(register)))
+
+    @pytest.mark.parametrize("block_bits", [0, 1, 2, 3, 16])
+    def test_matches_the_vector_for_any_block_size(self, monkeypatch, block_bits):
+        monkeypatch.setattr(regstate, "_BLOCK_BITS", block_bits)
+        rng = np.random.default_rng(11)
+        for n in range(1, 11):
+            for values in (rng.uniform(0.0, 1.0, n), np.full(n, 0.3)):
+                register = RegisterBiases(values)
+                assert np.array_equal(find_optswaps(register),
+                                      find_optswaps(probamps(register))), (n, values)
+
+    def test_size_cap(self):
+        with pytest.raises(ResourceCapError, match="size cap 26"):
+            find_optswaps(RegisterBiases.equal(27, 0.1))
 
 
 #: The three consumers of a swap set, each called on a 3-qubit register.
