@@ -149,9 +149,9 @@ def _beneficial_indices(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
 def _register_slices(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(head, tail) of each block pair of the build of *values*, in one reused buffer.
 
-    Head block b and its mirror, block 2^top - 1 - b, are filled side by
-    side, so the buffer's halves pair entry j with 2^n - 1 - j as the
-    vector's do; with a single block the buffer is the whole vector.
+    Head block b and its mirror, block b counted from the end, are filled
+    side by side, so the buffer's halves pair entry j with 2^n - 1 - j as
+    the vector's do; with a single block the buffer is the whole vector.
     """
     starts, rest = _block_starts(values)
     buf = np.empty(min(starts.size, 2) << len(rest))
@@ -165,10 +165,9 @@ def _register_slices(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarra
 def find_optswaps(source: DiagDist | RegisterBiases) -> np.ndarray:
     """The swap set of every beneficial complementary exchange, per strict comparison.
 
-    A register is never built as a vector: each head block of at most
-    2^16 entries is built beside its mirror tail block and masked, and the
-    result equals that of ``find_optswaps(probamps(register))``.  Registers
-    larger than the size cap raise :class:`ResourceCapError`.
+    A register is scanned one block pair at a time and gives the same set
+    as ``find_optswaps(probamps(register))``; past the size cap it raises
+    :class:`ResourceCapError`.
     """
     if isinstance(source, RegisterBiases):
         _check_size(source.n)
