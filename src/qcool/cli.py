@@ -1,13 +1,20 @@
 """Command-line front end: every operation, with JSON/CSV output.
 
-Exit codes: 0 success, 2 usage or parse error, 3 size-cap violation or an
-allocation that failed (one ``error: out of memory: ...`` line), 4
-non-convergence (a pass cap, set with ``--iteration-cap``, was exceeded).
+Commands return their output; ``main`` writes it.  A ``cmd_*`` returns its
+output pieces (a list of strings, or the ``optswaps`` stream); ``main`` opens
+``--out``, writes the pieces there or to stdout, and maps errors to exit codes.
+
+Exit codes: 0 success, 2 usage or parse error (a ``--precision`` that is
+not a positive finite number among them), 3 size-cap violation, an
+allocation that failed (one ``error: out of memory: ...`` line) or output
+that could not be written (one ``error: cannot write output: ...`` line, as
+on a full disk), 4 non-convergence (a pass cap, set with
+``--iteration-cap``, was exceeded).
 ``--out PATH`` makes a new file beside PATH before the command computes
 anything and moves it onto PATH only on exit 0; a device, a pipe, the file
 open as stdout or stderr, or the file that a ``/dev/fd/N`` path names is
-written directly, and a path that cannot be written (a missing directory, a
-directory) exits 2 naming it.  A reader
+written directly, and a path that cannot be written (an empty path, a
+missing directory, a directory) exits 2 naming it.  A reader
 that closes stdout early (``| head``) ends the output quietly, with exit 0.
 Identical invocations produce byte-identical output, with one caveat: a
 marginal bias is a BLAS dot product, so from about 14 qubits on the last
@@ -26,8 +33,9 @@ time, and builds no 2^n vector; its ``--verify`` line goes to stderr.  Text
 and JSON also print the gain and the target bias: for them, and for any
 ``--verify``, the command builds the distribution, computes the indices, the
 gain, the target bias and the optional verification from it, and drops it.
-It then writes the report around the rows piece by piece: the text before
-the rows, each matrix, and the text after them.  Whatever the output size,
+It then returns the report around the rows as a stream, which ``main``
+writes piece by piece: the text before the rows, each matrix, and the text
+after them.  Whatever the output size,
 its memory is the swap index array and one block pair for CSV, plus one
 probamp vector and the marginal's sign vector for text and JSON.
 
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import re
 import shutil
@@ -112,15 +121,9 @@ def _to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(sink, pieces: Iterable[str]) -> None:
-    """Write *pieces* in order to *sink*, the open ``--out`` file, or to stdout if None.
-
-    ``sys.stdout`` is looked up here, not earlier, so a caller's redirection
-    of it is honoured.
-    """
-    write = (sink or sys.stdout).write
-    for piece in pieces:
-        write(piece)
+def _report(command: str, **fields) -> str:
+    """The JSON report of *command*: the schema and command keys, then *fields*."""
+    return _to_json({"schema": SCHEMA_VERSION, "command": command, **fields}) + "\n"
 
 
 def _parse_list(text: str, convert, what: str) -> list:
@@ -146,10 +149,6 @@ def _parse_biases(args, check: Callable[[int], None] = _check_size) -> RegisterB
         raise UsageError("provide either --biases or both --n and --epsilon")
     check(args.n)
     return RegisterBiases.equal(args.n, args.epsilon)
-
-
-def _matrix_rows(values: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in values]
 
 
 def _matrix_csv(values: np.ndarray) -> str:
@@ -250,7 +249,7 @@ def _optimality_line(verification) -> str:
             f"case3={word(verification.case3_passed)}")
 
 
-def cmd_optswaps(args) -> int:
+def cmd_optswaps(args) -> Iterator[str]:
     register = _parse_biases(args)
     n = register.n
     summary = args.format != "csv"  # json and text print the gain and the target bias
@@ -268,28 +267,18 @@ def cmd_optswaps(args) -> int:
         idx = find_optswaps(register)  # one block pair at a time, no 2^n vector
     rows = [_ROWS] if idx.size else []
     if args.format == "json":
-        report = {
-            "schema": SCHEMA_VERSION,
-            "command": "optswaps",
-            "n": n,
-            "biases": register.values.tolist(),
-            "swaps": _Verbatim("\n".join(["[", *rows, "  ]"]) if rows else "[]"),
-            "count": idx.size,
-            "gain": gain,
-            "target_bias_before": before,
-            "target_bias_after": before + gain,
-        }
-        if verification is not None:
-            report["verify"] = {
-                "swaps_performed": verification.swaps_performed,
-                "case1_passed": verification.case1_passed,
-                "case2_passed": verification.case2_passed,
-                "case3_passed": verification.case3_passed,
-                "counterexamples": [
-                    {"case": c.case, "k": c.k, "l": c.l, "excess": c.excess}
-                    for c in verification.counterexamples],
-            }
-        text = _to_json(report) + "\n"
+        verify = {} if verification is None else {"verify": {
+            "swaps_performed": verification.swaps_performed,
+            "case1_passed": verification.case1_passed,
+            "case2_passed": verification.case2_passed,
+            "case3_passed": verification.case3_passed,
+            "counterexamples": [{"case": c.case, "k": c.k, "l": c.l, "excess": c.excess}
+                                for c in verification.counterexamples],
+        }}
+        text = _report("optswaps", n=n, biases=register.values.tolist(),
+                       swaps=_Verbatim("\n".join(["[", *rows, "  ]"]) if rows else "[]"),
+                       count=idx.size, gain=gain, target_bias_before=before,
+                       target_bias_after=before + gain, **verify)
     elif args.format == "csv":
         if verification is not None:  # the rows are the whole of stdout
             print(_optimality_line(verification), file=sys.stderr)
@@ -301,11 +290,10 @@ def cmd_optswaps(args) -> int:
         if verification is not None:
             lines.append(_optimality_line(verification))
         text = "\n".join(lines + [""])
-    _emit(args.sink, _around(text, render_swaps(idx, n, args.format)))
-    return EXIT_OK
+    return _around(text, render_swaps(idx, n, args.format))
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args) -> list[str]:
     if args.analytic:
         # the grid, not the register, bounds the work: check it before the build
         register = _parse_biases(args, lambda n: _check_grid(check_rounds(n, args.rounds), n))
@@ -322,44 +310,30 @@ def cmd_limits(args) -> int:
         matrix = numerical_limits(register, rounds, args.precision,
                                   iteration_cap=args.iteration_cap).values
     if args.format == "csv":
-        _emit(args.sink, [_matrix_csv(matrix)])
-    else:
-        _emit(args.sink, [_to_json({
-            "schema": SCHEMA_VERSION,
-            "command": "limits",
-            "n": n,
-            "rounds": rounds,
-            "precision": args.precision,
-            "analytic": bool(args.analytic),
-            "matrix": _matrix_rows(matrix),
-        }) + "\n"])
-    return EXIT_OK
+        return [_matrix_csv(matrix)]
+    return [_report("limits", n=n, rounds=rounds, precision=args.precision,
+                    analytic=bool(args.analytic), matrix=matrix.tolist())]
 
 
-def cmd_cool(args) -> int:
+def _hbac_config(args, register: RegisterBiases) -> HbacConfig:
+    """The cooling run of *register* that ``cool`` and ``sweep`` flags describe."""
+    return HbacConfig(register, args.rounds, precision=args.precision, mode=args.mode,
+                      iteration_cap=args.iteration_cap)
+
+
+def cmd_cool(args) -> list[str]:
     register = _parse_biases(args)
-    config = HbacConfig(register, args.rounds, precision=args.precision, mode=args.mode,
-                        iteration_cap=args.iteration_cap)
-    report = register_compression(config)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "cool",
-        "n": register.n,
-        "biases": register.values.tolist(),
-        "rounds": config.rounds,
-        "precision": args.precision,
-        "mode": args.mode,
-        "complexity": report.complexity,
-        "per_round_swaps": list(report.per_round_swaps),
-        "while_passes": report.while_passes,
-        "round_limits": _matrix_rows(report.round_limits.values),
-        "targets": _matrix_rows(report.targets.values),
-    }
-    _emit(args.sink, [_to_json(payload) + "\n"])
-    return EXIT_OK
+    config = _hbac_config(args, register)
+    cooling = register_compression(config)
+    return [_report("cool", n=register.n, biases=register.values.tolist(),
+                    rounds=config.rounds, precision=args.precision, mode=args.mode,
+                    complexity=cooling.complexity, per_round_swaps=list(cooling.per_round_swaps),
+                    while_passes=cooling.while_passes,
+                    round_limits=cooling.round_limits.values.tolist(),
+                    targets=cooling.targets.values.tolist())]
 
 
-def cmd_circuit(args) -> int:
+def cmd_circuit(args) -> list[str]:
     if args.lim is not None:
         if args.from_biases is not None:
             raise UsageError("--lim and --from-biases are mutually exclusive")
@@ -369,11 +343,10 @@ def cmd_circuit(args) -> int:
         circuit = nb_maxcomp(register.n, find_optswaps(register))
     else:
         raise UsageError("provide --lim N or --from-biases LIST")
-    _emit(args.sink, [export_text(circuit)])
-    return EXIT_OK
+    return [export_text(circuit)]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[str]:
     if args.ns is not None and args.epsilons is not None:
         raise UsageError("--ns and --epsilons are mutually exclusive")
     if args.ns is not None:
@@ -390,44 +363,35 @@ def cmd_sweep(args) -> int:
         raise UsageError("provide --ns LIST or --epsilons LIST")
     for n, _ in points:
         _check_size(n)
-    rows: list[tuple[float | int, int]] = []
-    for n, eps in points:
-        config = HbacConfig(RegisterBiases.equal(n, eps), args.rounds, precision=args.precision,
-                            mode=args.mode, iteration_cap=args.iteration_cap)
-        rows.append((n if key == "n" else eps, register_compression(config).complexity))
+    rows = [(n if key == "n" else eps,
+             register_compression(_hbac_config(args, RegisterBiases.equal(n, eps))).complexity)
+            for n, eps in points]
     if args.format == "json":
-        _emit(args.sink, [_to_json({
-            "schema": SCHEMA_VERSION,
-            "command": "sweep",
-            "rows": [{key: v, "complexity": c} for v, c in rows],
-        }) + "\n"])
-    else:
-        lines = [f"{key},complexity"]
-        for v, c in rows:
-            value = str(v) if key == "n" else _fmt(v)
-            lines.append(f"{value},{c}")
-        _emit(args.sink, ["\n".join(lines) + "\n"])
-    return EXIT_OK
+        return [_report("sweep", rows=[{key: v, "complexity": c} for v, c in rows])]
+    lines = [f"{key},complexity"]
+    lines += [f"{v if key == 'n' else _fmt(v)},{c}" for v, c in rows]
+    return ["\n".join(lines) + "\n"]
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> list[str]:
     n, eps = args.n, args.epsilon
     rounds = check_rounds(n, args.rounds)
-    k = args.k
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "bounds",
-        "n": n,
-        "epsilon": eps,
-        "rounds": rounds,
-        "k": k,
-        "shannon_bound": shannon_bound(n, eps),
-        "sqrt_bound": sqrt_bound(n, eps),
-        "single_round_limit": single_round_limit(eps, n - 1),
-        "analytic_limit": analytic_limit(rounds, k, n, eps),
-    }
-    _emit(args.sink, [_to_json(payload) + "\n"])
-    return EXIT_OK
+    return [_report("bounds", n=n, epsilon=eps, rounds=rounds, k=args.k,
+                    shannon_bound=shannon_bound(n, eps), sqrt_bound=sqrt_bound(n, eps),
+                    single_round_limit=single_round_limit(eps, n - 1),
+                    analytic_limit=analytic_limit(rounds, args.k, n, eps))]
+
+
+def _precision(text: str) -> float:
+    """A ``--precision``: positive (else no loop converges) and finite (else not JSON)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"precision must be a positive finite number, got {text!r}")
+    return value
 
 
 def _add_bias_args(p: argparse.ArgumentParser) -> None:
@@ -464,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(CSV columns: round,q1..qn)")
     _add_bias_args(p)
     p.add_argument("--rounds", type=int, help="number of limiting rounds (default n-2)")
-    p.add_argument("--precision", type=float, default=1e-9)
+    p.add_argument("--precision", type=_precision, default=1e-9)
     p.add_argument("--analytic", action="store_true",
                    help="closed-form evaluation (equal biases only)")
     _add_iteration_cap(p)
@@ -475,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cool", help="full register compression with swap counting")
     _add_bias_args(p)
     p.add_argument("--rounds", type=int)
-    p.add_argument("--precision", type=float, default=1e-9)
+    p.add_argument("--precision", type=_precision, default=1e-9)
     p.add_argument("--mode", choices=["full", "lim"], default="full")
     _add_iteration_cap(p)
     p.add_argument("--out")
@@ -495,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", help="comma-separated biases (with --n)")
     p.add_argument("--n", type=int)
     p.add_argument("--rounds", type=int, help="override rounds (default n-2)")
-    p.add_argument("--precision", type=float, default=1e-9)
+    p.add_argument("--precision", type=_precision, default=1e-9)
     p.add_argument("--mode", choices=["full", "lim"], default="full")
     _add_iteration_cap(p)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
@@ -547,14 +511,24 @@ _PARSER = build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        args.sink, temp, target = _open_out(args.out) if args.out else (None, None, None)
+        if args.out == "":  # realpath("") is the working directory, not a file
+            raise ValueError("empty path")
+        sink, temp, target = (None, None, None) if args.out is None else _open_out(args.out)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         reason = getattr(exc, "strerror", None) or exc
         print(f"error: cannot write --out {args.out!r}: {reason}", file=sys.stderr)
         return EXIT_USAGE
     code = None
     try:
-        code = args.func(args)
+        pieces = args.func(args)
+        out = sink or sys.stdout  # looked up now, so a caller's redirection is honoured
+        for piece in pieces:
+            out.write(piece)
+        if sink is None:
+            out.flush()  # here, not at exit, where a failed flush exits 120
+        else:
+            sink.close()
+        code = EXIT_OK
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_RESOURCE
@@ -567,14 +541,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # a UsageError among them
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
-    except BrokenPipeError:
-        # The reader closed stdout early, as `| head` does, and wants no more
-        # output.  Point stdout at devnull so the flush at exit cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_OK
+    except OSError as exc:  # writing the output failed
+        if isinstance(exc, BrokenPipeError):
+            code = EXIT_OK  # the reader closed it early, as `| head` does, and wants no more
+        else:  # a full disk or device
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+            code = EXIT_RESOURCE
+        if sink is None:  # point stdout at devnull so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
-        if args.sink is not None:
-            args.sink.close()
+        if sink is not None:
+            with contextlib.suppress(OSError):  # the output has failed already
+                sink.close()
         if temp is not None and code == EXIT_OK:
             os.replace(temp, target)
         elif temp is not None:

@@ -50,7 +50,8 @@ import numpy as np
 from .compress import (_beneficial, _beneficial_indices, _halves, _limiting_probamps,
                        _only_limiting_pair)
 from .errors import DivergenceError
-from .limits import DEFAULT_ITERATION_CAP, LimitMatrix, check_rounds, numerical_limits
+from .limits import (DEFAULT_ITERATION_CAP, LimitMatrix, check_loop, check_rounds,
+                     numerical_limits)
 from .regstate import RegisterBiases, _probamps_raw
 
 MODE_FULL = "full"
@@ -77,12 +78,9 @@ class HbacConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rounds", check_rounds(self.biases.n, self.rounds))
-        if not self.precision > 0.0:
-            raise ValueError(f"precision must be positive, got {self.precision!r}")
+        check_loop(self.precision, self.iteration_cap)
         if self.mode not in (MODE_FULL, MODE_LIM):
             raise ValueError(f"mode must be '{MODE_FULL}' or '{MODE_LIM}', got {self.mode!r}")
-        if self.iteration_cap < 1:
-            raise ValueError("iteration cap must be positive")
 
     @classmethod
     def equal(cls, n: int, eps: float, rounds: int, **kw) -> "HbacConfig":

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,11 +79,19 @@ def f(r: int, k: int, n: int) -> int:
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     m = max(n - k - 1, 0)
-    total = term = 1
-    for i in range(1, min(r, m) + 1):
-        term = term * (m + 1 - i) // i  # C(m, i), exactly
-        total += term
+    *_, total = _binomial_sums(m, min(r, m))
     return total
+
+
+def _binomial_sums(m: int, rounds: int) -> Iterator[int]:
+    """The sum of C(m, i) for i = 0..min(r, m), for r = 0..rounds, each term from the last."""
+    total = term = 1
+    yield total
+    for r in range(1, rounds + 1):
+        if r <= m:
+            term = term * (m + 1 - r) // r  # C(m, r), exactly
+            total += term
+        yield total
 
 
 def _tanh_ratio(eps: float, exponent: int) -> float:
@@ -175,6 +183,14 @@ class LimitMatrix:
         return self.values[key]
 
 
+def check_loop(precision: float, iteration_cap: int) -> None:
+    """The one rule for a convergence loop's bounds: *precision* > 0, *iteration_cap* >= 1."""
+    if not precision > 0.0:
+        raise ValueError(f"precision must be positive, got {precision!r}")
+    if iteration_cap < 1:
+        raise ValueError("iteration cap must be positive")
+
+
 def _check_grid(rounds: int, n: int) -> None:
     """Raise :class:`ResourceCapError` past ANALYTIC_GRID_CAP entries."""
     if rounds * n > ANALYTIC_GRID_CAP:
@@ -188,17 +204,7 @@ def _exponent_grid(rounds: int, n: int) -> list[list[int]]:
     Each column is one running binomial sum, so the grid costs O(rounds * n)
     integer operations, where calling :func:`f` per entry costs O(rounds^2 * n).
     """
-    columns = []
-    for k in range(1, n + 1):
-        m = max(n - k - 1, 0)
-        total = term = 1
-        column = []
-        for r in range(1, rounds + 1):
-            if r <= m:
-                term = term * (m + 1 - r) // r  # C(m, r), exactly
-                total += term
-            column.append(total)
-        columns.append(column)
+    columns = [list(_binomial_sums(max(n - k - 1, 0), rounds))[1:] for k in range(1, n + 1)]
     return [list(row) for row in zip(*columns)]
 
 
@@ -289,10 +295,7 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int | Non
     n = biases.n
     _check_size(n)
     rounds = check_rounds(n, rounds)
-    if not precision > 0.0:
-        raise ValueError(f"precision must be positive, got {precision!r}")
-    if iteration_cap < 1:
-        raise ValueError("iteration cap must be positive")
+    check_loop(precision, iteration_cap)
 
     original = biases.values
     matrix = np.zeros((rounds, n))

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -207,6 +208,16 @@ class TestOutPath:
                            "--out", str(tmp_path / "no" / "x"))
         assert code == 2 and "cannot write --out" in err
 
+    def test_empty_path_exits_2_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # realpath("") is the working directory: no temp file may land in its parent
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run(capsys, "circuit", "--lim", "3", "--out", "")
+        assert code == 2 and out == ""
+        assert err == "error: cannot write --out '': empty path\n"
+        assert os.listdir(work) == [] and os.listdir(tmp_path) == ["work"]
+
 
 class TestParserReuse:
     """One parser serves every call of main; no state carries over."""
@@ -336,6 +347,116 @@ class TestOutFile:
         reader.join(timeout=10)
         assert not reader.is_alive() and got == [stdout]
         assert stat.S_ISFIFO(fifo.stat().st_mode) and os.listdir(tmp_path) == ["fifo"]
+
+
+class _FullSink:
+    """An --out writer on a full disk: every write fails with ENOSPC."""
+
+    def __init__(self, sink):
+        self.sink = sink
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        self.sink.close()
+
+
+class TestOutputWriteErrors:
+    """Output that cannot be written exits 3 with one line and no traceback."""
+
+    def test_full_disk_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
+        open_out = cli._open_out
+
+        def full_disk(path):
+            sink, temp, target = open_out(path)
+            return _FullSink(sink), temp, target
+
+        monkeypatch.setattr(cli, "_open_out", full_disk)
+        path = tmp_path / "f.nbmc"
+        path.write_text("keep")
+        code, out, err = run(capsys, "circuit", "--lim", "3", "--out", str(path))
+        assert code == 3 and out == ""
+        assert err == "error: cannot write output: No space left on device\n"
+        assert path.read_text() == "keep"
+        assert os.listdir(tmp_path) == ["f.nbmc"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv, redirect", [
+        (("bounds", "--n", "8", "--epsilon", "0.1"), True),
+        (("bounds", "--n", "8", "--epsilon", "0.1", "--out", "/dev/full"), False),
+        (("optswaps", "--n", "16", "--epsilon", "0.01", "--format", "csv"), True),
+        (("optswaps", "--n", "16", "--epsilon", "0.01", "--out", "/dev/full"), False),
+    ])
+    def test_full_device(self, argv, redirect, unbuffered):
+        # Buffered stdout fails only at its flush: main flushes it, so the
+        # error does not reach the interpreter's exit (exit 120).
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full" if redirect else os.devnull, "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "qcool.cli", *argv], stdout=stdout,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert err == "error: cannot write output: No space left on device\n"
+
+
+class TestCommandsReturnOutput:
+    """Each command returns its output pieces; only main writes them."""
+
+    @pytest.mark.parametrize("argv", [
+        ("optswaps", "--n", "5", "--epsilon", "0.1"),
+        ("optswaps", "--biases", "0.2,0.2,0.2", "--verify", "--format", "json"),
+        ("optswaps", "--n", "6", "--epsilon", "0.1", "--format", "csv"),
+        ("optswaps", "--biases", "1,0.1,0.1", "--format", "json"),
+        ("limits", "--n", "5", "--epsilon", "0.1"),
+        ("limits", "--n", "6", "--epsilon", "1e-5", "--analytic", "--format", "csv"),
+        ("cool", "--n", "4", "--epsilon", "0.1"),
+        ("circuit", "--lim", "3"),
+        ("circuit", "--from-biases", "0.2,0.2,0.2"),
+        ("sweep", "--ns", "3,4", "--epsilon", "0.1"),
+        ("sweep", "--n", "4", "--epsilons", "0.1,0.01", "--format", "json"),
+        ("bounds", "--n", "8", "--epsilon", "0.1"),
+    ])
+    def test_pieces_are_mains_stdout(self, capsys, argv):
+        args = cli._PARSER.parse_args(argv)
+        pieces = list(args.func(args))
+        assert capsys.readouterr().out == ""
+        assert all(isinstance(piece, str) for piece in pieces)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "".join(pieces) == out
+
+
+class TestPrecision:
+    """--precision is a positive finite number, checked by the parser."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "-0"])
+    @pytest.mark.parametrize("argv", [
+        ("limits", "--n", "5", "--epsilon", "0.1", "--analytic"),
+        ("limits", "--n", "5", "--epsilon", "0.1"),
+        ("cool", "--n", "4", "--epsilon", "0.1"),
+        ("sweep", "--ns", "3,4", "--epsilon", "0.1"),
+    ])
+    def test_rejected_at_the_parser(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, f"--precision={value}"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"precision must be a positive finite number, got {value!r}" in out.err
+
+    def test_not_a_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cool", "--n", "4", "--epsilon", "0.1", "--precision", "abc"])
+        assert exc.value.code == 2
+        assert "argument --precision: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_accepted_value_is_reported(self, capsys):
+        code, out, _ = run(capsys, "limits", "--n", "4", "--epsilon", "0.1", "--analytic",
+                           "--precision", "1e-3")
+        assert code == 0 and json.loads(out)["precision"] == 1e-3
 
 
 class TestLimits:
@@ -629,7 +750,7 @@ SIZES = _values(["4", "3", "5", "7", "12", "1", "2"],
                 ["-1", "0", "3.5", "1e3", "0x3", "nan", "abc", ""])
 REALS = _values(["0.1", "0.3", "1e-5", "0", "1", "1e-320", "5e-324"],
                 ["-0.1", "1.5", "nan", "inf", "-inf", "1e400", "0.1.2", "abc", ""])
-PRECISIONS = _values(["1e-9", "1e-3", "1e-300", "inf"], ["0", "-1e-9", "nan", "abc"])
+PRECISIONS = _values(["1e-9", "1e-3", "1e-300"], ["0", "-1e-9", "nan", "inf", "abc"])
 # Every cooling or limit run gets one of these caps, so no case runs long.
 CAPS = _values(["100", "7", "1"], ["-3", "0", "abc", ""])
 FORMATS = _values(["json", "csv", "text"], ["xml", ""])

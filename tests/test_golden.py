@@ -71,6 +71,9 @@ class _Sha256Writer:
         self.hash.update(text.encode())
         return len(text)
 
+    def flush(self) -> None:
+        pass
+
 
 def optswaps_digests() -> dict[str, str]:
     digests = {}
