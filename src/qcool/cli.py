@@ -522,6 +522,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         pieces = args.func(args)
         out = sink or sys.stdout  # looked up now, so a caller's redirection is honoured
+        if out is None:  # the process started with stdout closed
+            raise OSError("stdout is closed")
         for piece in pieces:
             out.write(piece)
         if sink is None:
@@ -547,7 +549,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:  # a full disk or device
             print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
             code = EXIT_RESOURCE
-        if sink is None:  # point stdout at devnull so the flush at exit cannot fail again
+        if sink is None and sys.stdout is not None:  # to devnull: the exit flush cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         if sink is not None:

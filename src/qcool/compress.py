@@ -43,7 +43,9 @@ REL_TIE_TOL = 1e-12
 
 def _beneficial(a: float, b: float) -> bool:
     """True when the 1T value b exceeds the 0T value a beyond the tie tolerance."""
-    return (b - a) > REL_TIE_TOL * max(abs(a), abs(b))
+    a_abs = a if a >= 0.0 else -a  # abs and max unrolled: their calls cost more than the test
+    b_abs = b if b >= 0.0 else -b
+    return (b - a) > REL_TIE_TOL * (b_abs if b_abs > a_abs else a_abs)
 
 
 #: Margin by which the gate must rule out every non-limiting pair: it accepts
@@ -86,11 +88,13 @@ def _limiting_probamps(beta: list[float]) -> tuple[float, float, float]:
     return p_k, p_kk, b_min
 
 
-def _only_limiting_pair(beta: list[float], p_k: float, p_kk: float, b_min: float) -> bool:
+def _only_limiting_pair(head: float, b_max: float, q: int, p_k: float, p_kk: float,
+                        b_min: float) -> bool:
     """True when no pair but the limiting one |011..1> <-> |100..0> can be beneficial.
 
-    Takes the scalars of :func:`_limiting_probamps` for *beta*, or the
-    same two entries of a full build, which are bit-identical to them.  A
+    Takes the head bias, the largest of the q biases, the scalars of
+    :func:`_limiting_probamps` (or the same two entries of a full build,
+    which are bit-identical to them) and the smallest ancilla bias.  A
     complementary pair's tail over head ratio is the product over qubits of
     (1 - s_i beta_i) / (1 + s_i beta_i), with s_i = +1 where bit i of its
     index is 0, else -1; the head qubit has s_1 = +1.  The limiting pair,
@@ -102,9 +106,8 @@ def _only_limiting_pair(beta: list[float], p_k: float, p_kk: float, b_min: float
     factors of the full build.  Biases outside [0, 1) or near-saturated
     registers defer to the full mask.
     """
-    b_max = max(beta)
-    if not (beta[0] >= 0.0 and b_min >= 0.0 and b_max < 1.0
-            and ((1.0 - b_max) / 2.0) ** len(beta) >= _NORMAL_FLOOR):
+    if not (head >= 0.0 and b_min >= 0.0 and b_max < 1.0
+            and ((1.0 - b_max) / 2.0) ** q >= _NORMAL_FLOOR):
         return False
     r = (1.0 - b_min) / (1.0 + b_min)
     return p_kk * r * r < _GATE_RATIO * p_k

@@ -162,7 +162,7 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
         if head_before >= cap:
             return gamma, swaps_done, passes
         p_k, p_kk, b_min = _limiting_probamps(raw)
-        if lim or _only_limiting_pair(raw, p_k, p_kk, b_min):
+        if lim or _only_limiting_pair(raw[0], max(raw), q, p_k, p_kk, b_min):
             if _beneficial(p_k, p_kk):
                 step = 2.0 * (p_kk - p_k)
                 gamma = [c if (c := b - step) > f else f for f, b in zip(floor, raw)]

@@ -9,15 +9,11 @@ defined operationally by :func:`numerical_limits`, which iterates subspace
 compression with ancilla biases pinned at their round-entry values.
 
 Those ancillas stay fixed while one target converges, so each (round,
-target) builds one pass: a factor block that holds the fixed factors of up
-to the last 12 ancillas (at most 13 x 8192 doubles, 0.85 MB, whatever the
-register size) and qubit 1's sign vector.  A pass fills the block's prefix
-row from the current target bias, reduces the block into the distribution
-with one ``np.multiply.reduce`` per 8192-entry slice, and asks the
-value-domain gate it shares with register cooling (:mod:`qcool.compress`)
-whether only the limiting pair can gain; if so it exchanges that one pair
-in place, else it applies the full beneficial mask.  The matrices are
-bit-identical to a fresh build, mask and marginal on every pass.
+target) is one loop, :func:`_converge`, around one factor block of at most
+0.85 MB whatever the register size.  A pass that the value-domain gate it
+shares with register cooling (:mod:`qcool.compress`) clears exchanges only
+the limiting pair, and every pass is bit-identical to a fresh build, mask
+and ``np.dot`` marginal.
 
 The analytic matrix for equal biases, :func:`analytic_limits`, takes each
 column's exponents as one running binomial sum and is capped at
@@ -29,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -219,29 +215,29 @@ def analytic_limits(n: int, rounds: int | None, eps: float) -> LimitMatrix:
                                  for row in _exponent_grid(rounds, n)]))
 
 
-def _target_pass(ancillas: Sequence[float]) -> Callable[[float], float]:
-    """One optswap compression of (target, *ancillas) as a function of the target bias.
+def _converge(target: float, ancillas: Sequence[float], precision: float,
+              iteration_cap: int) -> tuple[float, bool]:
+    """Compress (target, *ancillas) until the target settles; returns (bias, settled).
 
-    Built once per (round, target): qubit 1's sign vector and a factor
-    block of k + 1 rows by 2^(k+1) columns, k = min(q - 1, _BLOCK_ANCILLAS).
-    Rows 1..k hold the fixed factors (1 +- b)/2 of the last k ancillas, one
-    column per probamp index, so the block takes at most 0.85 MB whatever
-    the register size.  Each call fills each half of row 0 with a prefix,
-    the product of the target factor and the factors of the leading
-    ancillas outside the block, formed left to right.  It then reduces the
-    block over its rows into each 2^(k+1)-entry slice of the distribution:
-    one slice for q <= _BLOCK_ANCILLAS + 1, 2^(q-k-1) beyond.  Multiply has
-    no pairwise reduction, so every probamp is the product
-    :func:`~qcool.regstate.probamps` forms, bit for bit.  When the shared
-    gate proves that only the limiting pair |011..1> <-> |100..0> can gain,
-    that pair is exchanged in place if beneficial; otherwise the full
-    beneficial mask is applied.  Both give the same distribution, and the
-    new target bias is the same ``np.dot`` marginal.
+    Each pass builds the product distribution of the target bias and the
+    ancillas, applies every beneficial optswap and takes qubit 1's
+    ``np.dot`` marginal as the new bias.  The loop stops once a pass changes
+    the bias by at most *precision* relative (a zero bias must stay zero),
+    or after *iteration_cap* passes with settled False.  The sign vector,
+    the buffer, the gate's ancilla terms and the factor block are built
+    once.  Rows 1..k of the block hold the factors (1 +- b)/2 of the last
+    k = min(q - 1, _BLOCK_ANCILLAS) ancillas, one column per index of a
+    2^(k+1)-entry slice.  A pass fills row 0 with the target's factors, or
+    past q = _BLOCK_ANCILLAS + 1 with each slice's prefix (the target factor
+    times the leading ancillas' factors, left to right), and reduces the
+    block into the slice.  Multiply has no pairwise reduction, so every
+    probamp is the product :func:`~qcool.regstate.probamps` forms, bit for
+    bit.  A pass the gate clears exchanges only the limiting pair, if it is
+    beneficial; any other applies the full mask, to the same distribution.
     """
     rest = [float(b) for b in ancillas]
     q = len(rest) + 1
     half = 1 << (q - 1)
-    b_min = min(rest)
     k = min(q - 1, _BLOCK_ANCILLAS)
     block = np.empty((k + 1, 1 << (k + 1)))
     for i, b in enumerate(rest[q - 1 - k:], start=1):
@@ -250,27 +246,39 @@ def _target_pass(ancillas: Sequence[float]) -> Callable[[float], float]:
     lead = [((1.0 + b) / 2.0, (1.0 - b) / 2.0) for b in rest[:q - 1 - k]]
     row_lo, row_hi = block[0].reshape(2, -1)
     p = np.empty(1 << q)
+    pair = p[half - 1:half + 1]  # the limiting pair's two entries
     slices = list(p.reshape(-1, block.shape[1]))
     sign = _sign_vector(1, q)
-
-    def compress(target: float) -> float:
-        prefix = [(1.0 + target) / 2.0, (1.0 - target) / 2.0]
-        for pair in lead:
-            prefix = [x * y for x in prefix for y in pair]
-        for out, lo, hi in zip(slices, prefix[::2], prefix[1::2]):
+    b_min, b_rest = min(rest), max(rest)
+    for _ in range(iteration_cap):
+        lo, hi = (1.0 + target) / 2.0, (1.0 - target) / 2.0
+        if lead:
+            prefix = [lo, hi]
+            for factors in lead:
+                prefix = [x * y for x in prefix for y in factors]
+            for out, lo, hi in zip(slices, prefix[::2], prefix[1::2]):
+                row_lo.fill(lo)
+                row_hi.fill(hi)
+                np.multiply.reduce(block, axis=0, out=out)
+        else:
             row_lo.fill(lo)
             row_hi.fill(hi)
-            np.multiply.reduce(block, axis=0, out=out)
-        p_k, p_kk = p.item(half - 1), p.item(half)
-        if _only_limiting_pair([target, *rest], p_k, p_kk, b_min):
+            np.multiply.reduce(block, axis=0, out=p)
+        p_k, p_kk = pair.tolist()
+        b_max = target if target > b_rest else b_rest
+        if _only_limiting_pair(target, b_max, q, p_k, p_kk, b_min):
             if _beneficial(p_k, p_kk):
-                p[half - 1], p[half] = p_kk, p_k
+                pair[0], pair[1] = p_kk, p_k
         else:
             sel = _beneficial_indices(*_halves(p))
             p[sel], p[-1 - sel] = p[-1 - sel], p[sel]  # -1 - j indexes 2^q - 1 - j
-        return float(np.dot(sign, p))
-
-    return compress
+        increased = float(sign.dot(p))  # np.dot(sign, p), without its dispatch
+        settled = (increased == 0.0 if target == 0.0
+                   else abs(increased / target - 1.0) <= precision)
+        target = increased
+        if settled:
+            return target, True
+    return target, False
 
 
 def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int | None,
@@ -278,17 +286,15 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int | Non
                      iteration_cap: int = DEFAULT_ITERATION_CAP) -> LimitMatrix:
     """Per-round cooling limits of every qubit, for arbitrary default biases.
 
-    For each round r and each target v = 1..n-r-1, repeatedly compresses the
-    sub-register v..n built from the target's current bias and the ancillas'
-    round-entry biases (ancilla losses are deliberately ignored), until the
-    target's relative bias increase per pass is within *precision*.  Each
-    (round, target) builds its pass once (see :func:`_target_pass`), and a
-    pass the shared gate clears exchanges only the limiting pair.  Qubits
-    beyond n-r-1 carry their prior-round values forward; each finished row
-    seeds the next round.  A (round, target) that needs more than
-    *iteration_cap* passes raises :class:`DivergenceError`: a *precision*
-    near the rounding of the bias can leave the target alternating between
-    two neighbouring floats.
+    For each round r and each target v = 1..n-r-1, :func:`_converge`
+    repeatedly compresses the sub-register v..n built from the target's
+    current bias and the ancillas' round-entry biases (ancilla losses are
+    deliberately ignored) until the target's relative bias increase per
+    pass is within *precision*.  Qubits beyond n-r-1 carry their prior-round
+    values forward; each finished row seeds the next round.  A (round,
+    target) that needs more than *iteration_cap* passes raises
+    :class:`DivergenceError`: a *precision* near the rounding of the bias
+    can leave the target alternating between two neighbouring floats.
     """
     if not isinstance(biases, RegisterBiases):
         biases = RegisterBiases.from_values(biases)
@@ -297,28 +303,17 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int | Non
     rounds = check_rounds(n, rounds)
     check_loop(precision, iteration_cap)
 
-    original = biases.values
-    matrix = np.zeros((rounds, n))
-    for r in range(1, rounds + 1):
-        seed = original.copy() if r == 1 else matrix[r - 2].copy()
-        row = seed.copy()
+    matrix = np.empty((rounds, n))
+    seed = biases.values
+    for r, row in enumerate(matrix, start=1):
+        row[:] = seed
         for v in range(1, n - r):  # targets 1..n-r-1
-            target = seed[v - 1].item()
-            compress = _target_pass(seed[v:])
-            for _ in range(iteration_cap):
-                increased = compress(target)
-                if target == 0.0:
-                    converged = increased == 0.0
-                else:
-                    converged = abs(increased / target - 1.0) <= precision
-                target = increased
-                if converged:
-                    break
-            else:
+            target, settled = _converge(seed[v - 1].item(), seed[v:], precision, iteration_cap)
+            if not settled:
                 raise DivergenceError(
                     f"numerical limits exceeded {iteration_cap} passes "
                     f"(round {r}, target {v}, bias {target!r})",
                     round_index=r, subspace=v, passes=iteration_cap)
             row[v - 1] = target
-        matrix[r - 1] = row
+        seed = row
     return LimitMatrix(matrix)

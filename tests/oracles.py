@@ -64,13 +64,34 @@ def compress_pass(biases) -> float:
     return marginal_arange(p, 1, len(biases))
 
 
+def converge_loop(target: float, ancillas, precision: float,
+                  max_passes: int) -> tuple[float, bool]:
+    """One target's loop over :func:`compress_pass`; returns (bias, settled).
+
+    The target is compressed with the fixed *ancillas* until its relative
+    change per pass is within *precision* (a zero bias must stay zero);
+    settled is False when that takes more than *max_passes* passes.
+    """
+    for _ in range(max_passes):
+        increased = compress_pass(np.concatenate(([target], ancillas)))
+        if target == 0.0:
+            settled = increased == 0.0
+        else:
+            settled = abs(increased / target - 1.0) <= precision
+        target = increased
+        if settled:
+            return target, True
+    return target, False
+
+
 def numerical_limits_loop(values, rounds: int, precision: float = 1e-9,
                           max_passes: int = 10 ** 6) -> np.ndarray:
     """Per-round limit matrix by the defining loop over :func:`compress_pass`.
 
     Each target v = 1..n-r-1 of round r is compressed with the ancillas
-    v+1..n at their round-entry values until its relative change per pass
-    is within *precision*; the finished row seeds the next round.
+    v+1..n at their round-entry values (:func:`converge_loop`); the
+    finished row seeds the next round.  The matrix is returned as it is,
+    without the [0, 1] check of a limit matrix.
     """
     n = len(values)
     matrix = np.zeros((rounds, n))
@@ -78,17 +99,8 @@ def numerical_limits_loop(values, rounds: int, precision: float = 1e-9,
     for r in range(rounds):
         row = seed.copy()
         for v in range(1, n - r - 1):
-            target = seed[v - 1]
-            for _ in range(max_passes):
-                increased = compress_pass(np.concatenate(([target], seed[v:])))
-                if target == 0.0:
-                    converged = increased == 0.0
-                else:
-                    converged = abs(increased / target - 1.0) <= precision
-                target = increased
-                if converged:
-                    break
-            else:
+            target, settled = converge_loop(seed[v - 1], seed[v:], precision, max_passes)
+            if not settled:
                 raise AssertionError(f"round {r + 1} target {v} did not settle")
             row[v - 1] = target
         matrix[r] = row

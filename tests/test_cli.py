@@ -403,6 +403,19 @@ class TestOutputWriteErrors:
         assert proc.returncode == 3, err
         assert err == "error: cannot write output: No space left on device\n"
 
+    @pytest.mark.parametrize("argv", [("bounds", "--n", "8", "--epsilon", "0.1"),
+                                      ("optswaps", "--n", "12", "--epsilon", "0.01",
+                                       "--format", "csv")])
+    def test_closed_stdout(self, argv):
+        # Started with stdout closed, Python sets sys.stdout to None.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        cmd = shlex.join([sys.executable, "-m", "qcool.cli", *argv])
+        proc = subprocess.run(f"{cmd} >&-", shell=True, env=env, stderr=subprocess.PIPE,
+                              timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert err == "error: cannot write output: stdout is closed\n"
+
 
 class TestCommandsReturnOutput:
     """Each command returns its output pieces; only main writes them."""

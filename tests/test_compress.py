@@ -9,6 +9,7 @@ from qcool import (DiagDist, RegisterBiases, apply_swaps, bias_gain,
                    circuit_permutation, find_optswaps, marginal_bias, nb_maxcomp,
                    probamps, sort_bound, verify_optimality)
 from qcool import regstate
+from qcool.compress import _beneficial, _beneficial_mask
 from qcool.errors import ResourceCapError
 from fixture_sets import STRESS_SETS
 from oracles import select_swaps_brute, optimality_cases_brute
@@ -65,6 +66,19 @@ class TestFindOptswaps:
         assert swaps.dtype == np.int64 and swaps.ndim == 1
         assert np.all(np.diff(swaps) > 0)
         assert swaps.tolist() == select_swaps_brute(d.probamps)
+
+    @given(st.floats(), st.floats())
+    @example(0.0, -0.0)
+    @example(-0.0, 1e-300)
+    @example(1.0, 1.0 + 2e-12)
+    @example(-1.0, -1.0 + 2e-12)
+    @settings(max_examples=500)
+    def test_scalar_tie_rule_is_the_mask(self, a, b):
+        # the one-pair test of the limits loop and register cooling
+        for x, y in [(a, b), (a, a * (1.0 + 1.01e-12))]:
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, nan
+                want = _beneficial_mask(np.array([x]), np.array([y]))[0]
+            assert _beneficial(x, y) == want
 
 
 @st.composite

@@ -241,7 +241,7 @@ class TestComplexitySweep:
 
 def gate(beta):
     """The gate's verdict on *beta*, from the scalars of the walk over it."""
-    return hbac._only_limiting_pair(beta, *hbac._limiting_probamps(beta))
+    return hbac._only_limiting_pair(beta[0], max(beta), len(beta), *hbac._limiting_probamps(beta))
 
 
 class TestLimitingPairFastPath:
@@ -256,7 +256,7 @@ class TestLimitingPairFastPath:
         assert p_k == p[limiting] and p_kk == p[half]
         assert b_min == min(beta[1:])
         assert _beneficial(p_k, p_kk) == mask[limiting]
-        if hbac._only_limiting_pair(beta, p_k, p_kk, b_min):
+        if gate(beta):
             assert not mask[:limiting].any()
 
     @pytest.mark.parametrize("shift,verdict", [(2e-9, True), (0.5e-9, False), (-1e-6, False)])

@@ -17,8 +17,8 @@ from qcool import (DiagDist, RegisterBiases, analytic_limit, analytic_limits, f,
 import qcool.hbac as hbac
 import qcool.limits as limits
 from qcool.errors import DivergenceError, ResourceCapError
-from qcool.limits import TANH_CROSSOVER, _target_pass
-from oracles import compress_pass, exponent_recursion, numerical_limits_loop
+from qcool.limits import TANH_CROSSOVER, _converge
+from oracles import compress_pass, converge_loop, exponent_recursion, numerical_limits_loop
 from strategies import product_registers
 
 
@@ -278,12 +278,19 @@ def _same_float(a: float, b: float) -> bool:
 
 
 def _record_gate(monkeypatch) -> list[bool]:
-    """The verdicts of every gate call the limits pass makes from now on."""
+    """The verdicts of every gate call the limits loop makes from now on."""
     real_gate = limits._only_limiting_pair
     verdicts = []
     monkeypatch.setattr(limits, "_only_limiting_pair",
                         lambda *args: verdicts.append(real_gate(*args)) or verdicts[-1])
     return verdicts
+
+
+# An unequal n = 9 register, every bias below 0.29, whose round-7 limits
+# round above 1, as the equal n = 10, eps = 0.1 register's do.
+SATURATING_N9 = (0.22302737390867222, 0.04296488577720699, 0.12345617524374199,
+                 0.15985465296019546, 0.13488212592011156, 0.18017158571706082,
+                 0.22397295831472647, 0.2873175039024686, 0.0924183374871495)
 
 
 class TestTargetPass:
@@ -296,12 +303,52 @@ class TestTargetPass:
     @example([0.0] + [1.0 - 2e-10] * 9, 0.5)
     @example([0.01] + [0.0] * 9, 0.0)
     def test_matches_oracle_pass(self, beta, other):
-        # One pass object serves every target of its ancillas: a pass at an
-        # unrelated target first must leave no trace in the next result.
-        compress = _target_pass(beta[1:])
-        compress(other)
-        got = compress(beta[0])
+        got, _ = _converge(beta[0], beta[1:], 1e-9, 1)
         assert _same_float(got, compress_pass(np.array(beta)))
+        # Later passes reuse the loop's buffers: each must start from the
+        # bias the last one left, and from nothing else of it.
+        got, settled = _converge(other, beta[1:], 1e-9, 3)
+        want, want_settled = converge_loop(other, np.array(beta[1:]), 1e-9, 3)
+        assert _same_float(got, want) and settled is want_settled
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 2.0 ** -52, 1.5]), st.floats(0.0, 2.0)),
+           st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                    min_size=2, max_size=9))
+    # q = 18 registers whose ((1 - b_max) / 2)^q lies just above _NORMAL_FLOOR
+    # (gap 2^-50) and just below it (gap 2^-51)
+    @example(1.0 - 2.0 ** -50, [0.01] * 17)
+    @example(1.0 - 2.0 ** -51, [0.01] * 17)
+    @example(0.3, [1.0 - 2.0 ** -50] + [0.01] * 16)
+    @example(0.3, [1.0 - 2.0 ** -51] + [0.01] * 16)
+    def test_gate_is_the_rule_on_the_whole_register(self, target, ancillas):
+        # The loop fixes the ancillas' smallest and largest bias once; every
+        # pass must still ask the gate what _only_limiting_pair says of the
+        # register [target, *ancillas] and the pass's own limiting pair.
+        calls = []
+        real_gate = limits._only_limiting_pair
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "_only_limiting_pair",
+                       lambda *args: calls.append(args) or real_gate(*args))
+            _converge(target, ancillas, 1e-9, 2)
+        assert calls[0][0] == target
+        for args in calls:
+            beta = [args[0], *ancillas]
+            p_k, p_kk, b_min = hbac._limiting_probamps(beta)
+            assert args == (beta[0], max(beta), len(beta), p_k, p_kk, b_min)
+        if max(ancillas) >= 1.0:
+            assert not any(real_gate(*args) for args in calls)
+        if target >= 1.0:
+            assert not real_gate(*calls[0])
+
+    @pytest.mark.parametrize("gap,verdict", [(2.0 ** -50, True), (2.0 ** -51, False)])
+    def test_gate_defers_below_the_normal_floor(self, monkeypatch, gap, verdict):
+        # q = 18, target 1 - gap: ((1 - b_max) / 2)^q is 4.4e-277 at gap 2^-50,
+        # above _NORMAL_FLOOR, and 1.7e-282 at 2^-51, below it.  The largest
+        # bias is the target's, which the loop's fixed ancilla terms omit.
+        verdicts = _record_gate(monkeypatch)
+        _converge(1.0 - gap, [0.01] * 17, 1e-9, 1)
+        assert verdicts == [verdict]
 
     @pytest.mark.parametrize("values", ORACLE_REGISTERS)
     def test_matrices_bit_identical_to_oracle_loop(self, values):
@@ -309,11 +356,24 @@ class TestTargetPass:
         got = numerical_limits(list(values), rounds).values
         assert got.tobytes() == numerical_limits_loop(values, rounds).tobytes()
 
+    @pytest.mark.parametrize("values,rounds", [((0.1,) * 10, 8), (SATURATING_N9, 7)],
+                             ids=["n10-eps0.1", "unequal9"])
+    def test_saturated_rows_bit_identical_to_oracle_loop(self, monkeypatch, values, rounds):
+        # The rows that fail the [0, 1] check are still the defining loop's,
+        # bit for bit: the saturation is the loop's, not this implementation's.
+        rows = []
+        real_matrix = limits.LimitMatrix
+        monkeypatch.setattr(limits, "LimitMatrix",
+                            lambda values: rows.append(values.copy()) or real_matrix(values))
+        with pytest.raises(ValueError, match=re.escape("limit entries must lie in [0, 1]")):
+            numerical_limits(list(values), rounds)
+        want = numerical_limits_loop(values, rounds)
+        assert rows[0].tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match=re.escape("limit entries must lie in [0, 1]")):
+            real_matrix(want)
+
     def test_gated_and_fallback_paths_both_run(self, monkeypatch):
-        real_gate = limits._only_limiting_pair
-        verdicts = []
-        monkeypatch.setattr(limits, "_only_limiting_pair",
-                            lambda *args: verdicts.append(real_gate(*args)) or verdicts[-1])
+        verdicts = _record_gate(monkeypatch)
         hbac_calls = []
         monkeypatch.setattr(hbac, "_only_limiting_pair",
                             lambda *args: hbac_calls.append(args) or False)
@@ -321,7 +381,7 @@ class TestTargetPass:
         got = numerical_limits(values, 6).values
         assert sum(verdicts) > 0.9 * len(verdicts)
         assert not all(verdicts)  # the fallback ran as well
-        assert not hbac_calls  # the limits pass asks the gate through its own module
+        assert not hbac_calls  # the limits loop asks the gate through its own module
         want = numerical_limits_loop(values, 6)
         assert got.tobytes() == want.tobytes()
         monkeypatch.setattr(limits, "_only_limiting_pair", lambda *args: False)
@@ -336,11 +396,13 @@ class TestTargetPass:
                 "fallback": [0.1] * q,
                 "tie": [0.3, 0.3] + [0.0] * (q - 2)}[kind]  # exact probamp ties
         verdicts = _record_gate(monkeypatch)
-        compress = _target_pass(beta[1:])
-        compress(0.2)
-        got = compress(beta[0])
-        assert verdicts[-1] is (kind == "gated")
+        got, _ = _converge(beta[0], beta[1:], 1e-9, 1)
+        assert verdicts == [kind == "gated"]
         assert _same_float(got, compress_pass(np.array(beta)))
+        # a second pass refills every slice from the first pass's bias
+        got, settled = _converge(0.2, beta[1:], 1e-9, 2)
+        want, want_settled = converge_loop(0.2, np.array(beta[1:]), 1e-9, 2)
+        assert _same_float(got, want) and settled is want_settled
 
     def test_pass_memory_is_bounded_by_the_distribution(self, monkeypatch):
         # The distribution and the sign vector take 2 * 2^q doubles; the
@@ -350,7 +412,7 @@ class TestTargetPass:
         verdicts = _record_gate(monkeypatch)
         tracemalloc.start()
         try:
-            _target_pass([0.01] * (q - 1))(0.5)
+            _converge(0.5, [0.01] * (q - 1), 1e-9, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
