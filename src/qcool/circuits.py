@@ -23,8 +23,8 @@ from .compress import _swap_pairs
 from .errors import ResourceCapError
 from .regstate import DiagDist
 
-#: Full permutation enumeration is limited to this many wires by default.
-DEFAULT_PERM_CAP = 20
+#: Full permutation enumeration is limited to this many wires.
+PERM_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,10 @@ def lim_comp(n: int) -> Circuit:
     return Circuit(n, _swap_block(n, (1 << (n - 1)) - 1, _fold(n)))
 
 
-def circuit_permutation(c: Circuit, *, size_cap: int = DEFAULT_PERM_CAP) -> np.ndarray:
+def circuit_permutation(c: Circuit) -> np.ndarray:
     """Basis permutation induced by the circuit: index x maps to perm[x]."""
-    if c.n > size_cap:
-        raise ResourceCapError(
-            f"permutation of {c.n} wires exceeds the size cap {size_cap}")
+    if c.n > PERM_CAP:
+        raise ResourceCapError(f"permutation of {c.n} wires exceeds the size cap {PERM_CAP}")
     v = np.arange(1 << c.n, dtype=np.int64)
     for g in c.gates:
         match = np.ones(v.size, dtype=bool)

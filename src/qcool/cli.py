@@ -9,7 +9,8 @@ not a positive finite number among them), 3 size-cap violation, an
 allocation that failed (one ``error: out of memory: ...`` line) or output
 that could not be written (one ``error: cannot write output: ...`` line, as
 on a full disk), 4 non-convergence (a pass cap, set with
-``--iteration-cap``, was exceeded).
+``--iteration-cap``, was exceeded).  A closed or full stderr loses the
+error line (:func:`_stderr`), never the exit code or the output.
 ``--out PATH`` makes a new file beside PATH before the command computes
 anything and moves it onto PATH only on exit 0; a device, a pipe, the file
 open as stdout or stderr, or the file that a ``/dev/fd/N`` path names is
@@ -25,8 +26,8 @@ rounds x n, and exits 3 past it before the register is built.
 ``optswaps`` prints one row per swap, up to 1.64M rows at n = 23.  The rows
 of all three formats come from :func:`render_swaps`.  Over a run of rows in
 which the decimals of j and of 2^n - 1 - j keep their widths, it fills one
-fixed-width byte matrix (at most 2^14 rows) from a row template, digit
-columns and a byte table for the kets, and yields it as text.
+fixed-width byte matrix (at most ROW_CHUNK = 2^14 rows) from a row template,
+digit columns and a byte table for the kets, and yields it as text.
 CSV prints only the rows, so without ``--verify`` the command takes the
 swap indices from the register itself, one pair of 2^16-entry blocks at a
 time, and builds no 2^n vector; its ``--verify`` line goes to stderr.  Text
@@ -53,7 +54,7 @@ import os
 import re
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -205,14 +206,18 @@ def _render_run(j: np.ndarray, n: int, consts: list[bytes]) -> str:
     return str(mat.data, "ascii")
 
 
-def render_swaps(idx: np.ndarray, n: int, fmt: str, chunk: int = 1 << 14) -> Iterator[str]:
+#: Most swap rows that :func:`render_swaps` renders into one byte matrix.
+ROW_CHUNK = 1 << 14
+
+
+def render_swaps(idx: np.ndarray, n: int, fmt: str) -> Iterator[str]:
     """The rows of the swap indices *idx* in format *fmt*, streamed as strings.
 
     Joined, the strings are the rows separated by the format's separator.
 
     The indices increase, so the decimal widths of j and of its complement
     2^n - 1 - j are constant over runs of rows.  Each run, cut further into
-    at most *chunk* rows, is one byte matrix with a fixed column layout: the
+    at most ROW_CHUNK rows, is one byte matrix with a fixed column layout: the
     template's pieces broadcast from one row, the two decimals' digit
     columns, and the n bits of j's ket from a byte table; the complement's
     ket flips every bit.
@@ -222,7 +227,7 @@ def render_swaps(idx: np.ndarray, n: int, fmt: str, chunk: int = 1 << 14) -> Ite
     top = (1 << n) - 1
     powers = [10 ** k for k in range(1, len(str(top)))]
     cuts = np.searchsorted(idx, powers + [top + 1 - p for p in powers])
-    bounds = np.unique(np.concatenate([cuts, np.arange(0, idx.size, chunk), [idx.size]]))
+    bounds = np.unique(np.concatenate([cuts, np.arange(0, idx.size, ROW_CHUNK), [idx.size]]))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         text = _render_run(idx[lo:hi], n, consts)
         yield text if hi < idx.size else text[:-len(sep)]
@@ -238,6 +243,17 @@ def _around(text: str, rows: Iterable[str]) -> Iterator[str]:
     yield lead
     yield from rows
     yield trail
+
+
+def _stderr(line: str) -> None:
+    """Print *line* to ``sys.stderr``, looked up now; a closed or failing stderr drops it.
+
+    A None stderr prints nothing: ``print(file=None)`` would write to stdout.
+    """
+    err = sys.stderr
+    if err is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=err)
 
 
 def _optimality_line(verification) -> str:
@@ -267,21 +283,14 @@ def cmd_optswaps(args) -> Iterator[str]:
         idx = find_optswaps(register)  # one block pair at a time, no 2^n vector
     rows = [_ROWS] if idx.size else []
     if args.format == "json":
-        verify = {} if verification is None else {"verify": {
-            "swaps_performed": verification.swaps_performed,
-            "case1_passed": verification.case1_passed,
-            "case2_passed": verification.case2_passed,
-            "case3_passed": verification.case3_passed,
-            "counterexamples": [{"case": c.case, "k": c.k, "l": c.l, "excess": c.excess}
-                                for c in verification.counterexamples],
-        }}
+        verify = {} if verification is None else {"verify": asdict(verification)}
         text = _report("optswaps", n=n, biases=register.values.tolist(),
                        swaps=_Verbatim("\n".join(["[", *rows, "  ]"]) if rows else "[]"),
                        count=idx.size, gain=gain, target_bias_before=before,
                        target_bias_after=before + gain, **verify)
     elif args.format == "csv":
         if verification is not None:  # the rows are the whole of stdout
-            print(_optimality_line(verification), file=sys.stderr)
+            _stderr(_optimality_line(verification))
         text = "\n".join(["zero_t,one_t,ket_zero_t,ket_one_t", *rows, ""])
     else:
         lines = [f"n: {n}", f"swaps: {idx.size}", *rows]
@@ -516,7 +525,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sink, temp, target = (None, None, None) if args.out is None else _open_out(args.out)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         reason = getattr(exc, "strerror", None) or exc
-        print(f"error: cannot write --out {args.out!r}: {reason}", file=sys.stderr)
+        _stderr(f"error: cannot write --out {args.out!r}: {reason}")
         return EXIT_USAGE
     code = None
     try:
@@ -532,22 +541,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             sink.close()
         code = EXIT_OK
     except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         code = EXIT_RESOURCE
     except MemoryError as exc:
-        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        _stderr(f"error: out of memory: {exc or 'an allocation failed'}")
         code = EXIT_RESOURCE
     except DivergenceError as exc:
-        print(f"error: {exc}; --iteration-cap raises the limit", file=sys.stderr)
+        _stderr(f"error: {exc}; --iteration-cap raises the limit")
         code = EXIT_NONCONVERGENCE
     except ValueError as exc:  # a UsageError among them
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         code = EXIT_USAGE
     except OSError as exc:  # writing the output failed
         if isinstance(exc, BrokenPipeError):
             code = EXIT_OK  # the reader closed it early, as `| head` does, and wants no more
         else:  # a full disk or device
-            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+            _stderr(f"error: cannot write output: {exc.strerror or exc}")
             code = EXIT_RESOURCE
         if sink is None and sys.stdout is not None:  # to devnull: the exit flush cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

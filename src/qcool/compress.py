@@ -32,9 +32,8 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import ResourceCapError
-from .regstate import (DEFAULT_SIZE_CAP, DiagDist, RegisterBiases, _block_starts, _check_size,
-                       _fill_block)
+from . import regstate
+from .regstate import DiagDist, RegisterBiases, _block_starts, _check_size, _fill_block
 
 #: Pairs whose relative difference is below this are treated as equal
 #: (no swap), preventing zero-gain churn in iterative callers.
@@ -123,11 +122,6 @@ def _beneficial_mask(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return (tail - head) > REL_TIE_TOL * np.maximum(np.abs(head), np.abs(tail))
 
 
-#: Pairs per slice of a blocked beneficial-pair scan; bounds its temporaries
-#: to a few 512 KiB arrays, whatever the register size.
-_MASK_BLOCK = 1 << 16
-
-
 def _mask_indices(slices: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -> np.ndarray:
     """Sorted int64 indices where :func:`_beneficial_mask` holds over *size* pairs.
 
@@ -144,9 +138,10 @@ def _mask_indices(slices: Iterable[tuple[np.ndarray, np.ndarray]], size: int) ->
 
 
 def _beneficial_indices(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Sorted int64 indices where :func:`_beneficial_mask` holds, one slice at a time."""
-    return _mask_indices(((head[lo:lo + _MASK_BLOCK], tail[lo:lo + _MASK_BLOCK])
-                          for lo in range(0, head.size, _MASK_BLOCK)), head.size)
+    """Sorted int64 indices where :func:`_beneficial_mask` holds, one build block at a time."""
+    step = 1 << regstate._BLOCK_BITS
+    return _mask_indices(((head[lo:lo + step], tail[lo:lo + step])
+                          for lo in range(0, head.size, step)), head.size)
 
 
 def _register_slices(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -259,7 +254,7 @@ def _violations(case: int, ks: np.ndarray, a: np.ndarray, ls: np.ndarray,
     return found
 
 
-def verify_optimality(dist: DiagDist, *, max_n: int = DEFAULT_SIZE_CAP) -> OptimalityReport:
+def verify_optimality(dist: DiagDist) -> OptimalityReport:
     """Check that the selected swaps maximize the target bias, for every pair.
 
     With h = head (0T) and t = tail (1T) values, performed swaps K (gain
@@ -273,12 +268,9 @@ def verify_optimality(dist: DiagDist, *, max_n: int = DEFAULT_SIZE_CAP) -> Optim
     Each case is one comparison of two probamps, decided exactly.  Case 2
     cannot fail on its diagonal, as h_k < t_k for k in K.  The cost is
     O(2^n), plus one O(2^n) row scan for each k with a counterexample.
-    Registers beyond *max_n* qubits are rejected.
+    Registers beyond the size cap raise :class:`ResourceCapError`.
     """
-    n = dist.n
-    if n > max_n:
-        raise ResourceCapError(
-            f"optimality check on {n} qubits exceeds the cap {max_n}")
+    _check_size(dist.n)
     head, tail = _halves(dist.probamps)
     K = _beneficial_indices(head, tail)
     L = _beneficial_indices(tail, head)  # ties belong to neither side

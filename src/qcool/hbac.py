@@ -290,18 +290,16 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
         while_passes=while_passes)
 
 
-def complexity_sweep(n_values: Sequence[int], eps: float, rounds: int | None = None,
-                     precision: float = 1e-9, mode: str = MODE_FULL) -> list[tuple[int, int]]:
+def complexity_sweep(n_values: Sequence[int], eps: float,
+                     rounds: int | None = None) -> list[tuple[int, int]]:
     """Run register compression over register sizes; rows of (n, complexity).
 
-    Uses rounds = n - 2 per size unless overridden.  Complexity must grow
-    with the register size whenever any cooling happens at all.
+    Uses :class:`HbacConfig`'s defaults (rounds = n - 2 unless overridden).
+    Complexity must grow with the register size whenever any cooling happens.
     """
     rows: list[tuple[int, int]] = []
     for n in n_values:
-        config = HbacConfig(RegisterBiases.equal(n, eps), rounds,
-                            precision=precision, mode=mode)
-        report = register_compression(config)
+        report = register_compression(HbacConfig(RegisterBiases.equal(n, eps), rounds))
         rows.append((n, report.complexity))
     counts = [c for _, c in rows]
     if any(c > 0 for c in counts) and any(b <= a for a, b in zip(counts, counts[1:])):

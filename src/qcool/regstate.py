@@ -16,17 +16,17 @@ import numpy as np
 
 from .errors import ResourceCapError
 
-#: Largest register for which the full 2^n distribution is materialized.
-DEFAULT_SIZE_CAP = 26
+#: Largest register, in qubits, whose 2^n distribution is built or checked.
+SIZE_CAP = 26
 
 #: Absolute tolerance on the probamp normalization check.
 NORM_ATOL = 1e-9
 
 
-def _check_size(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
-    """Raise :class:`ResourceCapError` for a register of more than *size_cap* qubits."""
-    if n > size_cap:
-        raise ResourceCapError(f"register of {n} qubits exceeds the size cap {size_cap}")
+def _check_size(n: int) -> None:
+    """Raise :class:`ResourceCapError` for a register of more than SIZE_CAP qubits."""
+    if n > SIZE_CAP:
+        raise ResourceCapError(f"register of {n} qubits exceeds the size cap {SIZE_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +129,7 @@ class DiagDist:
 
 #: Past the top qubits, the build finishes one block of 2^_BLOCK_BITS
 #: entries (512 KiB) at a time, so each block's remaining levels stay in cache.
+#: The beneficial-pair scan of :mod:`qcool.compress` masks slices of that size.
 _BLOCK_BITS = 16
 
 
@@ -184,14 +185,14 @@ def _probamps_raw(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return out
 
 
-def probamps(register: RegisterBiases, *, size_cap: int = DEFAULT_SIZE_CAP) -> DiagDist:
+def probamps(register: RegisterBiases) -> DiagDist:
     """Build the diagonal distribution of the product state described by *register*.
 
     Entry j is the product over qubits i of (1 + eps_i)/2 if bit i of j
-    (MSB-first) is 0, else (1 - eps_i)/2.  Registers larger than *size_cap*
+    (MSB-first) is 0, else (1 - eps_i)/2.  Registers larger than SIZE_CAP
     qubits raise :class:`ResourceCapError`.
     """
-    _check_size(register.n, size_cap)
+    _check_size(register.n)
     return DiagDist._own(_probamps_raw(register.values))
 
 

@@ -7,6 +7,7 @@ from qcool import (Circuit, Gate, RegisterBiases, ResourceCapError,
                    apply_circuit, apply_swaps, circuit_permutation,
                    export_text, find_optswaps, lim_comp, nb_maxcomp,
                    parse_text, probamps)
+from qcool import circuits
 from oracles import nbmc_text, transposition_perm
 
 
@@ -145,9 +146,10 @@ class TestCircuitPermutation:
         perm = circuit_permutation(lim_comp(4))
         assert perm[7] == 8 and perm[8] == 7
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(circuits, "PERM_CAP", 5)
         with pytest.raises(ResourceCapError):
-            circuit_permutation(Circuit(6), size_cap=5)
+            circuit_permutation(Circuit(6))
 
 
 class TestApplyCircuit:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import qcool.cli as cli
 from fixture_sets import STRESS_SETS
 from oracles import swap_rows
-from qcool import circuit_permutation, lim_comp, parse_text
+from qcool import (Counterexample, OptimalityReport, circuit_permutation, lim_comp,
+                   parse_text)
 
 
 #: A register size far past the size cap, and past a C index.
@@ -40,6 +41,29 @@ class TestOptswaps:
         assert "case1=pass" in out and "case2=pass" in out
         gain = float(next(ln for ln in out.splitlines() if ln.startswith("gain:")).split()[1])
         assert gain == pytest.approx(0.096, abs=1e-12)
+
+    def test_json_verify_object(self, capsys, monkeypatch):
+        # The report's fields in declaration order, counterexamples included;
+        # a product register never has any, so the check's result is injected.
+        report = OptimalityReport(1, False, True, None, (Counterexample(1, 3, 5, 0.25),
+                                                         Counterexample(2, 3, 3, 5e-324)))
+        monkeypatch.setattr(cli, "verify_optimality", lambda dist: report)
+        code, out, _ = run(capsys, "optswaps", "--n", "3", "--epsilon", "0.2",
+                           "--format", "json", "--verify")
+        assert code == 0
+        assert out.endswith(
+            '  "target_bias_after": 0.29599999999999993,\n'
+            '  "verify": {\n'
+            '    "swaps_performed": 1,\n'
+            '    "case1_passed": false,\n'
+            '    "case2_passed": true,\n'
+            '    "case3_passed": null,\n'
+            '    "counterexamples": [\n'
+            '      {\n        "case": 1,\n        "k": 3,\n        "l": 5,\n'
+            '        "excess": 0.25\n      },\n'
+            '      {\n        "case": 2,\n        "k": 3,\n        "l": 3,\n'
+            '        "excess": 4.9406564584124654e-324\n      }\n'
+            '    ]\n  }\n}\n')
 
     def test_pure_target_empty(self, capsys):
         code, out, _ = run(capsys, "optswaps", "--biases", "1.0,0.5", "--format", "json")
@@ -137,9 +161,11 @@ class TestSwapRenderer:
     def test_matches_reference_rows(self, subset, chunk):
         n, swaps = subset
         idx = np.array(swaps, dtype=np.int64)
-        for fmt, sep in self.SEPARATORS.items():
-            assert ("".join(cli.render_swaps(idx, n, fmt, chunk))
-                    == sep.join(swap_rows(swaps, n, fmt)))
+        with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns: no function fixture
+            mp.setattr(cli, "ROW_CHUNK", chunk)
+            for fmt, sep in self.SEPARATORS.items():
+                assert ("".join(cli.render_swaps(idx, n, fmt))
+                        == sep.join(swap_rows(swaps, n, fmt)))
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
     @pytest.mark.parametrize("swaps", [
@@ -148,11 +174,12 @@ class TestSwapRenderer:
         list(range(31060, 31080)),  # 2^17 - 1 - j crosses 100000 -> 99999 at 31072
         [9999, 10000, 31071, 31072, 65535],
     ], ids=["empty", "j", "complement", "both"])
-    def test_width_boundaries(self, swaps, chunk):
+    def test_width_boundaries(self, monkeypatch, swaps, chunk):
         # chunk 7 splits the 10-row runs on either side of each boundary
+        monkeypatch.setattr(cli, "ROW_CHUNK", chunk)
         idx = np.array(swaps, dtype=np.int64)
         for fmt, sep in self.SEPARATORS.items():
-            got = list(cli.render_swaps(idx, 17, fmt, chunk))
+            got = list(cli.render_swaps(idx, 17, fmt))
             assert "".join(got) == sep.join(swap_rows(swaps, 17, fmt))
             if fmt == "csv":  # streamed: no piece holds more than chunk rows
                 assert all(piece.count("\n") <= chunk for piece in got)
@@ -362,6 +389,14 @@ class _FullSink:
         self.sink.close()
 
 
+def shell(argv, redirect, **kw):
+    """``python -m qcool.cli`` run by the shell with *redirect* appended."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    cmd = shlex.join([sys.executable, "-m", "qcool.cli", *argv])
+    return subprocess.run(f"{cmd} {redirect}", shell=True, env=env, stdout=subprocess.PIPE,
+                          timeout=60, **kw)
+
+
 class TestOutputWriteErrors:
     """Output that cannot be written exits 3 with one line and no traceback."""
 
@@ -408,13 +443,53 @@ class TestOutputWriteErrors:
                                        "--format", "csv")])
     def test_closed_stdout(self, argv):
         # Started with stdout closed, Python sets sys.stdout to None.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        cmd = shlex.join([sys.executable, "-m", "qcool.cli", *argv])
-        proc = subprocess.run(f"{cmd} >&-", shell=True, env=env, stderr=subprocess.PIPE,
-                              timeout=60)
+        proc = shell(argv, ">&-", stderr=subprocess.PIPE)
         err = proc.stderr.decode()
         assert proc.returncode == 3, err
         assert err == "error: cannot write output: stdout is closed\n"
+
+
+#: The CSV rows of ``optswaps --n 4 --epsilon 0.2 --format csv``.
+CSV_N4 = b"zero_t,one_t,ket_zero_t,ket_one_t\n7,8,0111,1000\n"
+
+
+class TestStderrFailure:
+    """A closed or failing stderr loses its lines, never the exit code or the output."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("limits", "--n", "10", "--epsilon", "0.1"), 2),
+        (("limits", "--n", "5", "--epsilon", "0.1", "--iteration-cap", "1"), 4),
+        (("optswaps", "--n", "30", "--epsilon", "0.1"), 3),
+        (("limits", "--n", "3", "--epsilon", "0.1", "--out", "/no/such/dir/f"), 2),
+    ], ids=["usage", "nonconvergence", "size-cap", "out-path"])
+    def test_closed_stderr_keeps_the_exit_code(self, argv, code):
+        proc = shell(argv, "2>&-")
+        assert (proc.returncode, proc.stdout) == (code, b"")
+
+    def test_closed_stderr_csv_verify(self, tmp_path):
+        argv = ("optswaps", "--n", "4", "--epsilon", "0.2", "--format", "csv", "--verify")
+        proc = shell(argv, "2>&-")
+        assert (proc.returncode, proc.stdout) == (0, CSV_N4)
+        proc = shell(argv + ("--out", "o.csv"), "2>&-", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, b"")
+        assert os.listdir(tmp_path) == ["o.csv"]
+        assert (tmp_path / "o.csv").read_bytes() == CSV_N4
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stderr(self):
+        proc = shell(("limits", "--n", "3", "--epsilon", "0.1", "--rounds", "5"), "2>/dev/full")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        proc = shell(("optswaps", "--n", "4", "--epsilon", "0.2", "--format", "csv", "--verify"),
+                     "2>/dev/full")
+        assert (proc.returncode, proc.stdout) == (0, CSV_N4)
+
+    def test_none_stderr_prints_nothing(self, capsys, monkeypatch):
+        # print(file=None) would write the line to stdout
+        monkeypatch.setattr(sys, "stderr", None)
+        assert cli.main(["limits", "--n", "3", "--epsilon", "0.1", "--rounds", "5"]) == 2
+        assert cli.main(["optswaps", "--n", "4", "--epsilon", "0.2", "--format", "csv",
+                         "--verify"]) == 0
+        assert capsys.readouterr().out == CSV_N4.decode()
 
 
 class TestCommandsReturnOutput:

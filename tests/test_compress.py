@@ -268,10 +268,11 @@ class TestVerifyOptimality:
         assert report.case3_passed is None
         assert report.counterexamples == ()
 
-    def test_size_cap(self):
-        from qcool import ResourceCapError
-        with pytest.raises(ResourceCapError):
-            verify_optimality(dist_of([0.1] * 4), max_n=3)
+    def test_size_cap(self, monkeypatch):
+        dist = dist_of([0.1] * 4)
+        monkeypatch.setattr(regstate, "SIZE_CAP", 3)
+        with pytest.raises(ResourceCapError, match="register of 4 qubits exceeds the size cap 3"):
+            verify_optimality(dist)
 
     @given(biases_st)
     @settings(max_examples=40, deadline=None)

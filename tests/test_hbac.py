@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -244,6 +246,45 @@ def gate(beta):
     return hbac._only_limiting_pair(beta[0], max(beta), len(beta), *hbac._limiting_probamps(beta))
 
 
+def cooling_run(values, mode):
+    """Everything a cooling run of *values* reports, its exchange events included."""
+    events = []
+    config = HbacConfig(RegisterBiases.from_values(values), len(values) - 2, mode=mode)
+    report = register_compression(config, on_swap=lambda *e: events.append(e))
+    return (report.complexity, report.per_round_swaps, report.while_passes,
+            report.round_limits.values.tobytes(), events)
+
+
+def force_full_mask(monkeypatch):
+    """Full passes always build the mask; lim passes read the pair from the full build."""
+    def full_build_pair(beta):
+        p = _probamps_raw(beta)
+        return p[p.size // 2 - 1], p[p.size // 2], min(beta[1:])
+
+    monkeypatch.setattr(hbac, "_only_limiting_pair", lambda *args: False)
+    monkeypatch.setattr(hbac, "_limiting_probamps", full_build_pair)
+
+
+def line_hits(func, text, call):
+    """call()'s result and how often the line of *func* containing *text* ran during it."""
+    lines, first = inspect.getsourcelines(func)
+    target = first + next(i for i, line in enumerate(lines) if text in line)
+    hits = []
+
+    def in_func(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hits.append(target)
+        return in_func
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_func if frame.f_code is func.__code__ else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, len(hits)
+
+
 class TestLimitingPairFastPath:
     @settings(max_examples=500, deadline=None)
     @given(product_registers())
@@ -276,28 +317,33 @@ class TestLimitingPairFastPath:
     @pytest.mark.parametrize("values", [(eps,) * n for n in range(3, 7) for eps in (0.1, 1e-5)]
                              + UNEQUAL_SETS, ids=lambda v: ",".join(map(repr, v)))
     def test_same_run_as_full_mask_path(self, monkeypatch, values, mode):
-        def run():
-            events = []
-            config = HbacConfig(RegisterBiases.from_values(values), len(values) - 2, mode=mode)
-            report = register_compression(config, on_swap=lambda *e: events.append(e))
-            return (report.complexity, report.per_round_swaps, report.while_passes,
-                    report.round_limits.values.tobytes(), events)
-
         real_gate = hbac._only_limiting_pair
         verdicts = []
         monkeypatch.setattr(hbac, "_only_limiting_pair",
                             lambda *args: verdicts.append(real_gate(*args)) or verdicts[-1])
-        fast = run()
+        fast = cooling_run(values, mode)
         if mode == "full":
             assert sum(verdicts) > 0.9 * len(verdicts)
         else:
             assert not verdicts  # lim mode never consults the gate
+        force_full_mask(monkeypatch)
+        assert cooling_run(values, mode) == fast
 
-        def full_build_pair(beta):
-            p = _probamps_raw(beta)
-            return p[p.size // 2 - 1], p[p.size // 2], min(beta[1:])
-
-        # full passes always build the mask; lim passes read the pair from the full build
-        monkeypatch.setattr(hbac, "_only_limiting_pair", lambda *args: False)
-        monkeypatch.setattr(hbac, "_limiting_probamps", full_build_pair)
-        assert run() == fast
+    @pytest.mark.parametrize("mode", ["full", "lim"])
+    @pytest.mark.parametrize("values, complexity", [
+        ((0.0, 0.2, 0.1), {"full": 31, "lim": 30}),
+        ((0.0, 0.3, 0.3, 0.3), {"full": 512, "lim": 510}),
+    ])
+    def test_zero_default_head(self, monkeypatch, values, complexity, mode):
+        # A head whose default bias is 0 starts its first pass at exactly 0.0,
+        # so that pass converges only if the head stays 0.0 (no ratio to take).
+        fast, hits = line_hits(hbac._sub_compress, "converged = gamma[0] == 0.0",
+                               lambda: cooling_run(values, mode))
+        assert hits == 1
+        assert fast[0] == complexity[mode]
+        config = HbacConfig(RegisterBiases.from_values(values), len(values) - 2, mode=mode)
+        report = register_compression(config)
+        final, targets = report.round_limits.values[-1], report.targets.values[-1]
+        assert np.all(np.abs(final / targets - 1.0) <= 10 * config.precision)
+        force_full_mask(monkeypatch)
+        assert cooling_run(values, mode) == fast

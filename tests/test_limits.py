@@ -149,6 +149,16 @@ class TestSingleRoundLimit:
         with pytest.raises(ValueError):
             single_round_limit(0.1, 0)
 
+    @pytest.mark.parametrize("call, bad", [
+        (lambda: single_round_limit(-0.1, 2), "-0.1"),
+        (lambda: single_round_limit(math.nan, 2), "nan"),
+        (lambda: analytic_limit(1, 1, 3, 1.5), "1.5"),
+    ], ids=["negative", "nan", "analytic-above-one"])
+    def test_rejects_bias_outside_unit_interval(self, call, bad):
+        # the closed forms' shared range check, in the tanh ratio
+        with pytest.raises(ValueError, match=re.escape(f"bias must lie in [0, 1], got {bad}")):
+            call()
+
     @given(st.floats(0.001, 0.999), st.integers(1, 30))
     @settings(max_examples=100)
     def test_fixed_point_relation(self, eps, m):

@@ -105,9 +105,10 @@ class TestProbamps:
         d = probamps(RegisterBiases.from_values([0.5, 0.2]))
         assert d.probamps == pytest.approx([0.45, 0.30, 0.15, 0.10], abs=1e-15)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(regstate, "SIZE_CAP", 4)
         with pytest.raises(ResourceCapError):
-            probamps(RegisterBiases.equal(5, 0.1), size_cap=4)
+            probamps(RegisterBiases.equal(5, 0.1))
 
     @given(biases_st)
     def test_matches_bit_loop_oracle(self, values):
