@@ -245,15 +245,19 @@ def _around(text: str, rows: Iterable[str]) -> Iterator[str]:
     yield trail
 
 
-def _stderr(line: str) -> None:
-    """Print *line* to ``sys.stderr``, looked up now; a closed or failing stderr drops it.
+def _to_devnull(stream) -> None:
+    """Point *stream*'s descriptor at devnull, so the exit flush of its buffer cannot fail."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
-    A None stderr prints nothing: ``print(file=None)`` would write to stdout.
-    """
+
+def _stderr(line: str) -> None:
+    """Print *line* to ``sys.stderr``, looked up now; a closed or failing stderr drops it."""
     err = sys.stderr
-    if err is not None:
-        with contextlib.suppress(OSError):
+    try:
+        if err is not None:  # print(file=None) would write to stdout
             print(line, file=err)
+    except OSError:  # a full device; the line stays buffered, and its exit flush would exit 120
+        _to_devnull(err)
 
 
 def _optimality_line(verification) -> str:
@@ -558,8 +562,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:  # a full disk or device
             _stderr(f"error: cannot write output: {exc.strerror or exc}")
             code = EXIT_RESOURCE
-        if sink is None and sys.stdout is not None:  # to devnull: the exit flush cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sink is None and sys.stdout is not None:
+            _to_devnull(sys.stdout)
     finally:
         if sink is not None:
             with contextlib.suppress(OSError):  # the output has failed already

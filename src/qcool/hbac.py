@@ -290,16 +290,15 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
         while_passes=while_passes)
 
 
-def complexity_sweep(n_values: Sequence[int], eps: float,
-                     rounds: int | None = None) -> list[tuple[int, int]]:
+def complexity_sweep(n_values: Sequence[int], eps: float) -> list[tuple[int, int]]:
     """Run register compression over register sizes; rows of (n, complexity).
 
-    Uses :class:`HbacConfig`'s defaults (rounds = n - 2 unless overridden).
+    Uses :class:`HbacConfig`'s defaults (rounds = n - 2).
     Complexity must grow with the register size whenever any cooling happens.
     """
     rows: list[tuple[int, int]] = []
     for n in n_values:
-        report = register_compression(HbacConfig(RegisterBiases.equal(n, eps), rounds))
+        report = register_compression(HbacConfig(RegisterBiases.equal(n, eps), None))
         rows.append((n, report.complexity))
     counts = [c for _, c in rows]
     if any(c > 0 for c in counts) and any(b <= a for a, b in zip(counts, counts[1:])):

@@ -389,9 +389,24 @@ class _FullSink:
         self.sink.close()
 
 
-def shell(argv, redirect, **kw):
-    """``python -m qcool.cli`` run by the shell with *redirect* appended."""
+def child_env(unbuffered=None):
+    """The environment of a ``python -m qcool.cli`` child.
+
+    A bool *unbuffered* sets or clears PYTHONUNBUFFERED, whatever the caller's
+    environment holds: without it, a redirected stdout is block-buffered and a
+    redirected stderr line-buffered.
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def shell(argv, redirect, unbuffered=None, **kw):
+    """``python -m qcool.cli`` run by the shell with *redirect* appended."""
+    env = child_env(unbuffered)
     cmd = shlex.join([sys.executable, "-m", "qcool.cli", *argv])
     return subprocess.run(f"{cmd} {redirect}", shell=True, env=env, stdout=subprocess.PIPE,
                           timeout=60, **kw)
@@ -427,13 +442,9 @@ class TestOutputWriteErrors:
     def test_full_device(self, argv, redirect, unbuffered):
         # Buffered stdout fails only at its flush: main flushes it, so the
         # error does not reach the interpreter's exit (exit 120).
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full" if redirect else os.devnull, "wb") as stdout:
             proc = subprocess.run([sys.executable, "-m", "qcool.cli", *argv], stdout=stdout,
-                                  stderr=subprocess.PIPE, env=env, timeout=60)
+                                  stderr=subprocess.PIPE, env=child_env(unbuffered), timeout=60)
         err = proc.stderr.decode()
         assert proc.returncode == 3, err
         assert err == "error: cannot write output: No space left on device\n"
@@ -476,12 +487,19 @@ class TestStderrFailure:
         assert (tmp_path / "o.csv").read_bytes() == CSV_N4
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_full_stderr(self):
-        proc = shell(("limits", "--n", "3", "--epsilon", "0.1", "--rounds", "5"), "2>/dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stderr(self, unbuffered):
+        # A line-buffered stderr keeps the failed line, and the interpreter's
+        # exit flush would fail on it again (exit 120).
+        proc = shell(("limits", "--n", "3", "--epsilon", "0.1", "--rounds", "5"), "2>/dev/full",
+                     unbuffered)
         assert (proc.returncode, proc.stdout) == (2, b"")
         proc = shell(("optswaps", "--n", "4", "--epsilon", "0.2", "--format", "csv", "--verify"),
-                     "2>/dev/full")
+                     "2>/dev/full", unbuffered)
         assert (proc.returncode, proc.stdout) == (0, CSV_N4)
+        proc = shell(("bounds", "--n", "8", "--epsilon", "0.1"), ">/dev/full 2>/dev/full",
+                     unbuffered)
+        assert (proc.returncode, proc.stdout) == (3, b"")
 
     def test_none_stderr_prints_nothing(self, capsys, monkeypatch):
         # print(file=None) would write the line to stdout
