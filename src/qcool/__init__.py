@@ -5,8 +5,7 @@ from .circuits import (Circuit, Gate, apply_circuit, circuit_permutation,
 from .compress import (Counterexample, OptimalityReport, apply_swaps,
                        bias_gain, find_optswaps, verify_optimality)
 from .errors import DivergenceError, ResourceCapError
-from .hbac import (CoolingReport, HbacConfig, complexity_sweep, register_compression,
-                   subspace_compression)
+from .hbac import CoolingReport, HbacConfig, register_compression, subspace_compression
 from .limits import (LimitMatrix, analytic_limit, analytic_limits, f, max_rounds,
                      numerical_limits, shannon_bound, single_round_limit,
                      sort_bound, sqrt_bound)
@@ -23,7 +22,7 @@ __all__ = [
     "f", "analytic_limit", "analytic_limits", "single_round_limit", "numerical_limits",
     "LimitMatrix", "sort_bound", "shannon_bound", "sqrt_bound", "max_rounds",
     "HbacConfig", "CoolingReport",
-    "register_compression", "subspace_compression", "complexity_sweep",
+    "register_compression", "subspace_compression",
     "Gate", "Circuit", "nb_maxcomp", "lim_comp", "circuit_permutation",
     "apply_circuit", "export_text", "parse_text",
     "ResourceCapError", "DivergenceError",

@@ -64,9 +64,9 @@ from .circuits import export_text, lim_comp, nb_maxcomp
 from .compress import bias_gain, find_optswaps, verify_optimality
 from .errors import DivergenceError, ResourceCapError
 from .hbac import HbacConfig, register_compression
-from .limits import (DEFAULT_ITERATION_CAP, _check_grid, analytic_limit, analytic_limits,
-                     check_rounds, numerical_limits, shannon_bound, single_round_limit,
-                     sqrt_bound)
+from .limits import (DEFAULT_ITERATION_CAP, DEFAULT_PRECISION, _check_grid, analytic_limit,
+                     analytic_limits, check_rounds, numerical_limits, shannon_bound,
+                     single_round_limit, sqrt_bound)
 from .regstate import RegisterBiases, _check_size, marginal_bias, probamps
 
 SCHEMA_VERSION = 1
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(CSV columns: round,q1..qn)")
     _add_bias_args(p)
     p.add_argument("--rounds", type=int, help="number of limiting rounds (default n-2)")
-    p.add_argument("--precision", type=_precision, default=1e-9)
+    p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p.add_argument("--analytic", action="store_true",
                    help="closed-form evaluation (equal biases only)")
     _add_iteration_cap(p)
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cool", help="full register compression with swap counting")
     _add_bias_args(p)
     p.add_argument("--rounds", type=int)
-    p.add_argument("--precision", type=_precision, default=1e-9)
+    p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p.add_argument("--mode", choices=["full", "lim"], default="full")
     _add_iteration_cap(p)
     p.add_argument("--out")
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", help="comma-separated biases (with --n)")
     p.add_argument("--n", type=int)
     p.add_argument("--rounds", type=int, help="override rounds (default n-2)")
-    p.add_argument("--precision", type=_precision, default=1e-9)
+    p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p.add_argument("--mode", choices=["full", "lim"], default="full")
     _add_iteration_cap(p)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
@@ -548,7 +548,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _stderr(f"error: {exc}")
         code = EXIT_RESOURCE
     except MemoryError as exc:
-        _stderr(f"error: out of memory: {exc or 'an allocation failed'}")
+        _stderr(f"error: out of memory: {str(exc) or 'an allocation failed'}")
         code = EXIT_RESOURCE
     except DivergenceError as exc:
         _stderr(f"error: {exc}; --iteration-cap raises the limit")

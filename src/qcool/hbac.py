@@ -35,23 +35,24 @@ bit-identical exchanges.  A pass whose head starts at its cap exchanges
 nothing and ends before the walk.  The walk, the gate and its margin proof
 live in :mod:`qcool.compress`, which :func:`numerical_limits` shares.
 
-Every individual pair exchange is counted; the total is the run's
-complexity.  Pass counts are reported alongside for the coarser reading of
-a "swap" as one full compression application.
+Every individual pair exchange is counted; the run's complexity is the sum
+of the per-round counts.  Pass counts are reported alongside for the coarser
+reading of a "swap" as one full compression application.  ``qcool sweep``
+runs one register compression per point of a sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .compress import (_beneficial, _beneficial_indices, _halves, _limiting_probamps,
                        _only_limiting_pair)
 from .errors import DivergenceError
-from .limits import (DEFAULT_ITERATION_CAP, LimitMatrix, check_loop, check_rounds,
-                     numerical_limits)
+from .limits import (DEFAULT_ITERATION_CAP, DEFAULT_PRECISION, LimitMatrix, check_loop,
+                     check_rounds, numerical_limits)
 from .regstate import RegisterBiases, _probamps_raw
 
 MODE_FULL = "full"
@@ -72,7 +73,7 @@ class HbacConfig:
 
     biases: RegisterBiases
     rounds: int | None
-    precision: float = 1e-9
+    precision: float = DEFAULT_PRECISION
     mode: str = MODE_FULL
     iteration_cap: int = DEFAULT_ITERATION_CAP
 
@@ -91,11 +92,15 @@ class HbacConfig:
 class CoolingReport:
     """Outcome of a register-compression run."""
 
-    complexity: int
     round_limits: LimitMatrix
     per_round_swaps: tuple[int, ...]
     targets: LimitMatrix
     while_passes: int
+
+    @property
+    def complexity(self) -> int:
+        """Pair exchanges over the whole run: the sum of ``per_round_swaps``."""
+        return sum(self.per_round_swaps)
 
 
 def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: int, x: int,
@@ -269,7 +274,6 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
 
     rl = np.zeros((config.rounds, n))
     rl[0] = config.biases.values
-    complexity = 0
     while_passes = 0
     per_round: list[int] = []
     for r in range(1, config.rounds + 1):
@@ -280,27 +284,9 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
             while_passes += passes
         if r < config.rounds:
             rl[r] = rl[r - 1]
-        complexity += totswaps
         per_round.append(totswaps)
     return CoolingReport(
-        complexity=complexity,
         round_limits=LimitMatrix(rl),
         per_round_swaps=tuple(per_round),
         targets=targets,
         while_passes=while_passes)
-
-
-def complexity_sweep(n_values: Sequence[int], eps: float) -> list[tuple[int, int]]:
-    """Run register compression over register sizes; rows of (n, complexity).
-
-    Uses :class:`HbacConfig`'s defaults (rounds = n - 2).
-    Complexity must grow with the register size whenever any cooling happens.
-    """
-    rows: list[tuple[int, int]] = []
-    for n in n_values:
-        report = register_compression(HbacConfig(RegisterBiases.equal(n, eps), None))
-        rows.append((n, report.complexity))
-    counts = [c for _, c in rows]
-    if any(c > 0 for c in counts) and any(b <= a for a, b in zip(counts, counts[1:])):
-        raise RuntimeError(f"complexity failed to grow across sizes: {rows}")
-    return rows

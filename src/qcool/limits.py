@@ -40,6 +40,10 @@ TANH_CROSSOVER = 30.0
 #: in :func:`numerical_limits`, per (round, head) in register cooling.
 DEFAULT_ITERATION_CAP = 10 ** 6
 
+#: Default relative change per pass at which a convergence loop stops, in
+#: :func:`numerical_limits`, register cooling and the CLI's ``--precision``.
+DEFAULT_PRECISION = 1e-9
+
 #: Most ancillas whose factors one block of a numerical-limits pass holds:
 #: a block is at most (_BLOCK_ANCILLAS + 1) x 2^(_BLOCK_ANCILLAS + 1) doubles.
 _BLOCK_ANCILLAS = 12
@@ -68,14 +72,22 @@ def f(r: int, k: int, n: int) -> int:
 
     With m = n - k - 1, f is the sum of C(m, i) for i = 0..min(r, m), so it
     is 2^m once r >= m, and 1 for k >= n - 1.  r is capped at n - 2, beyond
-    which no further round improves any qubit.  The terms are built from
-    each other, so the cost is O(min(r, m)) integer operations.
+    which no further round improves any qubit.  For r < m the terms are
+    built from each other and only the running sum is kept, so the cost is
+    O(r) integer operations on integers of at most m bits.  A 2^m past
+    Python's integer range raises :class:`ResourceCapError`.
     """
     check_rounds(n, r)
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     m = max(n - k - 1, 0)
-    *_, total = _binomial_sums(m, min(r, m))
+    if r >= m:
+        try:
+            return 1 << m
+        except OverflowError:
+            raise ResourceCapError(f"limit exponent 2^{m} exceeds the integer range") from None
+    for total in _binomial_sums(m, r):
+        pass
     return total
 
 
@@ -282,7 +294,7 @@ def _converge(target: float, ancillas: Sequence[float], precision: float,
 
 
 def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int | None,
-                     precision: float = 1e-9, *,
+                     precision: float = DEFAULT_PRECISION, *,
                      iteration_cap: int = DEFAULT_ITERATION_CAP) -> LimitMatrix:
     """Per-round cooling limits of every qubit, for arbitrary default biases.
 

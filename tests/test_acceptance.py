@@ -4,15 +4,17 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Tolerances are pinned here and nowhere else.
 """
 
+import io
+import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 
+import qcool.cli as cli
 from qcool import (HbacConfig, RegisterBiases, analytic_limit, apply_circuit,
-                   apply_swaps, circuit_permutation, complexity_sweep,
-                   f, find_optswaps, lim_comp, marginal_bias, nb_maxcomp,
-                   probamps, register_compression, single_round_limit,
+                   apply_swaps, circuit_permutation, f, find_optswaps, lim_comp,
+                   marginal_bias, nb_maxcomp, probamps, register_compression, single_round_limit,
                    sort_bound, verify_optimality)
 from fixture_sets import STRESS_SETS
 from oracles import transposition_perm
@@ -140,8 +142,13 @@ def test_criterion_08_complexity_growth():
     with criterion(8, "complexity growth across sizes"):
         ns = [3, 4, 5, 6, 7]
         for eps in (0.1, 1e-5):
-            rows = complexity_sweep(ns, eps)
-            counts = [c for _, c in rows]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli.main(["sweep", "--ns", ",".join(map(str, ns)), "--epsilon", str(eps),
+                                 "--format", "json"])
+            rows = json.loads(out.getvalue())["rows"]
+            assert code == 0 and [row["n"] for row in rows] == ns
+            counts = [row["complexity"] for row in rows]
             assert all(b > a for a, b in zip(counts, counts[1:])), (eps, counts)
             y = np.log(np.array(counts, dtype=float))
             x = np.array(ns, dtype=float)

@@ -129,12 +129,16 @@ class TestOptswaps:
                                     if ln.startswith("optimality: ")]
 
     def test_out_of_memory_exits_3(self, capsys, monkeypatch):
-        def fail(register):
-            raise MemoryError("Unable to allocate 128. MiB")
-        monkeypatch.setattr(cli, "probamps", fail)
-        code, out, err = run(capsys, "optswaps", "--n", "24", "--epsilon", "0.01")
-        assert code == 3 and out == ""
-        assert err == "error: out of memory: Unable to allocate 128. MiB\n"
+        # numpy names the allocation; a bare MemoryError, as from a huge 1 << m, names nothing
+        for exc, reason in [(MemoryError("Unable to allocate 128. MiB"),
+                             "Unable to allocate 128. MiB"),
+                            (MemoryError(), "an allocation failed")]:
+            def fail(register, exc=exc):
+                raise exc
+            monkeypatch.setattr(cli, "probamps", fail)
+            code, out, err = run(capsys, "optswaps", "--n", "24", "--epsilon", "0.01")
+            assert code == 3 and out == ""
+            assert err == f"error: out of memory: {reason}\n"
 
 
 @st.composite
@@ -708,6 +712,25 @@ class TestBounds:
         assert code == 0
         payload = json.loads(out)
         assert payload["analytic_limit"] == 1.0 and payload["single_round_limit"] == 1.0
+
+    @pytest.mark.parametrize("n, code, err", [
+        ("300000", 0, ""),
+        ("1000000", 0, ""),
+        (HUGE, 3, "error: limit exponent 2^99999999999999999997 exceeds the integer range\n"),
+    ], ids=["3e5", "1e6", "huge"])
+    def test_huge_register_in_bounded_memory(self, n, code, err):
+        # f = 2^(n-2) is formed once, not as a list of partial sums of up to n
+        # bits each; past the integer range it exits 3.  The child runs in a
+        # 1 GiB address space under a timeout, so a regression fails here
+        # rather than exhausting the machine.
+        cmd = shlex.join([sys.executable, "-m", "qcool.cli", "bounds", "--n", n,
+                          "--epsilon", "0.1"])
+        env = {**child_env(), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(f"ulimit -v 1048576; {cmd}", shell=True, env=env,
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr.decode()) == (code, err)
+        if code == 0:
+            assert json.loads(proc.stdout)["analytic_limit"] == 1.0
 
     def test_subnormal_epsilon(self, capsys):
         # 30 / eps is inf here; f * eps = 2^1198 * 1e-320 is far past the crossover

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import json
 import math
 import sys
 
@@ -6,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import qcool.cli as cli
 import qcool.hbac as hbac
-from qcool import (DivergenceError, HbacConfig, RegisterBiases,
-                   analytic_limit, complexity_sweep,
-                   numerical_limits, register_compression, single_round_limit,
+from qcool import (CoolingReport, DivergenceError, HbacConfig, RegisterBiases,
+                   analytic_limit, numerical_limits, register_compression, single_round_limit,
                    subspace_compression)
 from qcool.compress import _beneficial, _beneficial_mask
+from qcool.limits import DEFAULT_PRECISION
 from qcool.regstate import _probamps_raw
 from oracles import cool_head_fixed_point
 from strategies import product_registers
@@ -41,6 +44,15 @@ class TestConfig:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             HbacConfig.equal(4, 0.1, 1, mode="sorted")
+
+    def test_default_precision_is_the_one_constant(self):
+        assert HbacConfig.equal(4, 0.1, 1).precision is DEFAULT_PRECISION
+        assert (inspect.signature(numerical_limits).parameters["precision"].default
+                is DEFAULT_PRECISION)
+        for argv in (["limits", "--n", "4", "--epsilon", "0.1"],
+                     ["cool", "--n", "4", "--epsilon", "0.1"],
+                     ["sweep", "--ns", "4", "--epsilon", "0.1"]):
+            assert cli.build_parser().parse_args(argv).precision is DEFAULT_PRECISION
 
 
 class TestRegisterCompression:
@@ -75,6 +87,10 @@ class TestRegisterCompression:
         report = run_equal(5, 0.2, 3)
         assert report.complexity == sum(report.per_round_swaps)
         assert report.complexity > 0
+
+    def test_complexity_is_derived_not_stored(self):
+        assert "complexity" not in {field.name for field in dataclasses.fields(CoolingReport)}
+        assert isinstance(run_equal(4, 0.1, 2).complexity, int)
 
     def test_swap_audit_hook(self):
         seen = []
@@ -224,16 +240,23 @@ class TestSubspaceCompression:
         assert report.while_passes == sum(returned) > 0
 
 
+def sweep_rows(capsys, ns, eps):
+    """(n, complexity) rows of ``qcool sweep --format json``, the one sweep loop."""
+    code = cli.main(["sweep", "--ns", ns, "--epsilon", eps, "--format", "json"])
+    assert code == 0
+    return [(row["n"], row["complexity"]) for row in json.loads(capsys.readouterr().out)["rows"]]
+
+
 class TestComplexitySweep:
-    def test_growth_small_sizes(self):
-        rows = complexity_sweep([3, 4, 5], 0.1)
+    def test_growth_small_sizes(self, capsys):
+        rows = sweep_rows(capsys, "3,4,5", "0.1")
         ns = [n for n, _ in rows]
         counts = [c for _, c in rows]
         assert ns == [3, 4, 5]
         assert counts[0] < counts[1] < counts[2]
 
-    def test_zero_bias_row(self):
-        rows = complexity_sweep([4], 0.0)
+    def test_zero_bias_row(self, capsys):
+        rows = sweep_rows(capsys, "4", "0.0")
         assert rows == [(4, 0)]
 
     def test_explicit_rounds(self):
