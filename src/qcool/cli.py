@@ -247,7 +247,11 @@ def _around(text: str, rows: Iterable[str]) -> Iterator[str]:
 
 def _to_devnull(stream) -> None:
     """Point *stream*'s descriptor at devnull, so the exit flush of its buffer cannot fail."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, stream.fileno())
+    finally:
+        os.close(devnull)
 
 
 def _stderr(line: str) -> None:

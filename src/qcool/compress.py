@@ -17,10 +17,13 @@ its mirror tail block with the vector's own block builder and masks the
 pair, so it holds two blocks, never the 2^n vector, and selects exactly
 what the scan of the full vector selects.
 
-The value-domain gate of register cooling and of the numerical limits
-lives here as well: from the limiting pair |011..1> <-> |100..0> and the
-smallest ancilla bias it proves, in O(q), when no other pair of a q-qubit
-product state can be beneficial.
+The one verdict function of register cooling and of the numerical limits
+lives here as well, :func:`_limiting_verdict`.  From the limiting pair
+|011..1> <-> |100..0>, the largest bias and the smallest ancilla bias, its
+value-domain gate proves, in O(q), when no other pair of a q-qubit product
+state can be beneficial; it then returns the pair's tie verdict, and
+otherwise None, so that the caller builds the full mask.  The gate's
+inequality and its margin proof, ``GATE_MARGIN``, are written here once.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def _beneficial(a: float, b: float) -> bool:
 #: Margin by which the gate must rule out every non-limiting pair: it accepts
 #: only when the best such pair's probamp ratio, tail over head, is below
 #: exp(-2 GATE_MARGIN).  Take as exact the product of the rounded factors
-#: fl(1 -+ b) / 2 that :func:`_limiting_probamps` and the full build share
+#: fl(1 -+ b) / 2 that the limiting pair's walk and the full build share
 #: (u = 2^-53).  Each computed probamp is a product of at most 26 of them,
 #: within 26u relative of it; r = fl(1 - b) / fl(1 + b) is within u, and
 #: the gate's two sides are within 60u of exact.  The full build's ratio of
@@ -69,33 +72,20 @@ _GATE_RATIO = math.exp(-2.0 * GATE_MARGIN)
 _NORMAL_FLOOR = 1e-280
 
 
-def _limiting_probamps(beta: list[float]) -> tuple[float, float, float]:
-    """Probamps of |011..1> and |100..0>, and the smallest ancilla bias.
+def _limiting_verdict(head: float, b_max: float, q: int, p_k: float, p_kk: float,
+                      b_min: float) -> bool | None:
+    """The limiting pair's tie verdict, or None when the gate defers to the full mask.
 
-    The probamps are bit-identical to the full build's entries: it
-    multiplies each entry's factors left to right in qubit order, starting
-    from 1.0 (and 1.0 * x is exact); so does this walk, head factor first.
-    """
-    head = beta[0]
-    p_k, p_kk = (1.0 + head) / 2.0, (1.0 - head) / 2.0
-    b_min = math.inf
-    for b in beta[1:]:
-        p_k *= (1.0 - b) / 2.0
-        p_kk *= (1.0 + b) / 2.0
-        if b < b_min:
-            b_min = b
-    return p_k, p_kk, b_min
+    The gate accepts when it proves that no pair of the q-qubit product
+    state but the limiting one |011..1> <-> |100..0> can be beneficial, and
+    the verdict is then :func:`_beneficial` on that pair; otherwise the
+    caller builds the full mask.  Takes the head bias, the largest of the q biases, the pair's two
+    probamps p_k and p_kk, built as the full build's entries are (each
+    entry's factors multiplied left to right in qubit order, starting from
+    1.0), and the smallest ancilla bias.
 
-
-def _only_limiting_pair(head: float, b_max: float, q: int, p_k: float, p_kk: float,
-                        b_min: float) -> bool:
-    """True when no pair but the limiting one |011..1> <-> |100..0> can be beneficial.
-
-    Takes the head bias, the largest of the q biases, the scalars of
-    :func:`_limiting_probamps` (or the same two entries of a full build,
-    which are bit-identical to them) and the smallest ancilla bias.  A
-    complementary pair's tail over head ratio is the product over qubits of
-    (1 - s_i beta_i) / (1 + s_i beta_i), with s_i = +1 where bit i of its
+    A complementary pair's tail over head ratio is the product over qubits
+    of (1 - s_i beta_i) / (1 + s_i beta_i), with s_i = +1 where bit i of its
     index is 0, else -1; the head qubit has s_1 = +1.  The limiting pair,
     p_kk / p_k, has every other s_i = -1.  Each s_i = +1 among the
     ancillas multiplies its ratio by ((1 - beta_i) / (1 + beta_i))^2 <= 1,
@@ -107,9 +97,11 @@ def _only_limiting_pair(head: float, b_max: float, q: int, p_k: float, p_kk: flo
     """
     if not (head >= 0.0 and b_min >= 0.0 and b_max < 1.0
             and ((1.0 - b_max) / 2.0) ** q >= _NORMAL_FLOOR):
-        return False
+        return None
     r = (1.0 - b_min) / (1.0 + b_min)
-    return p_kk * r * r < _GATE_RATIO * p_k
+    if p_kk * r * r < _GATE_RATIO * p_k:
+        return _beneficial(p_k, p_kk)
+    return None
 
 
 def _halves(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,16 +24,23 @@ compression returns its exchange and pass counts, which register
 compression sums; no counter lives on shared state.
 
 Nearly every pass can gain only from the limiting exchange
-|011..1> <-> |100..0>, and ``lim`` mode performs no other.  Each pass
-builds that pair's two probamps as scalars in one walk over the biases; a
-``full`` pass then compares their ratio, times the square of the smallest
-ancilla's factor ratio, against a margin (a value-domain test) to prove
-the former.  Such a pass, like every ``lim`` pass, costs O(q) scalar
-products for a q-qubit sub-register.  Only the rare other ``full`` passes
-build all 2^q probamps and the full beneficial mask.  Both paths yield
+|011..1> <-> |100..0>, and ``lim`` mode performs no other.  A pass reads
+that pair's two probamps, the smallest ancilla bias and the largest bias
+as scalars.  A ``lim`` pass tests the pair with the tie rule; a ``full``
+pass asks :func:`~qcool.compress._limiting_verdict`, whose value-domain
+gate proves, from those scalars, that no other pair can gain, and which
+then gives the same tie verdict.  Such a pass is one loop over the
+ancillas: it exchanges the pair, floors each ancilla at its default and
+builds the next pass's scalars from the floored biases, in the full
+build's multiplication order.  It costs O(q) for a q-qubit sub-register.
+Only the rare other ``full`` passes build all 2^q probamps and the full
+beneficial mask, and the pass after one walks the biases once for its
+scalars, as the first pass of a sub-register does.  Both paths yield
 bit-identical exchanges.  A pass whose head starts at its cap exchanges
-nothing and ends before the walk.  The walk, the gate and its margin proof
-live in :mod:`qcool.compress`, which :func:`numerical_limits` shares.
+nothing and ends before any walk, and a pass whose limiting pair is not
+beneficial moves nothing and ends at once.  The verdict, its gate and
+the gate's margin proof live in :mod:`qcool.compress`, which
+:func:`numerical_limits` shares.
 
 Every individual pair exchange is counted; the run's complexity is the sum
 of the per-round counts.  Pass counts are reported alongside for the coarser
@@ -43,13 +50,13 @@ runs one register compression per point of a sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .compress import (_beneficial, _beneficial_indices, _halves, _limiting_probamps,
-                       _only_limiting_pair)
+from .compress import _beneficial, _beneficial_indices, _halves, _limiting_verdict
 from .errors import DivergenceError
 from .limits import (DEFAULT_ITERATION_CAP, DEFAULT_PRECISION, LimitMatrix, check_loop,
                      check_rounds, numerical_limits)
@@ -103,6 +110,26 @@ class CoolingReport:
         return sum(self.per_round_swaps)
 
 
+def _walk(beta: list[float]) -> tuple[float, float, float, float]:
+    """The limiting pair's probamps p_k and p_kk, the smallest ancilla bias and the largest bias.
+
+    The probamps are bit-identical to the full build's entries: it
+    multiplies each entry's factors left to right in qubit order, starting
+    from 1.0 (and 1.0 * x is exact); so does this walk, head factor first.
+    """
+    head = beta[0]
+    p_k, p_kk = (1.0 + head) / 2.0, (1.0 - head) / 2.0
+    b_min, b_max = math.inf, head
+    for b in beta[1:]:
+        p_k *= (1.0 - b) / 2.0
+        p_kk *= (1.0 + b) / 2.0
+        if b < b_min:
+            b_min = b
+        if b > b_max:
+            b_max = b
+    return p_k, p_kk, b_min, b_max
+
+
 def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: int, x: int,
                   z: int, v: int, raw: list[float], floor: list[float], passes_used: int,
                   on_swap: SwapHook | None) -> tuple[list[float], int, int]:
@@ -121,15 +148,20 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
 
     A pass whose head starts at or above its cap exchanges nothing, so it
     converges at once; it still counts as a pass.  Otherwise the pass
-    builds the limiting pair's two probamps as scalars, in the full build's
-    multiplication order.  ``lim`` mode exchanges only that pair, and in
-    almost every ``full`` pass only that pair can be beneficial.  In ``lim``
-    mode, and whenever :func:`_only_limiting_pair` proves the latter, the
-    pass costs O(q): the pair is tested with the same tie rule and
-    exchanged directly, adding 2 d to the head and subtracting it from
-    every ancilla.  Otherwise a ``full`` pass falls back to building all
-    2^q probamps and the full beneficial mask.  Both paths give
-    bit-identical exchanges.
+    takes the limiting pair's two probamps, bit-identical to the full
+    build's, and the smallest ancilla and largest biases as scalars: the
+    first pass walks *raw* for them with :func:`_walk`.  ``lim`` mode
+    exchanges only that pair, and in almost every ``full`` pass only that
+    pair can be beneficial.  In ``lim`` mode, and whenever
+    :func:`_limiting_verdict` proves the latter, the pass tests the pair
+    with the same tie rule.  If it is not beneficial nothing moves, so the
+    pass converges and returns.  If it is, one loop over the ancillas
+    exchanges it, adding 2 d to the head and subtracting it from every
+    ancilla, floors each ancilla and builds the next pass's scalars from
+    the floored biases, in the full build's multiplication order: O(q) per
+    pass.  Otherwise a ``full`` pass falls back to building all 2^q
+    probamps and the full beneficial mask, and the next pass walks its
+    biases again.  Both paths give bit-identical exchanges.
 
     *x* is the head of the current re-entry and *top* that of the top-level
     :func:`subspace_compression` call, which has used *passes_used* of its
@@ -143,6 +175,7 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
     limiting = (1 << (q - 1)) - 1
     bits = f"0{q}b"
     floor0 = floor[0]
+    floor_rest = floor[1:]
     # Which cap applies to this sub-register's head (checked before each
     # exchange): ancillas and re-entry heads stop at the prior round's level
     # (in round 1 that is the bath default), the primary head at this
@@ -154,6 +187,7 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
     # The floor is max(default, raw) and keeps the default on a tie, so a
     # zero marginal carries its default's sign.
     gamma = [b if b > f else f for f, b in zip(floor, raw)]
+    p_k = None  # no scalars yet: this pass walks the biases
     swaps_done = 0
     passes = 0
     while True:
@@ -166,17 +200,34 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
         head_before = gamma[0]
         if head_before >= cap:
             return gamma, swaps_done, passes
-        p_k, p_kk, b_min = _limiting_probamps(raw)
-        if lim or _only_limiting_pair(raw[0], max(raw), q, p_k, p_kk, b_min):
-            if _beneficial(p_k, p_kk):
-                step = 2.0 * (p_kk - p_k)
-                gamma = [c if (c := b - step) > f else f for f, b in zip(floor, raw)]
-                h = raw[0] + step
-                gamma[0] = h if h > floor0 else floor0
-                swaps_done += 1
-                if on_swap is not None:
-                    on_swap(r, x, v, limiting)
-        else:
+        if p_k is None:
+            p_k, p_kk, b_min, b_max = _walk(raw)
+        verdict = (_beneficial(p_k, p_kk) if lim
+                   else _limiting_verdict(raw[0], b_max, q, p_k, p_kk, b_min))
+        if verdict:
+            # Exchange the limiting pair: 2 d onto the head, off every
+            # ancilla.  One loop floors each ancilla and builds the next
+            # pass's scalars from the floored biases, as _walk would.
+            step = 2.0 * (p_kk - p_k)
+            h = raw[0] + step
+            h = h if h > floor0 else floor0
+            gamma = [h]
+            p_k, p_kk = (1.0 + h) / 2.0, (1.0 - h) / 2.0
+            b_min, b_max = math.inf, h
+            for f, b in zip(floor_rest, raw[1:]):
+                c = b - step
+                c = c if c > f else f
+                gamma.append(c)
+                p_k *= (1.0 - c) / 2.0
+                p_kk *= (1.0 + c) / 2.0
+                if c < b_min:
+                    b_min = c
+                if c > b_max:
+                    b_max = c
+            swaps_done += 1
+            if on_swap is not None:
+                on_swap(r, x, v, limiting)
+        elif verdict is None:
             # Complementary pairs are disjoint, so the pass-start beneficial
             # set equals on-the-fly re-testing; walk it in index order.
             head, tail = _halves(_probamps_raw(raw))
@@ -191,6 +242,10 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
                 swaps_done += 1
                 if on_swap is not None:
                     on_swap(r, x, v, k)
+            p_k = None
+        else:
+            # Nothing moved, so the convergence test holds.
+            return gamma, swaps_done, passes
         if head_before == 0.0:
             converged = gamma[0] == 0.0
         else:

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .compress import _beneficial, _beneficial_indices, _halves, _only_limiting_pair
+from .compress import _beneficial_indices, _halves, _limiting_verdict
 from .errors import DivergenceError, ResourceCapError
 from .regstate import DiagDist, RegisterBiases, _check_size, _sign_vector
 
@@ -77,18 +77,23 @@ def f(r: int, k: int, n: int) -> int:
     O(r) integer operations on integers of at most m bits.  A 2^m past
     Python's integer range raises :class:`ResourceCapError`.
     """
+    for total in _partial_exponents(r, k, n):
+        pass
+    return total
+
+
+def _partial_exponents(r: int, k: int, n: int) -> Iterator[int]:
+    """Increasing partial sums of :func:`f`, ending with f(r, k, n); checks r, k and n now."""
     check_rounds(n, r)
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     m = max(n - k - 1, 0)
     if r >= m:
         try:
-            return 1 << m
+            return iter((1 << m,))
         except OverflowError:
             raise ResourceCapError(f"limit exponent 2^{m} exceeds the integer range") from None
-    for total in _binomial_sums(m, r):
-        pass
-    return total
+    return _binomial_sums(m, r)
 
 
 def _binomial_sums(m: int, rounds: int) -> Iterator[int]:
@@ -102,32 +107,54 @@ def _binomial_sums(m: int, rounds: int) -> Iterator[int]:
         yield total
 
 
-def _tanh_ratio(eps: float, exponent: int) -> float:
-    # [(1+e)^m - (1-e)^m] / [(1+e)^m + (1-e)^m] = tanh(m * atanh(e))
+def _check_bias(eps: float) -> None:
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"bias must lie in [0, 1], got {eps!r}")
-    if eps == 0.0:
-        return 0.0
-    if eps == 1.0:
-        return 1.0
+
+
+def _saturates(eps: float, exponent: int) -> bool:
+    """True when tanh(exponent * atanh(eps)) rounds to 1.0, for 0 < eps <= 1.
+
+    That holds once exponent * eps > TANH_CROSSOVER: then m * atanh(e) >=
+    m * e > 30, and tanh rounds to 1.0 from 19.1 on.  The comparison is
+    exact: a big-int m is not converted.
+    """
     crossover = TANH_CROSSOVER / eps
     if crossover == math.inf:
-        # eps < 30 / DBL_MAX, so atanh(e) == e; m * e is formed exactly, as a
-        # big-int m need not fit a float.
-        x = exponent * Fraction(eps)
-        return 1.0 if x > TANH_CROSSOVER else math.tanh(x)
-    # Past the crossover m * atanh(e) >= m * e > 30, and tanh rounds to 1.0
-    # from 19.1 on.  The comparison is exact: a big-int m is not converted.
-    if exponent > crossover:
+        # eps < 30 / DBL_MAX: m * e is formed exactly, as a big-int m need not fit a float.
+        return exponent * Fraction(eps) > TANH_CROSSOVER
+    return exponent > crossover
+
+
+def _tanh_ratio(eps: float, exponent: int) -> float:
+    # [(1+e)^m - (1-e)^m] / [(1+e)^m + (1-e)^m] = tanh(m * atanh(e))
+    _check_bias(eps)
+    if eps == 0.0:
+        return 0.0
+    if eps == 1.0 or _saturates(eps, exponent):
         return 1.0
+    if TANH_CROSSOVER / eps == math.inf:
+        return math.tanh(exponent * Fraction(eps))  # atanh(e) == e this small
     up = (1.0 + eps) ** exponent
     dn = (1.0 - eps) ** exponent
     return (up - dn) / (up + dn)
 
 
 def analytic_limit(r: int, k: int, n: int, eps: float) -> float:
-    """Round-r limiting bias of qubit k for equal default biases *eps*."""
-    return _tanh_ratio(eps, f(r, k, n))
+    """Round-r limiting bias of qubit k for equal default biases *eps*.
+
+    The partial sums of f(r, k, n) stop at the first that saturates the
+    tanh (or at once for eps = 0): f only grows, so the limit is the same
+    float, and with r < m the rest of the terms, of up to m bits, are never
+    formed.  A sum past 2^1080 saturates any eps > 0, and C(m, i) >= 2^i
+    for i <= m / 2, so at most about 2,200 terms are formed, whatever r.
+    """
+    exponents = _partial_exponents(r, k, n)
+    _check_bias(eps)
+    for exponent in exponents:
+        if eps == 0.0 or _saturates(eps, exponent):
+            break
+    return _tanh_ratio(eps, exponent)
 
 
 def single_round_limit(eps: float, m: int) -> float:
@@ -139,8 +166,7 @@ def single_round_limit(eps: float, m: int) -> float:
 
 def shannon_bound(n: int, eps: float) -> float:
     """Closed-system entropy bound on the number of fully purifiable qubits."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"bias must lie in [0, 1], got {eps!r}")
+    _check_bias(eps)
     if eps == 0.0:
         return 0.0
     if eps == 1.0:
@@ -278,10 +304,10 @@ def _converge(target: float, ancillas: Sequence[float], precision: float,
             np.multiply.reduce(block, axis=0, out=p)
         p_k, p_kk = pair.tolist()
         b_max = target if target > b_rest else b_rest
-        if _only_limiting_pair(target, b_max, q, p_k, p_kk, b_min):
-            if _beneficial(p_k, p_kk):
-                pair[0], pair[1] = p_kk, p_k
-        else:
+        verdict = _limiting_verdict(target, b_max, q, p_k, p_kk, b_min)
+        if verdict:
+            pair[0], pair[1] = p_kk, p_k
+        elif verdict is None:
             sel = _beneficial_indices(*_halves(p))
             p[sel], p[-1 - sel] = p[-1 - sel], p[sel]  # -1 - j indexes 2^q - 1 - j
         increased = float(sign.dot(p))  # np.dot(sign, p), without its dispatch

@@ -108,6 +108,24 @@ def numerical_limits_loop(values, rounds: int, precision: float = 1e-9,
     return matrix
 
 
+def limiting_probamps(beta) -> tuple[float, float, float]:
+    """Probamps of |011..1> and |100..0>, and the smallest ancilla bias, in one walk.
+
+    The probamps are bit-identical to the full build's entries: it
+    multiplies each entry's factors left to right in qubit order, starting
+    from 1.0 (and 1.0 * x is exact); so does this walk, head factor first.
+    """
+    head = beta[0]
+    p_k, p_kk = (1.0 + head) / 2.0, (1.0 - head) / 2.0
+    b_min = float("inf")
+    for b in beta[1:]:
+        p_k *= (1.0 - b) / 2.0
+        p_kk *= (1.0 + b) / 2.0
+        if b < b_min:
+            b_min = b
+    return p_k, p_kk, b_min
+
+
 def select_swaps_brute(p: np.ndarray) -> list[int]:
     """Beneficial complementary pairs by direct comparison, tie-tolerant."""
     size = p.size

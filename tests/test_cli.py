@@ -505,6 +505,18 @@ class TestStderrFailure:
                      unbuffered)
         assert (proc.returncode, proc.stdout) == (3, b"")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_to_devnull_leaves_no_descriptor_open(self, tmp_path):
+        # main and _stderr call it on every failed write, and callers run
+        # main in-process, so each call must close the devnull it opens.
+        with open(tmp_path / "stream", "w") as stream:
+            cli._to_devnull(stream)
+            before = len(os.listdir("/proc/self/fd"))
+            for _ in range(5):
+                cli._to_devnull(stream)
+            assert len(os.listdir("/proc/self/fd")) == before
+            assert os.path.samefile(f"/proc/self/fd/{stream.fileno()}", os.devnull)
+
     def test_none_stderr_prints_nothing(self, capsys, monkeypatch):
         # print(file=None) would write the line to stdout
         monkeypatch.setattr(sys, "stderr", None)
@@ -731,6 +743,28 @@ class TestBounds:
         assert (proc.returncode, proc.stderr.decode()) == (code, err)
         if code == 0:
             assert json.loads(proc.stdout)["analytic_limit"] == 1.0
+
+    @pytest.mark.parametrize("n, rounds, eps", [
+        ("200000", "100000", "0.1"),
+        ("200000", "100000", "0"),
+        ("200000", "100000", "5e-324"),
+        ("10000000", "5000000", "0.1"),
+    ], ids=["2e5-0.1", "2e5-zero", "2e5-subnormal", "1e7-0.1"])
+    def test_short_rounds_in_bounded_time(self, n, rounds, eps):
+        # With rounds r below m = n - 2 the exponent is a sum of r binomial
+        # terms of up to m bits; the limit stops at the first partial sum
+        # past the crossover, so these finish in well under a second where
+        # the full sums take seconds (2e5) or hours (1e7).
+        cmd = shlex.join([sys.executable, "-m", "qcool.cli", "bounds", "--n", n,
+                          "--epsilon", eps, "--rounds", rounds])
+        env = {**child_env(), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+        # exec, so that the timeout kills the child itself, not only its shell
+        proc = subprocess.run(f"ulimit -v 1048576; exec {cmd}", shell=True, env=env,
+                              capture_output=True, timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        payload = json.loads(proc.stdout)
+        assert payload["rounds"] == int(rounds)
+        assert payload["analytic_limit"] == (0.0 if eps == "0" else 1.0)
 
     def test_subnormal_epsilon(self, capsys):
         # 30 / eps is inf here; f * eps = 2^1198 * 1e-320 is far past the crossover

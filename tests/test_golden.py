@@ -3,7 +3,7 @@
 The files hold the stdout of ``qcool.cli.main`` for each argument vector
 below, so any change to cooling counts, limit bits or formatting shows up
 here.  No benchmark op runs ``cool --mode lim``; these files are its only
-byte check, up to n = 7.  When an output is meant to change, record the new bytes with
+byte check, up to n = 8.  When an output is meant to change, record the new bytes with
 ``cli.main`` and say why in the change.
 """
 
@@ -27,7 +27,7 @@ UNEQUAL_SETS = ["0.3,0.05,0.2,0.1", "0.15,0.4,0.1,0.2,0.05", "0.2,0.1,0.3,0.05,0
 CASES = (
     [(f"cool-n{n}-eps{eps}-{mode}.json",
       ("cool", "--n", str(n), "--epsilon", eps, "--mode", mode))
-     for n in range(3, 8) for eps in ("0.1", "1e-5") for mode in ("full", "lim")]
+     for n in range(3, 9) for eps in ("0.1", "1e-5") for mode in ("full", "lim")]
     + [(f"cool-unequal{i}-{mode}.json", ("cool", "--biases", biases, "--mode", mode))
        for i, biases in enumerate(UNEQUAL_SETS, start=1) for mode in ("full", "lim")]
     + [("sweep-ns3-5-eps0.1.csv", ("sweep", "--ns", "3,4,5", "--epsilon", "0.1")),

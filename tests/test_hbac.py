@@ -3,20 +3,22 @@ import inspect
 import json
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcool.cli as cli
 import qcool.hbac as hbac
 from qcool import (CoolingReport, DivergenceError, HbacConfig, RegisterBiases,
                    analytic_limit, numerical_limits, register_compression, single_round_limit,
                    subspace_compression)
-from qcool.compress import _beneficial, _beneficial_mask
+from qcool.compress import _beneficial, _beneficial_mask, _limiting_verdict
 from qcool.limits import DEFAULT_PRECISION
 from qcool.regstate import _probamps_raw
-from oracles import cool_head_fixed_point
+from oracles import cool_head_fixed_point, limiting_probamps
 from strategies import product_registers
 
 UNEQUAL_SETS = [
@@ -264,9 +266,14 @@ class TestComplexitySweep:
             assert register_compression(HbacConfig(RegisterBiases.equal(n, 0.1), 1)).complexity > 0
 
 
+def verdict_on(beta):
+    """The limiting verdict on *beta*, from the scalars of the walk over it."""
+    return _limiting_verdict(beta[0], max(beta), len(beta), *limiting_probamps(beta))
+
+
 def gate(beta):
-    """The gate's verdict on *beta*, from the scalars of the walk over it."""
-    return hbac._only_limiting_pair(beta[0], max(beta), len(beta), *hbac._limiting_probamps(beta))
+    """Whether the gate accepts *beta*, rather than deferring to the full mask."""
+    return verdict_on(beta) is not None
 
 
 def cooling_run(values, mode):
@@ -279,13 +286,27 @@ def cooling_run(values, mode):
 
 
 def force_full_mask(monkeypatch):
-    """Full passes always build the mask; lim passes read the pair from the full build."""
+    """Full passes always build the mask; walked passes read the pair from the full build."""
     def full_build_pair(beta):
         p = _probamps_raw(beta)
-        return p[p.size // 2 - 1], p[p.size // 2], min(beta[1:])
+        return p[p.size // 2 - 1], p[p.size // 2], min(beta[1:]), max(beta)
 
-    monkeypatch.setattr(hbac, "_only_limiting_pair", lambda *args: False)
-    monkeypatch.setattr(hbac, "_limiting_probamps", full_build_pair)
+    monkeypatch.setattr(hbac, "_limiting_verdict", lambda *args: None)
+    monkeypatch.setattr(hbac, "_walk", full_build_pair)
+
+
+def record_verdicts(monkeypatch):
+    """Whether the gate accepted, for every verdict cooling asks for from now on."""
+    real = hbac._limiting_verdict
+    accepted = []
+
+    def recorded(*args):
+        result = real(*args)
+        accepted.append(result is not None)
+        return result
+
+    monkeypatch.setattr(hbac, "_limiting_verdict", recorded)
+    return accepted
 
 
 def line_hits(func, text, call):
@@ -308,6 +329,36 @@ def line_hits(func, text, call):
     return result, len(hits)
 
 
+def _bits(values):
+    """The bytes of *values* as doubles, so -0.0 and 0.0 differ."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def one_exchange(raw, floor):
+    """The biases and the next pass's verdict arguments after one limiting exchange.
+
+    Runs :func:`hbac._sub_compress` on the sub-register *raw* with defaults
+    *floor*: its first verdict says exchange, its second records the
+    arguments the fused loop built and says nothing moves, so the pass
+    returns its floored biases.  The cap is never met, and a negative
+    precision keeps the first pass from converging unless the head stays
+    at 0.0; then the arguments are None.
+    """
+    calls = []
+
+    def verdict_stub(*args):
+        calls.append(args)
+        return len(calls) == 1
+
+    config = types.SimpleNamespace(mode="full", precision=-1.0, iteration_cap=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hbac, "_limiting_verdict", verdict_stub)
+        gamma, swaps, passes = hbac._sub_compress(config, [[math.inf]], 1, 1, 1, 0, 1,
+                                                  list(raw), list(floor), 0, None)
+    assert swaps == 1 and passes == len(calls)
+    return gamma, calls[1] if passes == 2 else None
+
+
 class TestLimitingPairFastPath:
     @settings(max_examples=500, deadline=None)
     @given(product_registers())
@@ -316,12 +367,35 @@ class TestLimitingPairFastPath:
         half = p.size // 2
         mask = _beneficial_mask(p[:half], p[::-1][:half])
         limiting = half - 1
-        p_k, p_kk, b_min = hbac._limiting_probamps(beta)
+        p_k, p_kk, b_min = limiting_probamps(beta)
         assert p_k == p[limiting] and p_kk == p[half]
         assert b_min == min(beta[1:])
+        assert hbac._walk(beta) == (p_k, p_kk, b_min, max(beta))
         assert _beneficial(p_k, p_kk) == mask[limiting]
         if gate(beta):
+            assert verdict_on(beta) == mask[limiting]
             assert not mask[:limiting].any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(product_registers(), st.data())
+    def test_fused_pass_floors_and_walks_the_floored_biases(self, beta, data):
+        # After one exchange of step s the fused loop floors each qubit at
+        # max(default, raw), keeping the default on a tie, and its scalars
+        # are those of the full build of the floored biases, bit for bit.
+        p_k, p_kk, _ = limiting_probamps(beta)
+        step = 2.0 * (p_kk - p_k)
+        moved = [beta[0] + step] + [b - step for b in beta[1:]]
+        floor = [data.draw(st.sampled_from([0.0, -0.0, b, m]) | st.floats(0.0, 1.0))
+                 for b, m in zip(beta, moved)]
+        gamma, args = one_exchange(beta, floor)
+        assert _bits(gamma) == _bits([m if m > f else f for f, m in zip(floor, moved)])
+        if args is None:
+            assert gamma[0] == beta[0] == 0.0
+            return
+        p = _probamps_raw(gamma)
+        half = p.size // 2
+        want = (gamma[0], max(gamma), len(gamma), p[half - 1], p[half], min(gamma[1:]))
+        assert _bits(args) == _bits(want)
 
     @pytest.mark.parametrize("shift,verdict", [(2e-9, True), (0.5e-9, False), (-1e-6, False)])
     def test_gate_margin(self, shift, verdict):
@@ -340,15 +414,12 @@ class TestLimitingPairFastPath:
     @pytest.mark.parametrize("values", [(eps,) * n for n in range(3, 7) for eps in (0.1, 1e-5)]
                              + UNEQUAL_SETS, ids=lambda v: ",".join(map(repr, v)))
     def test_same_run_as_full_mask_path(self, monkeypatch, values, mode):
-        real_gate = hbac._only_limiting_pair
-        verdicts = []
-        monkeypatch.setattr(hbac, "_only_limiting_pair",
-                            lambda *args: verdicts.append(real_gate(*args)) or verdicts[-1])
+        accepted = record_verdicts(monkeypatch)
         fast = cooling_run(values, mode)
         if mode == "full":
-            assert sum(verdicts) > 0.9 * len(verdicts)
+            assert sum(accepted) > 0.9 * len(accepted)
         else:
-            assert not verdicts  # lim mode never consults the gate
+            assert not accepted  # lim mode never consults the gate
         force_full_mask(monkeypatch)
         assert cooling_run(values, mode) == fast
 

@@ -18,7 +18,8 @@ import qcool.hbac as hbac
 import qcool.limits as limits
 from qcool.errors import DivergenceError, ResourceCapError
 from qcool.limits import TANH_CROSSOVER, _converge
-from oracles import compress_pass, converge_loop, exponent_recursion, numerical_limits_loop
+from oracles import (compress_pass, converge_loop, exponent_recursion, limiting_probamps,
+                     numerical_limits_loop)
 from strategies import product_registers
 
 
@@ -98,6 +99,17 @@ class TestAnalyticLimit:
 
     def test_exponent_two_hand_value(self):
         assert single_round_limit(0.5, 2) == pytest.approx(0.8, abs=1e-15)
+
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-320, 1e-300, 1e-17, 1e-5, 0.01, 0.1,
+                                     0.5, 0.97, 1.0])
+    def test_early_stop_is_the_limit_of_the_full_sum(self, eps):
+        # analytic_limit stops at the first partial sum of f past the
+        # crossover; every limit is still the float of the whole exponent.
+        for n in (3, 4, 9, 40, 130, 1100):
+            for r in sorted({1, 2, 5, n // 2, n - 3, n - 2} & set(range(1, n - 1))):
+                for k in sorted({1, 2, n // 3, n - 2, n - 1, n} & set(range(1, n + 1))):
+                    want = limits._tanh_ratio(eps, f(r, k, n))
+                    assert _same_float(analytic_limit(r, k, n, eps), want), (r, k, n)
 
     def test_crossover_forms_agree(self):
         # straddle the power/tanh switch and compare both evaluations
@@ -288,11 +300,16 @@ def _same_float(a: float, b: float) -> bool:
 
 
 def _record_gate(monkeypatch) -> list[bool]:
-    """The verdicts of every gate call the limits loop makes from now on."""
-    real_gate = limits._only_limiting_pair
+    """Whether the gate accepted, for every verdict the limits loop asks for from now on."""
+    real = limits._limiting_verdict
     verdicts = []
-    monkeypatch.setattr(limits, "_only_limiting_pair",
-                        lambda *args: verdicts.append(real_gate(*args)) or verdicts[-1])
+
+    def recorded(*args):
+        result = real(*args)
+        verdicts.append(result is not None)
+        return result
+
+    monkeypatch.setattr(limits, "_limiting_verdict", recorded)
     return verdicts
 
 
@@ -333,23 +350,23 @@ class TestTargetPass:
     @example(0.3, [1.0 - 2.0 ** -51] + [0.01] * 16)
     def test_gate_is_the_rule_on_the_whole_register(self, target, ancillas):
         # The loop fixes the ancillas' smallest and largest bias once; every
-        # pass must still ask the gate what _only_limiting_pair says of the
-        # register [target, *ancillas] and the pass's own limiting pair.
+        # pass must still ask _limiting_verdict about the register
+        # [target, *ancillas] and the pass's own limiting pair.
         calls = []
-        real_gate = limits._only_limiting_pair
+        real = limits._limiting_verdict
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limits, "_only_limiting_pair",
-                       lambda *args: calls.append(args) or real_gate(*args))
+            mp.setattr(limits, "_limiting_verdict",
+                       lambda *args: calls.append(args) or real(*args))
             _converge(target, ancillas, 1e-9, 2)
         assert calls[0][0] == target
         for args in calls:
             beta = [args[0], *ancillas]
-            p_k, p_kk, b_min = hbac._limiting_probamps(beta)
+            p_k, p_kk, b_min = limiting_probamps(beta)
             assert args == (beta[0], max(beta), len(beta), p_k, p_kk, b_min)
         if max(ancillas) >= 1.0:
-            assert not any(real_gate(*args) for args in calls)
+            assert all(real(*args) is None for args in calls)
         if target >= 1.0:
-            assert not real_gate(*calls[0])
+            assert real(*calls[0]) is None
 
     @pytest.mark.parametrize("gap,verdict", [(2.0 ** -50, True), (2.0 ** -51, False)])
     def test_gate_defers_below_the_normal_floor(self, monkeypatch, gap, verdict):
@@ -385,8 +402,8 @@ class TestTargetPass:
     def test_gated_and_fallback_paths_both_run(self, monkeypatch):
         verdicts = _record_gate(monkeypatch)
         hbac_calls = []
-        monkeypatch.setattr(hbac, "_only_limiting_pair",
-                            lambda *args: hbac_calls.append(args) or False)
+        monkeypatch.setattr(hbac, "_limiting_verdict",
+                            lambda *args: hbac_calls.append(args) or None)
         values = [1e-5] * 8
         got = numerical_limits(values, 6).values
         assert sum(verdicts) > 0.9 * len(verdicts)
@@ -394,7 +411,7 @@ class TestTargetPass:
         assert not hbac_calls  # the limits loop asks the gate through its own module
         want = numerical_limits_loop(values, 6)
         assert got.tobytes() == want.tobytes()
-        monkeypatch.setattr(limits, "_only_limiting_pair", lambda *args: False)
+        monkeypatch.setattr(limits, "_limiting_verdict", lambda *args: None)
         assert numerical_limits(values, 6).values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("q", [13, 14, 15, 16])
