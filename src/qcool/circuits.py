@@ -9,10 +9,17 @@ any particular gate list; :func:`circuit_permutation` is the oracle.
 
 Wire 1 is the most significant bit of a basis index, matching the register
 convention.
+
+The .nbmc text is ``WIRES <n>``, then ``MCX t=<wire> c0=[<wires>] c1=[<wires>]``
+per gate, in ASCII digits, comma-separated wire lists and single spaces.
+:func:`parse_text` reads exactly what :func:`export_text` writes, one pattern per
+line of :meth:`str.splitlines`, skipping blank lines.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -36,14 +43,18 @@ class Gate:
     controls_on_1: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        c0 = tuple(sorted(int(w) for w in self.controls_on_0))
-        c1 = tuple(sorted(int(w) for w in self.controls_on_1))
-        wires = (self.target,) + c0 + c1
+        try:
+            c0 = tuple(sorted(map(operator.index, self.controls_on_0)))
+            c1 = tuple(sorted(map(operator.index, self.controls_on_1)))
+            wires = (operator.index(self.target),) + c0 + c1
+        except TypeError:
+            raise ValueError(f"wires must be integers, got {self!r}") from None
         if any(w < 1 for w in wires):
             raise ValueError("wire indices are 1-based")
         if len(set(wires)) != len(wires):
-            raise ValueError(f"wires must be distinct, got target={self.target}, "
+            raise ValueError(f"wires must be distinct, got target={wires[0]}, "
                              f"c0={c0}, c1={c1}")
+        object.__setattr__(self, "target", wires[0])
         object.__setattr__(self, "controls_on_0", c0)
         object.__setattr__(self, "controls_on_1", c1)
 
@@ -120,12 +131,9 @@ def circuit_permutation(c: Circuit) -> np.ndarray:
         raise ResourceCapError(f"permutation of {c.n} wires exceeds the size cap {PERM_CAP}")
     v = np.arange(1 << c.n, dtype=np.int64)
     for g in c.gates:
-        match = np.ones(v.size, dtype=bool)
-        for w in g.controls_on_0:
-            match &= (v >> (c.n - w)) & 1 == 0
-        for w in g.controls_on_1:
-            match &= (v >> (c.n - w)) & 1 == 1
-        v = np.where(match, v ^ (1 << (c.n - g.target)), v)
+        watched = sum(1 << (c.n - w) for w in g.controls_on_0 + g.controls_on_1)
+        wanted = sum(1 << (c.n - w) for w in g.controls_on_1)
+        v = np.where((v & watched) == wanted, v ^ (1 << (c.n - g.target)), v)
     return v
 
 
@@ -139,6 +147,11 @@ def apply_circuit(dist: DiagDist, c: Circuit) -> DiagDist:
     return DiagDist._own(out)
 
 
+_HEADER = re.compile(r"WIRES ([0-9]+)")
+_LIST = r"\[((?:[0-9]+,)*[0-9]+|)\]"  # a comma-separated list, possibly empty
+_GATE = re.compile(rf"MCX t=([0-9]+) c0={_LIST} c1={_LIST}")
+
+
 def export_text(c: Circuit) -> str:
     """Serialize to the .nbmc text grammar; byte-exact for a given circuit."""
     line = {id(g): f"MCX t={g.target} c0=[{','.join(map(str, g.controls_on_0))}] "
@@ -147,33 +160,19 @@ def export_text(c: Circuit) -> str:
     return "\n".join([f"WIRES {c.n}", *(line[id(g)] for g in c.gates)]) + "\n"
 
 
-def _parse_wires(s: str) -> tuple[int, ...]:
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"bad wire list: {s!r}")
-    body = s[1:-1]
-    return tuple(int(w) for w in body.split(",")) if body else ()
-
-
 def parse_text(text: str) -> Circuit:
     """Parse the .nbmc grammar back into a circuit."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("WIRES "):
         raise ValueError("missing WIRES header")
-    try:
-        n = int(lines[0][len("WIRES "):])
-    except ValueError:
-        raise ValueError(f"bad WIRES header: {lines[0]!r}") from None
+    header = _HEADER.fullmatch(lines[0])
+    if header is None:
+        raise ValueError(f"bad WIRES header: {lines[0]!r}")
     gates = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4 or parts[0] != "MCX":
+        m = _GATE.fullmatch(ln)
+        if m is None:
             raise ValueError(f"bad gate line: {ln!r}")
-        fields = {}
-        for part, key in zip(parts[1:], ("t", "c0", "c1")):
-            prefix = key + "="
-            if not part.startswith(prefix):
-                raise ValueError(f"bad gate line: {ln!r}")
-            fields[key] = part[len(prefix):]
-        gates.append(Gate(int(fields["t"]), _parse_wires(fields["c0"]),
-                          _parse_wires(fields["c1"])))
-    return Circuit(n, tuple(gates))
+        t, *lists = m.groups()
+        gates.append(Gate(int(t), *([int(w) for w in ws.split(",") if w] for ws in lists)))
+    return Circuit(int(header[1]), tuple(gates))

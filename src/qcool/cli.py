@@ -5,10 +5,11 @@ output pieces (a list of strings, or the ``optswaps`` stream); ``main`` opens
 ``--out``, writes the pieces there or to stdout, and maps errors to exit codes.
 
 Exit codes: 0 success, 2 usage or parse error (a ``--precision`` that is
-not a positive finite number among them), 3 size-cap violation, an
-allocation that failed (one ``error: out of memory: ...`` line) or output
-that could not be written (one ``error: cannot write output: ...`` line, as
-on a full disk), 4 non-convergence (a pass cap, set with
+not a positive finite number among them, and a number with an underscore or
+a non-ASCII character, which ``int`` and ``float`` would read), 3 size-cap
+violation, an allocation that failed (one ``error: out of memory: ...``
+line) or output that could not be written (one ``error: cannot write
+output: ...`` line, as on a full disk), 4 non-convergence (a pass cap, set with
 ``--iteration-cap``, was exceeded).  A closed or full stderr loses the
 error line (:func:`_stderr`), never the exit code or the output.
 ``--out PATH`` makes a new file beside PATH before the command computes
@@ -127,6 +128,19 @@ def _report(command: str, **fields) -> str:
     return _to_json({"schema": SCHEMA_VERSION, "command": command, **fields}) + "\n"
 
 
+def _plain(convert: Callable[[str], float]) -> Callable[[str], float]:
+    """*convert* (``int`` or ``float``) refusing the underscores and non-ASCII digits it reads."""
+    def read(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(f"not a plain number: {text!r}")
+        return convert(text)
+    read.__name__ = convert.__name__  # argparse names the type in its message
+    return read
+
+
+_INT, _FLOAT = _plain(int), _plain(float)
+
+
 def _parse_list(text: str, convert, what: str) -> list:
     """Comma-separated values; an empty entry (as in "0.1,,0.2") is a usage error."""
     tokens = text.split(",")
@@ -145,7 +159,7 @@ def _parse_biases(args, check: Callable[[int], None] = _check_size) -> RegisterB
     if has_list and has_pair:
         raise UsageError("--biases and --n/--epsilon are mutually exclusive")
     if has_list:
-        return RegisterBiases.from_values(_parse_list(args.biases, float, "bias"))
+        return RegisterBiases.from_values(_parse_list(args.biases, _FLOAT, "bias"))
     if args.n is None or args.epsilon is None:
         raise UsageError("provide either --biases or both --n and --epsilon")
     check(args.n)
@@ -356,7 +370,7 @@ def cmd_circuit(args) -> list[str]:
             raise UsageError("--lim and --from-biases are mutually exclusive")
         circuit = lim_comp(args.lim)
     elif args.from_biases is not None:
-        register = RegisterBiases.from_values(_parse_list(args.from_biases, float, "bias"))
+        register = RegisterBiases.from_values(_parse_list(args.from_biases, _FLOAT, "bias"))
         circuit = nb_maxcomp(register.n, find_optswaps(register))
     else:
         raise UsageError("provide --lim N or --from-biases LIST")
@@ -370,12 +384,12 @@ def cmd_sweep(args) -> list[str]:
         if args.epsilon is None:
             raise UsageError("--ns requires --epsilon")
         key = "n"
-        points = [(n, args.epsilon) for n in _parse_list(args.ns, int, "size")]
+        points = [(n, args.epsilon) for n in _parse_list(args.ns, _INT, "size")]
     elif args.epsilons is not None:
         if args.n is None:
             raise UsageError("--epsilons requires --n")
         key = "epsilon"
-        points = [(args.n, eps) for eps in _parse_list(args.epsilons, float, "bias")]
+        points = [(args.n, eps) for eps in _parse_list(args.epsilons, _FLOAT, "bias")]
     else:
         raise UsageError("provide --ns LIST or --epsilons LIST")
     for n, _ in points:
@@ -402,7 +416,7 @@ def cmd_bounds(args) -> list[str]:
 def _precision(text: str) -> float:
     """A ``--precision``: positive (else no loop converges) and finite (else not JSON)."""
     try:
-        value = float(text)
+        value = _FLOAT(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not 0.0 < value < math.inf:
@@ -413,12 +427,12 @@ def _precision(text: str) -> float:
 
 def _add_bias_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--biases", help="comma-separated per-qubit biases, e.g. 0.2,0.5")
-    p.add_argument("--n", type=int, help="register size (with --epsilon)")
-    p.add_argument("--epsilon", type=float, help="equal bias for all qubits (with --n)")
+    p.add_argument("--n", type=_INT, help="register size (with --epsilon)")
+    p.add_argument("--epsilon", type=_FLOAT, help="equal bias for all qubits (with --n)")
 
 
 def _add_iteration_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iteration-cap", dest="iteration_cap", type=int,
+    p.add_argument("--iteration-cap", dest="iteration_cap", type=_INT,
                    default=DEFAULT_ITERATION_CAP,
                    help="compression passes allowed per (round, head) of cooling, "
                         "summed over re-entries, and per (round, target) of the "
@@ -444,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="per-round cooling limits "
                                       "(CSV columns: round,q1..qn)")
     _add_bias_args(p)
-    p.add_argument("--rounds", type=int, help="number of limiting rounds (default n-2)")
+    p.add_argument("--rounds", type=_INT, help="number of limiting rounds (default n-2)")
     p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p.add_argument("--analytic", action="store_true",
                    help="closed-form evaluation (equal biases only)")
@@ -455,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cool", help="full register compression with swap counting")
     _add_bias_args(p)
-    p.add_argument("--rounds", type=int)
+    p.add_argument("--rounds", type=_INT)
     p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p.add_argument("--mode", choices=["full", "lim"], default="full")
     _add_iteration_cap(p)
@@ -465,17 +479,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("circuit", help="synthesize a .nbmc reversible circuit")
     p.add_argument("--from-biases", dest="from_biases",
                    help="emit the NB-MaxComp of the biases' optswap set")
-    p.add_argument("--lim", type=int, help="emit the n-wire limiting-swap circuit")
+    p.add_argument("--lim", type=_INT, help="emit the n-wire limiting-swap circuit")
     p.add_argument("--out")
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("sweep", help="complexity sweep "
                                      "(CSV columns: n,complexity or epsilon,complexity)")
     p.add_argument("--ns", help="comma-separated register sizes (with --epsilon)")
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--epsilon", type=_FLOAT)
     p.add_argument("--epsilons", help="comma-separated biases (with --n)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rounds", type=int, help="override rounds (default n-2)")
+    p.add_argument("--n", type=_INT)
+    p.add_argument("--rounds", type=_INT, help="override rounds (default n-2)")
     p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     p.add_argument("--mode", choices=["full", "lim"], default="full")
     _add_iteration_cap(p)
@@ -484,10 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="closed-system bounds and the analytic limit")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--rounds", type=int, help="round for the analytic limit (default n-2)")
-    p.add_argument("--k", type=int, default=1, help="qubit for the analytic limit")
+    p.add_argument("--n", type=_INT, required=True)
+    p.add_argument("--epsilon", type=_FLOAT, required=True)
+    p.add_argument("--rounds", type=_INT, help="round for the analytic limit (default n-2)")
+    p.add_argument("--k", type=_INT, default=1, help="qubit for the analytic limit")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
     return parser

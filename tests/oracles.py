@@ -255,6 +255,19 @@ def transposition_perm(n: int, swaps) -> np.ndarray:
     return perm
 
 
+def circuit_permutation_per_control(c) -> np.ndarray:
+    """Basis permutation of circuit *c*, one pass over all 2^n indices per control wire."""
+    v = np.arange(2 ** c.n, dtype=np.int64)
+    for g in c.gates:
+        match = np.ones(v.size, dtype=bool)
+        for w in g.controls_on_0:
+            match &= (v >> (c.n - w)) & 1 == 0
+        for w in g.controls_on_1:
+            match &= (v >> (c.n - w)) & 1 == 1
+        v = np.where(match, v ^ (1 << (c.n - g.target)), v)
+    return v
+
+
 def cool_head_fixed_point(defaults, rel_step: float = 1e-12,
                           max_iters: int = 10 ** 6) -> float:
     """Brute-force iteration of one open-system compression subspace.

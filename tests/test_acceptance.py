@@ -17,7 +17,7 @@ from qcool import (HbacConfig, RegisterBiases, analytic_limit, apply_circuit,
                    marginal_bias, nb_maxcomp, probamps, register_compression, single_round_limit,
                    sort_bound, verify_optimality)
 from fixture_sets import STRESS_SETS
-from oracles import transposition_perm
+from oracles import circuit_permutation_per_control, transposition_perm
 
 
 @contextmanager
@@ -171,10 +171,12 @@ def test_criterion_09_circuit_soundness():
             circuit = nb_maxcomp(n, swaps)
             perm = circuit_permutation(circuit)
             assert np.array_equal(perm, transposition_perm(n, swaps))
+            assert np.array_equal(perm, circuit_permutation_per_control(circuit))
             assert np.array_equal(perm[perm], np.arange(2 ** n))
         for n in range(2, 11):
             perm = circuit_permutation(lim_comp(n))
             want = transposition_perm(n, [2 ** (n - 1) - 1])
+            assert np.array_equal(perm, circuit_permutation_per_control(lim_comp(n)))
             assert np.array_equal(perm, want)
             assert np.array_equal(perm[perm], np.arange(2 ** n))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,14 @@ from qcool import (Circuit, Gate, RegisterBiases, ResourceCapError,
                    export_text, find_optswaps, lim_comp, nb_maxcomp,
                    parse_text, probamps)
 from qcool import circuits
-from oracles import nbmc_text, transposition_perm
+from oracles import circuit_permutation_per_control, nbmc_text, transposition_perm
+
+
+def permutation(c):
+    """circuit_permutation(c), checked against the per-control reference."""
+    perm = circuit_permutation(c)
+    assert np.array_equal(perm, circuit_permutation_per_control(c))
+    return perm
 
 
 @st.composite
@@ -41,6 +50,22 @@ class TestGateAndCircuit:
         with pytest.raises(ValueError, match="wire 3 exceeds n = 2"):
             Circuit(2, nb_maxcomp(3, [1, 2]).gates)
 
+    @pytest.mark.parametrize("kw, bad", [
+        ({"target": 1, "controls_on_0": (2.7,)}, "2.7"),
+        ({"target": 1, "controls_on_1": ("3",)}, "'3'"),
+        ({"target": 1.5}, "1.5"),
+        ({"target": np.float64(2.0)}, "2.0"),
+    ])
+    def test_gate_takes_integer_wires_only(self, kw, bad):
+        with pytest.raises(ValueError, match=f"wires must be integers, got .*{bad}"):
+            Gate(**kw)
+
+    def test_gate_stores_numpy_integers_as_int(self):
+        g = Gate(np.int64(3), controls_on_0=(np.uint8(1),), controls_on_1=(np.int32(2),))
+        assert g == Gate(3, (1,), (2,))
+        assert all(type(w) is int for w in (g.target, *g.controls_on_0, *g.controls_on_1))
+        assert export_text(Circuit(3, (g,))) == "WIRES 3\nMCX t=3 c0=[1] c1=[2]\n"
+
     def test_controls_stored_sorted(self):
         g = Gate(target=1, controls_on_1=(4, 2), controls_on_0=(5, 3))
         assert g.controls_on_1 == (2, 4)
@@ -49,18 +74,18 @@ class TestGateAndCircuit:
 
 class TestNbMaxcomp:
     def test_three_qubit_compressor(self):
-        perm = circuit_permutation(nb_maxcomp(3, [3]))
+        perm = permutation(nb_maxcomp(3, [3]))
         assert np.array_equal(perm, [0, 1, 2, 4, 3, 5, 6, 7])
 
     def test_empty_set_is_identity(self):
         c = nb_maxcomp(4, [])
         assert len(c) == 0
-        assert np.array_equal(circuit_permutation(c), np.arange(16))
+        assert np.array_equal(permutation(c), np.arange(16))
 
     def test_five_qubit_equal_bias_set(self):
         swaps = find_optswaps(probamps(RegisterBiases.equal(5, 0.1)))
         assert swaps.tolist() == [7, 11, 13, 14, 15]  # five exchanges
-        perm = circuit_permutation(nb_maxcomp(5, swaps))
+        perm = permutation(nb_maxcomp(5, swaps))
         assert np.array_equal(perm, transposition_perm(5, swaps))
 
     def test_rejects_one_t_indices(self):
@@ -71,7 +96,7 @@ class TestNbMaxcomp:
     @settings(max_examples=80, deadline=None)
     def test_permutation_equals_transposition_product(self, case):
         n, swaps = case
-        perm = circuit_permutation(nb_maxcomp(n, swaps))
+        perm = permutation(nb_maxcomp(n, swaps))
         assert np.array_equal(perm, transposition_perm(n, swaps))
 
     @given(swap_sets(max_n=6))
@@ -79,7 +104,7 @@ class TestNbMaxcomp:
     def test_involution(self, case):
         n, swaps = case
         c = nb_maxcomp(n, swaps)
-        perm = circuit_permutation(c)
+        perm = permutation(c)
         assert np.array_equal(perm[perm], np.arange(2 ** n))
 
 
@@ -97,7 +122,11 @@ class TestSharedFoldGates:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_text_matches_reference(self, n):
         for swaps in self.swap_sets(n):
-            assert export_text(nb_maxcomp(n, swaps)) == nbmc_text(n, swaps)
+            c = nb_maxcomp(n, swaps)
+            text = export_text(c)
+            assert text == nbmc_text(n, swaps)
+            assert export_text(parse_text(text)) == text
+            assert np.array_equal(permutation(c), transposition_perm(n, swaps))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_distinct_gate_objects(self, n):
@@ -109,21 +138,25 @@ class TestSharedFoldGates:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_lim_comp_text(self, n):
-        assert export_text(lim_comp(n)) == nbmc_text(n, [2 ** (n - 1) - 1])
+        c = lim_comp(n)
+        text = export_text(c)
+        assert text == nbmc_text(n, [2 ** (n - 1) - 1])
+        assert export_text(parse_text(text)) == text
+        assert np.array_equal(permutation(c), transposition_perm(n, [2 ** (n - 1) - 1]))
 
 
 class TestLimComp:
     def test_two_qubit_case(self):
-        perm = circuit_permutation(lim_comp(2))
+        perm = permutation(lim_comp(2))
         assert np.array_equal(perm, [0, 2, 1, 3])
 
     def test_matches_three_qubit_compressor(self):
-        assert np.array_equal(circuit_permutation(lim_comp(3)),
-                              circuit_permutation(nb_maxcomp(3, [3])))
+        assert np.array_equal(permutation(lim_comp(3)),
+                              permutation(nb_maxcomp(3, [3])))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_middle_transposition(self, n):
-        perm = circuit_permutation(lim_comp(n))
+        perm = permutation(lim_comp(n))
         want = np.arange(2 ** n)
         a, b = 2 ** (n - 1) - 1, 2 ** (n - 1)
         want[a], want[b] = want[b], want[a]
@@ -134,16 +167,35 @@ class TestLimComp:
             lim_comp(1)
 
 
+@st.composite
+def random_circuits(draw, max_n=10):
+    """Circuits of up to 40 gates on n <= max_n wires, each gate on distinct wires."""
+    n = draw(st.integers(1, max_n))
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        wires = draw(st.permutations(range(1, n + 1)))
+        k0 = draw(st.integers(0, n - 1))
+        k1 = draw(st.integers(0, n - 1 - k0))
+        gates.append(Gate(wires[0], wires[1:1 + k0], wires[1 + k0:1 + k0 + k1]))
+    return Circuit(n, tuple(gates))
+
+
 class TestCircuitPermutation:
+    @given(random_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_control_reference(self, c):
+        assert np.array_equal(circuit_permutation(c), circuit_permutation_per_control(c))
+        assert export_text(parse_text(export_text(c))) == export_text(c)
+
     def test_empty_circuit(self):
-        assert np.array_equal(circuit_permutation(Circuit(3)), np.arange(8))
+        assert np.array_equal(permutation(Circuit(3)), np.arange(8))
 
     def test_single_not_on_top_wire(self):
-        perm = circuit_permutation(Circuit(2, (Gate(target=1),)))
+        perm = permutation(Circuit(2, (Gate(target=1),)))
         assert np.array_equal(perm, [2, 3, 0, 1])
 
     def test_lim_comp_4(self):
-        perm = circuit_permutation(lim_comp(4))
+        perm = permutation(lim_comp(4))
         assert perm[7] == 8 and perm[8] == 7
 
     def test_size_cap(self, monkeypatch):
@@ -211,7 +263,7 @@ class TestTextFormat:
         for c in (lim_comp(3), nb_maxcomp(4, [0, 5, 7]), Circuit(2)):
             back = parse_text(export_text(c))
             assert back.n == c.n
-            assert np.array_equal(circuit_permutation(back), circuit_permutation(c))
+            assert np.array_equal(permutation(back), permutation(c))
 
     def test_parse_exact_fields(self):
         c = parse_text("WIRES 4\nMCX t=2 c0=[1,4] c1=[3]\n")
@@ -223,4 +275,22 @@ class TestTextFormat:
     ])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ValueError):
+            parse_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("WIRES 12\nMCX t=1 c0=[1_0] c1=[]\n", "bad gate line: 'MCX t=1 c0=[1_0] c1=[]'"),
+        ("WIRES 4\nMCX t=1 c0=[] c1=[+3]\n", "bad gate line: 'MCX t=1 c0=[] c1=[+3]'"),
+        ("WIRES 4\nMCX t=\u0662 c0=[] c1=[]\n", "bad gate line: 'MCX t=\u0662 c0=[] c1=[]'"),
+        ("WIRES 4\nMCX t=1 c0=[2,,3] c1=[]\n", "bad gate line"),
+        ("WIRES 4\nMCX t=1 c0=[2, 3] c1=[]\n", "bad gate line"),
+        ("WIRES 4\nMCX  t=1 c0=[] c1=[]\n", "bad gate line"),
+        ("WIRES 0_4\n", "bad WIRES header: 'WIRES 0_4'"),
+        ("WIRES \u0664\n", "bad WIRES header"),
+        ("WIRES  4\n", "bad WIRES header"),
+        ("MCX t=1 c0=[] c1=[]\n", "missing WIRES header"),
+        ("\n \n", "missing WIRES header"),
+    ])
+    def test_parse_reads_only_the_written_grammar(self, text, message):
+        # int() would read 1_0 as 10, +3 as 3 and the Arabic-Indic digits as 2 and 4
+        with pytest.raises(ValueError, match=re.escape(message)):
             parse_text(text)

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcool.cli as cli
@@ -143,8 +143,13 @@ class TestOptswaps:
 
 @st.composite
 def swap_subsets(draw):
-    """(n, sorted swap indices in [0, 2^(n-1))): empty, {0}, the full half or random."""
-    n = draw(st.integers(1, 12))
+    """(n, sorted swap indices in [0, 2^(n-1))): empty, {0}, the full half or random.
+
+    Past n = 12 the kets span up to four bytes, with no digit dropped at
+    n = 16 and 24; there "full" is the top 64 indices and "random" at most
+    64 of them.
+    """
+    n = draw(st.integers(1, 25))
     half = 2 ** (n - 1)
     kind = draw(st.sampled_from(["empty", "zero", "full", "random"]))
     if kind == "empty":
@@ -152,8 +157,10 @@ def swap_subsets(draw):
     if kind == "zero":
         return n, [0]
     if kind == "full":
-        return n, list(range(half))
+        return n, list(range(max(half - 64, 0), half))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if n > 12:
+        return n, np.unique(rng.integers(0, half, size=draw(st.integers(1, 64)))).tolist()
     return n, np.flatnonzero(rng.random(half) < draw(st.floats(0.0, 1.0))).tolist()
 
 
@@ -161,6 +168,9 @@ class TestSwapRenderer:
     SEPARATORS = {"text": "\n", "csv": "\n", "json": ",\n"}
 
     @given(swap_subsets(), st.one_of(st.integers(1, 70), st.just(1 << 16)))
+    @example((16, [0, 1, 255, 256, 32767]), 1 << 16)  # two whole bytes
+    @example((24, [0, 255, 65535, 65536, 2 ** 23 - 1]), 2)  # three whole bytes
+    @example((25, [1, 2 ** 16, 2 ** 23, 2 ** 24 - 1]), 1 << 16)  # four bytes, 7 digits dropped
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_rows(self, subset, chunk):
         n, swaps = subset
@@ -409,10 +419,13 @@ def child_env(unbuffered=None):
 
 
 def shell(argv, redirect, unbuffered=None, **kw):
-    """``python -m qcool.cli`` run by the shell with *redirect* appended."""
+    """``python -m qcool.cli`` run by the shell with *redirect* appended.
+
+    The shell execs the child, so that the timeout kills the child itself.
+    """
     env = child_env(unbuffered)
     cmd = shlex.join([sys.executable, "-m", "qcool.cli", *argv])
-    return subprocess.run(f"{cmd} {redirect}", shell=True, env=env, stdout=subprocess.PIPE,
+    return subprocess.run(f"exec {cmd} {redirect}", shell=True, env=env, stdout=subprocess.PIPE,
                           timeout=60, **kw)
 
 
@@ -738,7 +751,8 @@ class TestBounds:
         cmd = shlex.join([sys.executable, "-m", "qcool.cli", "bounds", "--n", n,
                           "--epsilon", "0.1"])
         env = {**child_env(), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-        proc = subprocess.run(f"ulimit -v 1048576; {cmd}", shell=True, env=env,
+        # exec, so that the timeout kills the child itself, not only its shell
+        proc = subprocess.run(f"ulimit -v 1048576; exec {cmd}", shell=True, env=env,
                               capture_output=True, timeout=60)
         assert (proc.returncode, proc.stderr.decode()) == (code, err)
         if code == 0:
@@ -981,3 +995,67 @@ class TestArgumentRobustness:
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+class TestPlainNumbers:
+    """int() and float() read underscores and non-ASCII digits; the CLI refuses them.
+
+    Each token here ran as another number before: 1_0 as 10, the Arabic-Indic
+    digit three as 3, 0_1 as 1.  Every other token still goes to int() or
+    float(), so scientific notation, nan and inf keep their meaning.
+    """
+
+    @staticmethod
+    def usage_error(capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        return out.err
+
+    @pytest.mark.parametrize("argv, flag, token", [
+        (("limits", "--n", "1_0", "--epsilon", "0.1", "--rounds", "1"), "--n", "1_0"),
+        (("bounds", "--n", "٣", "--epsilon", "0.1"), "--n", "٣"),
+        (("limits", "--n", "4", "--epsilon", "0.1", "--rounds", "２"), "--rounds", "２"),
+        (("bounds", "--n", "4", "--epsilon", "0.1", "--k", "٢"), "--k", "٢"),
+        (("circuit", "--lim", "0_3"), "--lim", "0_3"),
+        (("cool", "--n", "3", "--epsilon", "0.1", "--iteration-cap", "1_000"),
+         "--iteration-cap", "1_000"),
+        (("sweep", "--n", "٤", "--epsilons", "0.1"), "--n", "٤"),
+    ])
+    def test_int_flag(self, capsys, argv, flag, token):
+        err = self.usage_error(capsys, argv)
+        assert f"error: argument {flag}: invalid int value: {token!r}" in err
+
+    @pytest.mark.parametrize("argv, flag, token", [
+        (("bounds", "--n", "3", "--epsilon", "0.1_0"), "--epsilon", "0.1_0"),
+        (("optswaps", "--n", "3", "--epsilon", "0.١"), "--epsilon", "0.١"),
+        (("sweep", "--ns", "3,4", "--epsilon", "1e-0_1"), "--epsilon", "1e-0_1"),
+    ])
+    def test_float_flag(self, capsys, argv, flag, token):
+        err = self.usage_error(capsys, argv)
+        assert f"error: argument {flag}: invalid float value: {token!r}" in err
+
+    @pytest.mark.parametrize("token", ["1e-1_0", "1e-٩", "0.00_1"])
+    def test_precision(self, capsys, token):
+        argv = ("limits", "--n", "4", "--epsilon", "0.1", "--precision", token)
+        err = self.usage_error(capsys, argv)
+        assert f"error: argument --precision: invalid float value: {token!r}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("cool", "--biases", "0_1,0.2,0.3", "--rounds", "1"),
+         "bad bias list '0_1,0.2,0.3': not a plain number: '0_1'"),
+        (("circuit", "--from-biases", "0.2,0.٢"),
+         "bad bias list '0.2,0.٢': not a plain number: '0.٢'"),
+        (("sweep", "--ns", "3,1_0", "--epsilon", "0.1"),
+         "bad size list '3,1_0': not a plain number: '1_0'"),
+        (("sweep", "--n", "4", "--epsilons", "١e-1,0.2"),
+         "bad bias list '١e-1,0.2': not a plain number: '١e-1'"),
+    ], ids=["biases", "from-biases", "ns", "epsilons"])
+    def test_list(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_scientific_notation_still_accepted(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--n", " 4", "--epsilon", "1E-2", "--k", "+1")
+        assert code == 0 and json.loads(out)["epsilon"] == 0.01
