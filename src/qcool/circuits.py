@@ -11,9 +11,9 @@ Wire 1 is the most significant bit of a basis index, matching the register
 convention.
 
 The .nbmc text is ``WIRES <n>``, then ``MCX t=<wire> c0=[<wires>] c1=[<wires>]``
-per gate, in ASCII digits, comma-separated wire lists and single spaces.
-:func:`parse_text` reads exactly what :func:`export_text` writes, one pattern per
-line of :meth:`str.splitlines`, skipping blank lines.
+per gate: ASCII digits with no leading zero, comma-separated lists, single spaces
+and LF line ends.  :func:`parse_text` reads exactly what :func:`export_text`
+writes, one pattern per line, but skips blank lines and sorts each wire list.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ def apply_circuit(dist: DiagDist, c: Circuit) -> DiagDist:
     return DiagDist._own(out)
 
 
-_HEADER = re.compile(r"WIRES ([0-9]+)")
-_LIST = r"\[((?:[0-9]+,)*[0-9]+|)\]"  # a comma-separated list, possibly empty
-_GATE = re.compile(rf"MCX t=([0-9]+) c0={_LIST} c1={_LIST}")
+_HEADER = re.compile(r"WIRES ([1-9][0-9]*)")  # wires as str(int) writes them
+_LIST = r"\[((?:[1-9][0-9]*,)*[1-9][0-9]*|)\]"  # a comma-separated list, possibly empty
+_GATE = re.compile(rf"MCX t=([1-9][0-9]*) c0={_LIST} c1={_LIST}")
 
 
 def export_text(c: Circuit) -> str:
@@ -162,7 +162,7 @@ def export_text(c: Circuit) -> str:
 
 def parse_text(text: str) -> Circuit:
     """Parse the .nbmc grammar back into a circuit."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith("WIRES "):
         raise ValueError("missing WIRES header")
     header = _HEADER.fullmatch(lines[0])

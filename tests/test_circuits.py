@@ -284,13 +284,21 @@ class TestTextFormat:
         ("WIRES 4\nMCX t=1 c0=[2,,3] c1=[]\n", "bad gate line"),
         ("WIRES 4\nMCX t=1 c0=[2, 3] c1=[]\n", "bad gate line"),
         ("WIRES 4\nMCX  t=1 c0=[] c1=[]\n", "bad gate line"),
+        ("WIRES 4\nMCX t=01 c0=[] c1=[]\n", "bad gate line: 'MCX t=01 c0=[] c1=[]'"),
+        ("WIRES 4\nMCX t=1 c0=[02] c1=[]\n", "bad gate line"),
+        ("WIRES 4\nMCX t=0 c0=[] c1=[]\n", "bad gate line"),
+        ("WIRES 2\nMCX t=1 c0=[] c1=[]\x0cMCX t=2 c0=[] c1=[]\n", "bad gate line"),
         ("WIRES 0_4\n", "bad WIRES header: 'WIRES 0_4'"),
+        ("WIRES 04\n", "bad WIRES header: 'WIRES 04'"),
+        ("WIRES 0\n", "bad WIRES header: 'WIRES 0'"),
+        ("WIRES 4\r\nMCX t=1 c0=[] c1=[]\r\n", "bad WIRES header: 'WIRES 4\\r'"),
         ("WIRES \u0664\n", "bad WIRES header"),
         ("WIRES  4\n", "bad WIRES header"),
         ("MCX t=1 c0=[] c1=[]\n", "missing WIRES header"),
         ("\n \n", "missing WIRES header"),
     ])
     def test_parse_reads_only_the_written_grammar(self, text, message):
-        # int() would read 1_0 as 10, +3 as 3 and the Arabic-Indic digits as 2 and 4
+        # int() would read 1_0 as 10, +3 as 3 and the Arabic-Indic digits as 2 and 4;
+        # str.splitlines would break a line at a form feed
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_text(text)

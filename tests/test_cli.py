@@ -145,9 +145,9 @@ class TestOptswaps:
 def swap_subsets(draw):
     """(n, sorted swap indices in [0, 2^(n-1))): empty, {0}, the full half or random.
 
-    Past n = 12 the kets span up to four bytes, with no digit dropped at
-    n = 16 and 24; there "full" is the top 64 indices and "random" at most
-    64 of them.
+    Up to n = 12 "full" is the whole half.  Past n = 12 the kets span up to
+    four bytes, with no digit dropped at n = 16 and 24; there "full" is the
+    top 64 indices and "random" at most 64 of them.
     """
     n = draw(st.integers(1, 25))
     half = 2 ** (n - 1)
@@ -157,7 +157,7 @@ def swap_subsets(draw):
     if kind == "zero":
         return n, [0]
     if kind == "full":
-        return n, list(range(max(half - 64, 0), half))
+        return n, list(range(half)) if n <= 12 else list(range(half - 64, half))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if n > 12:
         return n, np.unique(rng.integers(0, half, size=draw(st.integers(1, 64)))).tolist()
