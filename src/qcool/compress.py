@@ -18,12 +18,12 @@ pair, so it holds two blocks, never the 2^n vector, and selects exactly
 what the scan of the full vector selects.
 
 The one verdict function of register cooling and of the numerical limits
-lives here as well, :func:`_limiting_verdict`.  From the limiting pair
-|011..1> <-> |100..0>, the largest bias and the smallest ancilla bias, its
-value-domain gate proves, in O(q), when no other pair of a q-qubit product
-state can be beneficial; it then returns the pair's tie verdict, and
-otherwise None, so that the caller builds the full mask.  The gate's
-inequality and its margin proof, ``GATE_MARGIN``, are written here once.
+lives here as well, :func:`_limiting_verdict`.  From the head bias, the
+limiting pair |011..1> <-> |100..0> and the smallest ancilla bias, its
+value-domain gate proves, in O(1), when no other pair of a product state
+can be beneficial; it then returns the pair's tie verdict, and otherwise
+None, so that the caller builds the full mask.  The gate's inequality and
+its margin proof, ``GATE_MARGIN``, are written here once.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _beneficial(a: float, b: float) -> bool:
 #: Margin by which the gate must rule out every non-limiting pair: it accepts
 #: only when the best such pair's probamp ratio, tail over head, is below
 #: exp(-2 GATE_MARGIN).  Take as exact the product of the rounded factors
-#: fl(1 -+ b) / 2 that the limiting pair's walk and the full build share
+#: fl(1 -+ b) / 2 that a pass's scalar loop and the full build share
 #: (u = 2^-53).  Each computed probamp is a product of at most 26 of them,
 #: within 26u relative of it; r = fl(1 - b) / fl(1 + b) is within u, and
 #: the gate's two sides are within 60u of exact.  The full build's ratio of
@@ -65,24 +65,24 @@ def _beneficial(a: float, b: float) -> bool:
 GATE_MARGIN = 1e-9
 _GATE_RATIO = math.exp(-2.0 * GATE_MARGIN)
 
-#: Smallest ((1 - max beta) / 2)^q the gate accepts.  No probamp entry or
-#: partial product of the build falls below that bound, so above this floor
-#: none is subnormal and float rounding cannot reorder a complementary pair
-#: whose exact ratio the margin separates from 1.
+#: Smallest entry of the build, |11..1>, the gate accepts.  With biases in
+#: [0, 1) every factor (1 -+ b) / 2 lies in (0, 1] and that entry takes the
+#: smaller factor of each qubit, so no entry or partial product falls below
+#: it.  Above this floor none is subnormal and float rounding cannot reorder
+#: a complementary pair whose exact ratio the margin separates from 1.
 _NORMAL_FLOOR = 1e-280
 
 
-def _limiting_verdict(head: float, b_max: float, q: int, p_k: float, p_kk: float,
-                      b_min: float) -> bool | None:
+def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> bool | None:
     """The limiting pair's tie verdict, or None when the gate defers to the full mask.
 
     The gate accepts when it proves that no pair of the q-qubit product
     state but the limiting one |011..1> <-> |100..0> can be beneficial, and
     the verdict is then :func:`_beneficial` on that pair; otherwise the
-    caller builds the full mask.  Takes the head bias, the largest of the q biases, the pair's two
+    caller builds the full mask.  Takes the head bias, the pair's two
     probamps p_k and p_kk, built as the full build's entries are (each
     entry's factors multiplied left to right in qubit order, starting from
-    1.0), and the smallest ancilla bias.
+    1.0), and the smallest ancilla bias.  No ancilla bias may exceed 1.
 
     A complementary pair's tail over head ratio is the product over qubits
     of (1 - s_i beta_i) / (1 + s_i beta_i), with s_i = +1 where bit i of its
@@ -92,11 +92,17 @@ def _limiting_verdict(head: float, b_max: float, q: int, p_k: float, p_kk: float
     so the best other pair flips only the smallest ancilla bias: its ratio
     is p_kk r^2 / p_k with r = (1 - b_min) / (1 + b_min).  Rounding of
     (1 +- b) / 2 is monotone in b, so the same holds for the rounded
-    factors of the full build.  Biases outside [0, 1) or near-saturated
-    registers defer to the full mask.
+    factors of the full build.
+
+    A negative bias defers, and so does a smallest entry,
+    p_k (1 - head) / (1 + head), below ``_NORMAL_FLOOR``.  It is 0 when a
+    bias is 1 and negative when the head exceeds 1.  (Two ancillas above 1
+    would leave it positive beside negative entries, hence the rule on
+    them.)  With biases in [0, 1) it is never below ((1 - max beta) / 2)^q,
+    so no register whose largest bias keeps that above the floor defers.
     """
-    if not (head >= 0.0 and b_min >= 0.0 and b_max < 1.0
-            and ((1.0 - b_max) / 2.0) ** q >= _NORMAL_FLOOR):
+    if not (head >= 0.0 and b_min >= 0.0
+            and p_k * (1.0 - head) / (1.0 + head) >= _NORMAL_FLOOR):
         return None
     r = (1.0 - b_min) / (1.0 + b_min)
     if p_kk * r * r < _GATE_RATIO * p_k:

@@ -24,21 +24,20 @@ compression returns its exchange and pass counts, which register
 compression sums; no counter lives on shared state.
 
 Nearly every pass can gain only from the limiting exchange
-|011..1> <-> |100..0>, and ``lim`` mode performs no other.  A pass reads
-that pair's two probamps, the smallest ancilla bias and the largest bias
-as scalars.  A ``lim`` pass tests the pair with the tie rule; a ``full``
-pass asks :func:`~qcool.compress._limiting_verdict`, whose value-domain
-gate proves, from those scalars, that no other pair can gain, and which
-then gives the same tie verdict.  Such a pass is one loop over the
-ancillas: it exchanges the pair, floors each ancilla at its default and
-builds the next pass's scalars from the floored biases, in the full
-build's multiplication order.  It costs O(q) for a q-qubit sub-register.
-Only the rare other ``full`` passes build all 2^q probamps and the full
-beneficial mask, and the pass after one walks the biases once for its
-scalars, as the first pass of a sub-register does.  Both paths yield
-bit-identical exchanges.  A pass whose head starts at its cap exchanges
-nothing and ends before any walk, and a pass whose limiting pair is not
-beneficial moves nothing and ends at once.  The verdict, its gate and
+|011..1> <-> |100..0>, and ``lim`` mode performs no other.  Each pass is
+one loop over the sub-register: it applies the last limiting exchange
+(a step of 0.0 on the first pass and after a full-mask pass), floors
+every qubit at its default, and builds that pair's two probamps and the
+smallest ancilla bias as scalars, in the full build's multiplication
+order, at O(q) for a q-qubit sub-register.  A ``lim`` pass then tests the
+pair with the tie rule; a ``full`` pass asks
+:func:`~qcool.compress._limiting_verdict`, whose value-domain gate
+proves, from the head bias and those scalars, that no other pair can
+gain, and which then gives the same tie verdict.  Only the rare other
+``full`` passes build all 2^q probamps and the full beneficial mask.
+Both paths yield bit-identical exchanges.  A pass whose head starts at
+its cap exchanges nothing, and a pass whose limiting pair is not
+beneficial moves nothing; both end the loop.  The verdict, its gate and
 the gate's margin proof live in :mod:`qcool.compress`, which
 :func:`numerical_limits` shares.
 
@@ -110,26 +109,6 @@ class CoolingReport:
         return sum(self.per_round_swaps)
 
 
-def _walk(beta: list[float]) -> tuple[float, float, float, float]:
-    """The limiting pair's probamps p_k and p_kk, the smallest ancilla bias and the largest bias.
-
-    The probamps are bit-identical to the full build's entries: it
-    multiplies each entry's factors left to right in qubit order, starting
-    from 1.0 (and 1.0 * x is exact); so does this walk, head factor first.
-    """
-    head = beta[0]
-    p_k, p_kk = (1.0 + head) / 2.0, (1.0 - head) / 2.0
-    b_min, b_max = math.inf, head
-    for b in beta[1:]:
-        p_k *= (1.0 - b) / 2.0
-        p_kk *= (1.0 + b) / 2.0
-        if b < b_min:
-            b_min = b
-        if b > b_max:
-            b_max = b
-    return p_k, p_kk, b_min, b_max
-
-
 def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: int, x: int,
                   z: int, v: int, raw: list[float], floor: list[float], passes_used: int,
                   on_swap: SwapHook | None) -> tuple[list[float], int, int]:
@@ -139,29 +118,26 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
     which enters as the sub-register's recorded biases and tracks the
     marginals exactly through each exchange, and ``gamma``, the same floored
     at the default biases *floor* (the heat-bath reset).  One while-pass:
-    from *raw* at the pass start, find the beneficial complementary pairs of
-    the product state, then exchange each in index order.  Exchanging pair k of gap d
-    adds 2 d to qubit i when bit i of k (MSB first) is 0 and subtracts it
-    when the bit is 1; every qubit is then floored again.  The pass ratio is
-    the head bias after the pass over the head bias before it, and the next
-    pass starts from the floored biases.
+    from the biases at the pass start, find the beneficial complementary
+    pairs of the product state, then exchange each in index order.
+    Exchanging pair k of gap d adds 2 d to qubit i when bit i of k (MSB
+    first) is 0 and subtracts it when the bit is 1; every qubit is then
+    floored again.  The pass ratio is the head bias after the pass over the
+    head bias before it, and the next pass starts from the floored biases.
 
-    A pass whose head starts at or above its cap exchanges nothing, so it
-    converges at once; it still counts as a pass.  Otherwise the pass
-    takes the limiting pair's two probamps, bit-identical to the full
-    build's, and the smallest ancilla and largest biases as scalars: the
-    first pass walks *raw* for them with :func:`_walk`.  ``lim`` mode
-    exchanges only that pair, and in almost every ``full`` pass only that
-    pair can be beneficial.  In ``lim`` mode, and whenever
-    :func:`_limiting_verdict` proves the latter, the pass tests the pair
-    with the same tie rule.  If it is not beneficial nothing moves, so the
-    pass converges and returns.  If it is, one loop over the ancillas
-    exchanges it, adding 2 d to the head and subtracting it from every
-    ancilla, floors each ancilla and builds the next pass's scalars from
-    the floored biases, in the full build's multiplication order: O(q) per
-    pass.  Otherwise a ``full`` pass falls back to building all 2^q
-    probamps and the full beneficial mask, and the next pass walks its
-    biases again.  Both paths give bit-identical exchanges.
+    Each pass opens with one loop: it applies the last limiting exchange's
+    step (0.0 on the first pass and after a full-mask pass), floors every
+    qubit, keeping the default on a tie, and builds from the floored biases
+    the limiting pair's two probamps, bit-identical to the full build's
+    (head factor first), and the smallest ancilla bias: O(q) per pass.  The
+    previous pass's convergence test, the cap test and the verdict follow.
+    A pass whose head starts at its cap exchanges nothing and converges; it
+    still counts.  In ``lim`` mode, and whenever :func:`_limiting_verdict`
+    proves that only the limiting pair can gain (almost every ``full``
+    pass), the pass tests that pair with the tie rule: a beneficial pair's
+    step goes to the next pass's loop, else nothing moves and the pass
+    returns.  Any other ``full`` pass builds all 2^q probamps and the full
+    beneficial mask, with bit-identical exchanges.
 
     *x* is the head of the current re-entry and *top* that of the top-level
     :func:`subspace_compression` call, which has used *passes_used* of its
@@ -184,46 +160,50 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
     # an uncapped ancilla then overshoots its own round limit.
     prev_level = targets[r - 2][v - 1] if r > 1 else floor0
     cap = targets[r - 1][v - 1] if z == 0 and v == x else prev_level
-    # The floor is max(default, raw) and keeps the default on a tie, so a
-    # zero marginal carries its default's sign.
-    gamma = [b if b > f else f for f, b in zip(floor, raw)]
-    p_k = None  # no scalars yet: this pass walks the biases
+    # The verdict needs ancillas of at most 1.  No pass lifts one past 1 (a
+    # limiting exchange lowers them, defaults lie in [0, 1], a full mask adds
+    # at most (1 - b) / 2 to b), so one test per call covers every pass: a
+    # NaN smallest bias sends every pass to the full mask.
+    no_min = math.inf if max(raw[1:]) <= 1.0 else math.nan
+    step = 0.0
     swaps_done = 0
     passes = 0
     while True:
+        # The floor is max(default, raw) and keeps the default on a tie, so
+        # a zero marginal carries its default's sign.
+        h = raw[0] + step
+        h = h if h > floor0 else floor0
+        gamma = [h]
+        p_k, p_kk = (1.0 + h) / 2.0, (1.0 - h) / 2.0
+        b_min = no_min
+        for f, b in zip(floor_rest, raw[1:]):
+            c = b - step
+            c = c if c > f else f
+            gamma.append(c)
+            p_k *= (1.0 - c) / 2.0
+            p_kk *= (1.0 + c) / 2.0
+            if c < b_min:
+                b_min = c
+        if passes:
+            if head_before == 0.0:
+                converged = h == 0.0
+            else:
+                converged = abs(h / head_before - 1.0) <= precision
+            if converged:
+                return gamma, swaps_done, passes
         passes += 1
         if passes > budget:
             raise DivergenceError(
                 f"subspace compression exceeded {config.iteration_cap} passes "
                 f"(round {r}, head {top}, target {v})",
                 round_index=r, subspace=top, passes=passes_used + passes)
-        head_before = gamma[0]
-        if head_before >= cap:
+        if h >= cap:
             return gamma, swaps_done, passes
-        if p_k is None:
-            p_k, p_kk, b_min, b_max = _walk(raw)
-        verdict = (_beneficial(p_k, p_kk) if lim
-                   else _limiting_verdict(raw[0], b_max, q, p_k, p_kk, b_min))
+        head_before = h
+        raw = gamma
+        verdict = _beneficial(p_k, p_kk) if lim else _limiting_verdict(h, p_k, p_kk, b_min)
         if verdict:
-            # Exchange the limiting pair: 2 d onto the head, off every
-            # ancilla.  One loop floors each ancilla and builds the next
-            # pass's scalars from the floored biases, as _walk would.
             step = 2.0 * (p_kk - p_k)
-            h = raw[0] + step
-            h = h if h > floor0 else floor0
-            gamma = [h]
-            p_k, p_kk = (1.0 + h) / 2.0, (1.0 - h) / 2.0
-            b_min, b_max = math.inf, h
-            for f, b in zip(floor_rest, raw[1:]):
-                c = b - step
-                c = c if c > f else f
-                gamma.append(c)
-                p_k *= (1.0 - c) / 2.0
-                p_kk *= (1.0 + c) / 2.0
-                if c < b_min:
-                    b_min = c
-                if c > b_max:
-                    b_max = c
             swaps_done += 1
             if on_swap is not None:
                 on_swap(r, x, v, limiting)
@@ -242,17 +222,10 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
                 swaps_done += 1
                 if on_swap is not None:
                     on_swap(r, x, v, k)
-            p_k = None
+            raw, step = gamma, 0.0
         else:
             # Nothing moved, so the convergence test holds.
             return gamma, swaps_done, passes
-        if head_before == 0.0:
-            converged = gamma[0] == 0.0
-        else:
-            converged = abs(gamma[0] / head_before - 1.0) <= precision
-        if converged:
-            return gamma, swaps_done, passes
-        raw = gamma
 
 
 def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: LimitMatrix,
@@ -266,7 +239,9 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
     round-r target, then with z = 1 at each deeper qubit below its
     previous-round target.  The re-entries run from an explicit stack.
     *passes* counts the passes of every re-entry, and
-    ``config.iteration_cap`` bounds it.
+    ``config.iteration_cap`` bounds it.  An entry of row r below its
+    default bias (the bath floor every cooled bias keeps) raises
+    :class:`ValueError`, after the checks of r, x and z.
     """
     n = config.biases.n
     if not 1 <= r <= config.rounds:
@@ -278,6 +253,10 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
     tgt = targets.values.tolist()
     floor = config.biases.values.tolist()
     row = rl[r - 1].tolist()
+    for i, (f, b) in enumerate(zip(floor, row), start=1):
+        if not b >= f:  # also flags NaN
+            raise ValueError(f"round {r} bias of qubit {i} must be at least its default {f!r}, "
+                             f"got {b!r}")
 
     swaps = 0
     passes = 0

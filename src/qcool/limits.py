@@ -262,7 +262,7 @@ def _converge(target: float, ancillas: Sequence[float], precision: float,
     ``np.dot`` marginal as the new bias.  The loop stops once a pass changes
     the bias by at most *precision* relative (a zero bias must stay zero),
     or after *iteration_cap* passes with settled False.  The sign vector,
-    the buffer, the gate's ancilla terms and the factor block are built
+    the buffer, the ancillas' smallest bias and the factor block are built
     once.  Rows 1..k of the block hold the factors (1 +- b)/2 of the last
     k = min(q - 1, _BLOCK_ANCILLAS) ancillas, one column per index of a
     2^(k+1)-entry slice.  A pass fills row 0 with the target's factors, or
@@ -287,7 +287,9 @@ def _converge(target: float, ancillas: Sequence[float], precision: float,
     pair = p[half - 1:half + 1]  # the limiting pair's two entries
     slices = list(p.reshape(-1, block.shape[1]))
     sign = _sign_vector(1, q)
-    b_min, b_rest = min(rest), max(rest)
+    # A saturated earlier round can leave an ancilla above 1, which the
+    # verdict must not see: a NaN smallest bias sends every pass to the full mask.
+    b_min = min(rest) if max(rest) <= 1.0 else math.nan
     for _ in range(iteration_cap):
         lo, hi = (1.0 + target) / 2.0, (1.0 - target) / 2.0
         if lead:
@@ -303,8 +305,7 @@ def _converge(target: float, ancillas: Sequence[float], precision: float,
             row_hi.fill(hi)
             np.multiply.reduce(block, axis=0, out=p)
         p_k, p_kk = pair.tolist()
-        b_max = target if target > b_rest else b_rest
-        verdict = _limiting_verdict(target, b_max, q, p_k, p_kk, b_min)
+        verdict = _limiting_verdict(target, p_k, p_kk, b_min)
         if verdict:
             pair[0], pair[1] = p_kk, p_k
         elif verdict is None:

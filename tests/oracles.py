@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,25 @@ def limiting_probamps(beta) -> tuple[float, float, float]:
         if b < b_min:
             b_min = b
     return p_k, p_kk, b_min
+
+
+def largest_bias_verdict(head: float, b_max: float, q: int, p_k: float, p_kk: float,
+                         b_min: float) -> bool | None:
+    """The limiting-pair gate with its subnormal guard on the largest bias b_max of q.
+
+    The earlier form of the gate, kept as its reference: it defers (None)
+    on a negative bias, a bias of 1 or more, or ((1 - b_max) / 2)^q below
+    1e-280.  Otherwise it accepts when p_kk r^2 < exp(-2e-9) p_k, with
+    r = (1 - b_min) / (1 + b_min), and returns the tie-tolerant comparison
+    of the limiting pair; else None.
+    """
+    if not (head >= 0.0 and b_min >= 0.0 and b_max < 1.0
+            and ((1.0 - b_max) / 2.0) ** q >= 1e-280):
+        return None
+    r = (1.0 - b_min) / (1.0 + b_min)
+    if p_kk * r * r < math.exp(-2e-9) * p_k:
+        return (p_kk - p_k) > TIE_RTOL * max(abs(p_k), abs(p_kk))
+    return None
 
 
 def select_swaps_brute(p: np.ndarray) -> list[int]:

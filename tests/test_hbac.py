@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import sys
 import types
 
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 import qcool.cli as cli
 import qcool.hbac as hbac
-from qcool import (CoolingReport, DivergenceError, HbacConfig, RegisterBiases,
+from qcool import (CoolingReport, DivergenceError, HbacConfig, LimitMatrix, RegisterBiases,
                    analytic_limit, numerical_limits, register_compression, single_round_limit,
                    subspace_compression)
 from qcool.compress import _beneficial, _beneficial_mask, _limiting_verdict
 from qcool.limits import DEFAULT_PRECISION
 from qcool.regstate import _probamps_raw
-from oracles import cool_head_fixed_point, limiting_probamps
+from oracles import cool_head_fixed_point, largest_bias_verdict, limiting_probamps
 from strategies import product_registers
 
 UNEQUAL_SETS = [
@@ -217,14 +218,28 @@ class TestSubspaceCompression:
         assert np.array_equal(rl, before)
 
     def test_validates_head_and_flag(self):
+        # the rows of zeros lie below the defaults too; r, x and z are checked first
         targets = numerical_limits([0.2] * 3, 1)
         config = HbacConfig.equal(3, 0.2, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="subspace head 3 out of range"):
             subspace_compression(config, 1, 3, 0, targets, np.zeros((1, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="re-entry flag"):
             subspace_compression(config, 1, 1, 2, targets, np.zeros((1, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="round 2 out of range"):
             subspace_compression(config, 2, 1, 0, targets, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("row, message", [
+        ([0.2, 0.2, 0.15, 0.2], "qubit 3 must be at least its default 0.2, got 0.15"),
+        ([0.3, math.nan, 0.2, 0.2], "qubit 2 must be at least its default 0.2, got nan"),
+    ])
+    def test_row_below_its_default_is_refused(self, row, message):
+        # Every pass reads its biases floored at the defaults, so a row below
+        # them would be read as another row; cooling never writes one.
+        targets = numerical_limits([0.2] * 4, 1)
+        rl = np.array([row])
+        with pytest.raises(ValueError, match=re.escape(f"round 1 bias of {message}")):
+            subspace_compression(HbacConfig.equal(4, 0.2, 1), 1, 1, 0, targets, rl)
+        assert np.array_equal(rl, [row], equal_nan=True)
 
     @pytest.mark.parametrize("mode", ["full", "lim"])
     def test_while_passes_sums_returned_passes(self, monkeypatch, mode):
@@ -268,7 +283,7 @@ class TestComplexitySweep:
 
 def verdict_on(beta):
     """The limiting verdict on *beta*, from the scalars of the walk over it."""
-    return _limiting_verdict(beta[0], max(beta), len(beta), *limiting_probamps(beta))
+    return _limiting_verdict(beta[0], *limiting_probamps(beta))
 
 
 def gate(beta):
@@ -286,13 +301,13 @@ def cooling_run(values, mode):
 
 
 def force_full_mask(monkeypatch):
-    """Full passes always build the mask; walked passes read the pair from the full build."""
-    def full_build_pair(beta):
-        p = _probamps_raw(beta)
-        return p[p.size // 2 - 1], p[p.size // 2], min(beta[1:]), max(beta)
+    """Full passes always build the mask; lim passes read the pair from the full build."""
+    def full_build_pair(p_k, p_kk):
+        p = _probamps_raw(sys._getframe(1).f_locals["gamma"])  # the pass's floored biases
+        return _beneficial(p[p.size // 2 - 1], p[p.size // 2])
 
     monkeypatch.setattr(hbac, "_limiting_verdict", lambda *args: None)
-    monkeypatch.setattr(hbac, "_walk", full_build_pair)
+    monkeypatch.setattr(hbac, "_beneficial", full_build_pair)
 
 
 def record_verdicts(monkeypatch):
@@ -334,29 +349,28 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
-def one_exchange(raw, floor):
-    """The biases and the next pass's verdict arguments after one limiting exchange.
+def verdict_calls(raw, floor, exchanges):
+    """The biases a :func:`hbac._sub_compress` run returns, and every verdict's arguments.
 
-    Runs :func:`hbac._sub_compress` on the sub-register *raw* with defaults
-    *floor*: its first verdict says exchange, its second records the
-    arguments the fused loop built and says nothing moves, so the pass
-    returns its floored biases.  The cap is never met, and a negative
-    precision keeps the first pass from converging unless the head stays
-    at 0.0; then the arguments are None.
+    Runs it on the sub-register *raw* with defaults *floor*: its first
+    *exchanges* verdicts say exchange the limiting pair, and the next says
+    nothing moves, so the pass returns its floored biases.  The cap is
+    never met, and a negative precision keeps a pass from converging
+    unless the head stays at 0.0.
     """
     calls = []
 
     def verdict_stub(*args):
         calls.append(args)
-        return len(calls) == 1
+        return len(calls) <= exchanges
 
-    config = types.SimpleNamespace(mode="full", precision=-1.0, iteration_cap=3)
+    config = types.SimpleNamespace(mode="full", precision=-1.0, iteration_cap=exchanges + 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hbac, "_limiting_verdict", verdict_stub)
         gamma, swaps, passes = hbac._sub_compress(config, [[math.inf]], 1, 1, 1, 0, 1,
                                                   list(raw), list(floor), 0, None)
-    assert swaps == 1 and passes == len(calls)
-    return gamma, calls[1] if passes == 2 else None
+    assert swaps == exchanges and passes == len(calls)
+    return gamma, calls
 
 
 class TestLimitingPairFastPath:
@@ -370,8 +384,15 @@ class TestLimitingPairFastPath:
         p_k, p_kk, b_min = limiting_probamps(beta)
         assert p_k == p[limiting] and p_kk == p[half]
         assert b_min == min(beta[1:])
-        assert hbac._walk(beta) == (p_k, p_kk, b_min, max(beta))
+        # the pass's own loop builds the verdict's scalars, bit for bit
+        _, calls = verdict_calls(beta, beta, 0)
+        assert _bits(calls[0]) == _bits((beta[0], p_k, p_kk, b_min))
         assert _beneficial(p_k, p_kk) == mask[limiting]
+        # the guard on the smallest entry accepts every register the guard on
+        # the largest bias accepted, with the same verdict
+        old = largest_bias_verdict(beta[0], max(beta), len(beta), p_k, p_kk, b_min)
+        if old is not None:
+            assert verdict_on(beta) is old
         if gate(beta):
             assert verdict_on(beta) == mask[limiting]
             assert not mask[:limiting].any()
@@ -379,23 +400,47 @@ class TestLimitingPairFastPath:
     @settings(max_examples=300, deadline=None)
     @given(product_registers(), st.data())
     def test_fused_pass_floors_and_walks_the_floored_biases(self, beta, data):
-        # After one exchange of step s the fused loop floors each qubit at
-        # max(default, raw), keeping the default on a tie, and its scalars
-        # are those of the full build of the floored biases, bit for bit.
+        # Each pass's loop floors each qubit at max(default, raw), keeping
+        # the default on a tie, after applying the last exchange's step s;
+        # its scalars are those of the full build of the floored biases, bit
+        # for bit.  The defaults tie the biases before or after one exchange.
         p_k, p_kk, _ = limiting_probamps(beta)
         step = 2.0 * (p_kk - p_k)
         moved = [beta[0] + step] + [b - step for b in beta[1:]]
         floor = [data.draw(st.sampled_from([0.0, -0.0, b, m]) | st.floats(0.0, 1.0))
                  for b, m in zip(beta, moved)]
-        gamma, args = one_exchange(beta, floor)
+        start = [b if b > f else f for f, b in zip(floor, beta)]
+        p_k, p_kk, _ = limiting_probamps(start)
+        step = 2.0 * (p_kk - p_k)
+        moved = [start[0] + step] + [b - step for b in start[1:]]
+        gamma, calls = verdict_calls(beta, floor, 1)
         assert _bits(gamma) == _bits([m if m > f else f for f, m in zip(floor, moved)])
-        if args is None:
-            assert gamma[0] == beta[0] == 0.0
+        if len(calls) == 1:
+            assert gamma[0] == start[0] == 0.0
             return
         p = _probamps_raw(gamma)
         half = p.size // 2
-        want = (gamma[0], max(gamma), len(gamma), p[half - 1], p[half], min(gamma[1:]))
-        assert _bits(args) == _bits(want)
+        assert _bits(calls[1]) == _bits((gamma[0], p[half - 1], p[half], min(gamma[1:])))
+
+    def test_ancillas_above_one_take_the_full_mask(self, monkeypatch):
+        # With two ancillas above 1 the verdict's scalars are all in range
+        # while other entries of the build are negative: the four scalars
+        # accept [0.99, 1.5, 1.5, 0.2] with nothing beneficial, yet the full
+        # mask exchanges.  Cooling tests a call's ancillas once and defers.
+        beta = [0.99, 1.5, 1.5, 0.2]
+        assert verdict_on(beta) is False
+
+        def run():
+            rl = np.array([beta])
+            targets = LimitMatrix(np.array([[0.999, 0.1, 0.1, 0.1]]))
+            config = HbacConfig(RegisterBiases.equal(4, 0.1), 1)
+            return subspace_compression(config, 1, 1, 0, targets, rl), rl.tobytes()
+
+        accepted = record_verdicts(monkeypatch)
+        got = run()
+        assert accepted == [False] and got[0] == (1, 2)
+        force_full_mask(monkeypatch)
+        assert run() == got
 
     @pytest.mark.parametrize("shift,verdict", [(2e-9, True), (0.5e-9, False), (-1e-6, False)])
     def test_gate_margin(self, shift, verdict):
@@ -431,7 +476,7 @@ class TestLimitingPairFastPath:
     def test_zero_default_head(self, monkeypatch, values, complexity, mode):
         # A head whose default bias is 0 starts its first pass at exactly 0.0,
         # so that pass converges only if the head stays 0.0 (no ratio to take).
-        fast, hits = line_hits(hbac._sub_compress, "converged = gamma[0] == 0.0",
+        fast, hits = line_hits(hbac._sub_compress, "converged = h == 0.0",
                                lambda: cooling_run(values, mode))
         assert hits == 1
         assert fast[0] == complexity[mode]

@@ -17,6 +17,7 @@ from qcool import (DiagDist, RegisterBiases, analytic_limit, analytic_limits, f,
 import qcool.hbac as hbac
 import qcool.limits as limits
 from qcool.errors import DivergenceError, ResourceCapError
+from qcool.compress import _NORMAL_FLOOR, _limiting_verdict
 from qcool.limits import TANH_CROSSOVER, _converge
 from oracles import (compress_pass, converge_loop, exponent_recursion, limiting_probamps,
                      numerical_limits_loop)
@@ -313,6 +314,11 @@ def _record_gate(monkeypatch) -> list[bool]:
     return verdicts
 
 
+# Adjacent floats: a q = 20 register of the target 0.3 and 19 ancillas at
+# this bias has its smallest entry just above _NORMAL_FLOOR, resp. below it.
+NEAR_FLOOR_ABOVE = 0.9999999999999961
+NEAR_FLOOR_BELOW = 0.9999999999999962
+
 # An unequal n = 9 register, every bias below 0.29, whose round-7 limits
 # round above 1, as the equal n = 10, eps = 0.1 register's do.
 SATURATING_N9 = (0.22302737390867222, 0.04296488577720699, 0.12345617524374199,
@@ -342,16 +348,14 @@ class TestTargetPass:
     @given(st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 2.0 ** -52, 1.5]), st.floats(0.0, 2.0)),
            st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
                     min_size=2, max_size=9))
-    # q = 18 registers whose ((1 - b_max) / 2)^q lies just above _NORMAL_FLOOR
-    # (gap 2^-50) and just below it (gap 2^-51)
-    @example(1.0 - 2.0 ** -50, [0.01] * 17)
-    @example(1.0 - 2.0 ** -51, [0.01] * 17)
-    @example(0.3, [1.0 - 2.0 ** -50] + [0.01] * 16)
-    @example(0.3, [1.0 - 2.0 ** -51] + [0.01] * 16)
+    # q = 20 registers whose smallest entry lies just above _NORMAL_FLOOR
+    # (1.06e-280) and just below it (6.1e-281)
+    @example(0.3, [NEAR_FLOOR_ABOVE] * 19)
+    @example(0.3, [NEAR_FLOOR_BELOW] * 19)
     def test_gate_is_the_rule_on_the_whole_register(self, target, ancillas):
-        # The loop fixes the ancillas' smallest and largest bias once; every
-        # pass must still ask _limiting_verdict about the register
-        # [target, *ancillas] and the pass's own limiting pair.
+        # The loop fixes the ancillas' smallest bias once; every pass must
+        # still ask _limiting_verdict about the register [target, *ancillas]
+        # and the pass's own limiting pair.
         calls = []
         real = limits._limiting_verdict
         with pytest.MonkeyPatch.context() as mp:
@@ -361,21 +365,55 @@ class TestTargetPass:
         assert calls[0][0] == target
         for args in calls:
             beta = [args[0], *ancillas]
-            p_k, p_kk, b_min = limiting_probamps(beta)
-            assert args == (beta[0], max(beta), len(beta), p_k, p_kk, b_min)
+            assert args == (beta[0], *limiting_probamps(beta))
         if max(ancillas) >= 1.0:
             assert all(real(*args) is None for args in calls)
         if target >= 1.0:
             assert real(*calls[0]) is None
 
-    @pytest.mark.parametrize("gap,verdict", [(2.0 ** -50, True), (2.0 ** -51, False)])
-    def test_gate_defers_below_the_normal_floor(self, monkeypatch, gap, verdict):
-        # q = 18, target 1 - gap: ((1 - b_max) / 2)^q is 4.4e-277 at gap 2^-50,
-        # above _NORMAL_FLOOR, and 1.7e-282 at 2^-51, below it.  The largest
-        # bias is the target's, which the loop's fixed ancilla terms omit.
+    @pytest.mark.parametrize("target,ancillas,side,gated", [
+        (0.3, [NEAR_FLOOR_ABOVE] * 19, 1.0, False),
+        (0.3, [NEAR_FLOOR_BELOW] * 19, -1.0, False),
+        # the target 1 - 2^-51 put the older bound ((1 - b_max) / 2)^18 at
+        # 1.7e-282, below the floor; its smallest entry is 1.4e-21
+        (1.0 - 2.0 ** -51, [0.01] * 17, 1.0, True),
+    ], ids=["entry-above-floor", "entry-below-floor", "gap-2^-51"])
+    def test_normal_floor_guards_the_smallest_entry(self, monkeypatch, target, ancillas, side,
+                                                    gated):
+        # No register the gate's inequality accepts comes near the floor: at
+        # q <= 26 their entries stay above about 1e-73.  So near the floor the
+        # verdict defers on both sides, and the threshold itself is checked
+        # on bare scalars below.  The 2^-51 register, deferred by the older
+        # bound, is gated now, and bit-identical to its full-mask pass.
+        p_k, _, _ = limiting_probamps([target, *ancillas])
+        entry = p_k * (1.0 - target) / (1.0 + target)
+        assert math.copysign(1.0, entry - _NORMAL_FLOOR) == side
         verdicts = _record_gate(monkeypatch)
-        _converge(1.0 - gap, [0.01] * 17, 1e-9, 1)
-        assert verdicts == [verdict]
+        got, _ = _converge(target, ancillas, 1e-9, 1)
+        assert verdicts == [gated]
+        assert _same_float(got, compress_pass(np.array([target, *ancillas])))
+        monkeypatch.setattr(limits, "_limiting_verdict", lambda *args: None)
+        assert _same_float(_converge(target, ancillas, 1e-9, 1)[0], got)
+
+    @pytest.mark.parametrize("scale,accepted", [(1.0 + 1e-15, True), (1.0 - 1e-15, False)])
+    def test_normal_floor_threshold(self, scale, accepted):
+        # head 0.5: the smallest entry is p_k / 3; p_kk = 0 clears the gate's
+        # inequality, and the pair is then not beneficial
+        verdict = _limiting_verdict(0.5, 3.0 * _NORMAL_FLOOR * scale, 0.0, 0.5)
+        assert verdict is (False if accepted else None)
+
+    def test_ancillas_above_one_take_the_full_mask(self, monkeypatch):
+        # A saturated round can leave ancillas above 1, and with two of them
+        # the verdict's scalars cannot see the negative entries of the
+        # build: the four scalars accept [0.99, 1.5, 1.5, 0.2] with nothing
+        # beneficial, yet the full mask exchanges.  The loop defers instead.
+        beta = [0.99, 1.5, 1.5, 0.2]
+        assert _limiting_verdict(beta[0], *limiting_probamps(beta)) is False
+        verdicts = _record_gate(monkeypatch)
+        got, _ = _converge(beta[0], beta[1:], 1e-9, 3)
+        assert verdicts == [False] * 3
+        want, _ = converge_loop(beta[0], np.array(beta[1:]), 1e-9, 3)
+        assert _same_float(got, want) and got != beta[0]
 
     @pytest.mark.parametrize("values", ORACLE_REGISTERS)
     def test_matrices_bit_identical_to_oracle_loop(self, values):
@@ -383,11 +421,13 @@ class TestTargetPass:
         got = numerical_limits(list(values), rounds).values
         assert got.tobytes() == numerical_limits_loop(values, rounds).tobytes()
 
-    @pytest.mark.parametrize("values,rounds", [((0.1,) * 10, 8), (SATURATING_N9, 7)],
-                             ids=["n10-eps0.1", "unequal9"])
+    @pytest.mark.parametrize("values,rounds", [((0.1,) * 10, 8), ((0.2,) * 10, 8),
+                                               (SATURATING_N9, 7)],
+                             ids=["n10-eps0.1", "n10-eps0.2", "unequal9"])
     def test_saturated_rows_bit_identical_to_oracle_loop(self, monkeypatch, values, rounds):
         # The rows that fail the [0, 1] check are still the defining loop's,
         # bit for bit: the saturation is the loop's, not this implementation's.
+        # At eps = 0.2 later rounds start with ancillas above 1.
         rows = []
         real_matrix = limits.LimitMatrix
         monkeypatch.setattr(limits, "LimitMatrix",
