@@ -66,7 +66,7 @@ from .compress import bias_gain, find_optswaps, verify_optimality
 from .errors import DivergenceError, ResourceCapError
 from .hbac import HbacConfig, register_compression
 from .limits import (DEFAULT_ITERATION_CAP, DEFAULT_PRECISION, _check_grid, analytic_limit,
-                     analytic_limits, check_rounds, numerical_limits, shannon_bound,
+                     analytic_limits, check_loop, check_rounds, numerical_limits, shannon_bound,
                      single_round_limit, sqrt_bound)
 from .regstate import RegisterBiases, _check_size, marginal_bias, probamps
 
@@ -333,6 +333,7 @@ def cmd_limits(args) -> list[str]:
     n = register.n
     rounds = check_rounds(n, args.rounds)
     if args.analytic:
+        check_loop(args.precision, args.iteration_cap)  # numerical_limits checks its own
         values = register.values
         if np.unique(values).size != 1:
             raise UsageError("--analytic requires equal biases")

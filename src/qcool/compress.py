@@ -82,7 +82,7 @@ def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> boo
     caller builds the full mask.  Takes the head bias, the pair's two
     probamps p_k and p_kk, built as the full build's entries are (each
     entry's factors multiplied left to right in qubit order, starting from
-    1.0), and the smallest ancilla bias.  No ancilla bias may exceed 1.
+    1.0), and the smallest ancilla bias, for biases in [0, 1].
 
     A complementary pair's tail over head ratio is the product over qubits
     of (1 - s_i beta_i) / (1 + s_i beta_i), with s_i = +1 where bit i of its
@@ -94,15 +94,12 @@ def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> boo
     (1 +- b) / 2 is monotone in b, so the same holds for the rounded
     factors of the full build.
 
-    A negative bias defers, and so does a smallest entry,
-    p_k (1 - head) / (1 + head), below ``_NORMAL_FLOOR``.  It is 0 when a
-    bias is 1 and negative when the head exceeds 1.  (Two ancillas above 1
-    would leave it positive beside negative entries, hence the rule on
-    them.)  With biases in [0, 1) it is never below ((1 - max beta) / 2)^q,
-    so no register whose largest bias keeps that above the floor defers.
+    A smallest entry, p_k (1 - head) / (1 + head), below ``_NORMAL_FLOOR``
+    defers; it is 0 when a bias is 1.  With biases in [0, 1) it is never
+    below ((1 - max beta) / 2)^q, so no register whose largest bias keeps
+    that above the floor defers.
     """
-    if not (head >= 0.0 and b_min >= 0.0
-            and p_k * (1.0 - head) / (1.0 + head) >= _NORMAL_FLOOR):
+    if not p_k * (1.0 - head) / (1.0 + head) >= _NORMAL_FLOOR:
         return None
     r = (1.0 - b_min) / (1.0 + b_min)
     if p_kk * r * r < _GATE_RATIO * p_k:

@@ -34,12 +34,12 @@ pair with the tie rule; a ``full`` pass asks
 :func:`~qcool.compress._limiting_verdict`, whose value-domain gate
 proves, from the head bias and those scalars, that no other pair can
 gain, and which then gives the same tie verdict.  Only the rare other
-``full`` passes build all 2^q probamps and the full beneficial mask.
-Both paths yield bit-identical exchanges.  A pass whose head starts at
-its cap exchanges nothing, and a pass whose limiting pair is not
-beneficial moves nothing; both end the loop.  The verdict, its gate and
-the gate's margin proof live in :mod:`qcool.compress`, which
-:func:`numerical_limits` shares.
+``full`` passes build all 2^q probamps and walk the full beneficial mask.
+Both paths yield bit-identical exchanges, and every bias stays in [0, 1]
+where it is made: a row entry outside [default, 1] is refused on entry,
+and the walk caps each floored bias at 1.  The verdict, its gate and the
+gate's margin proof live in :mod:`qcool.compress`, shared with
+:func:`numerical_limits`.
 
 Every individual pair exchange is counted; the run's complexity is the sum
 of the per-round counts.  Pass counts are reported alongside for the coarser
@@ -137,7 +137,9 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
     pass), the pass tests that pair with the tie rule: a beneficial pair's
     step goes to the next pass's loop, else nothing moves and the pass
     returns.  Any other ``full`` pass builds all 2^q probamps and the full
-    beneficial mask, with bit-identical exchanges.
+    beneficial mask, with bit-identical exchanges.  That walk caps each
+    floored bias at 1.0, as its summed steps can round past 1; a limiting
+    exchange only lowers the ancillas and cannot lift the head past 1.
 
     *x* is the head of the current re-entry and *top* that of the top-level
     :func:`subspace_compression` call, which has used *passes_used* of its
@@ -160,11 +162,6 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
     # an uncapped ancilla then overshoots its own round limit.
     prev_level = targets[r - 2][v - 1] if r > 1 else floor0
     cap = targets[r - 1][v - 1] if z == 0 and v == x else prev_level
-    # The verdict needs ancillas of at most 1.  No pass lifts one past 1 (a
-    # limiting exchange lowers them, defaults lie in [0, 1], a full mask adds
-    # at most (1 - b) / 2 to b), so one test per call covers every pass: a
-    # NaN smallest bias sends every pass to the full mask.
-    no_min = math.inf if max(raw[1:]) <= 1.0 else math.nan
     step = 0.0
     swaps_done = 0
     passes = 0
@@ -175,7 +172,7 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
         h = h if h > floor0 else floor0
         gamma = [h]
         p_k, p_kk = (1.0 + h) / 2.0, (1.0 - h) / 2.0
-        b_min = no_min
+        b_min = math.inf
         for f, b in zip(floor_rest, raw[1:]):
             c = b - step
             c = c if c > f else f
@@ -218,7 +215,7 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
                 step = 2.0 * d
                 raw = [b - step if bit == "1" else b + step
                        for b, bit in zip(raw, format(k, bits))]
-                gamma = [b if b > f else f for f, b in zip(floor, raw)]
+                gamma = [min(b if b > f else f, 1.0) for f, b in zip(floor, raw)]
                 swaps_done += 1
                 if on_swap is not None:
                     on_swap(r, x, v, k)
@@ -240,8 +237,8 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
     previous-round target.  The re-entries run from an explicit stack.
     *passes* counts the passes of every re-entry, and
     ``config.iteration_cap`` bounds it.  An entry of row r below its
-    default bias (the bath floor every cooled bias keeps) raises
-    :class:`ValueError`, after the checks of r, x and z.
+    default bias (the bath floor every cooled bias keeps) or above 1
+    raises :class:`ValueError`, after the checks of r, x and z.
     """
     n = config.biases.n
     if not 1 <= r <= config.rounds:
@@ -254,9 +251,9 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
     floor = config.biases.values.tolist()
     row = rl[r - 1].tolist()
     for i, (f, b) in enumerate(zip(floor, row), start=1):
-        if not b >= f:  # also flags NaN
-            raise ValueError(f"round {r} bias of qubit {i} must be at least its default {f!r}, "
-                             f"got {b!r}")
+        if not f <= b <= 1.0:  # also flags NaN
+            raise ValueError(f"round {r} bias of qubit {i} must be between its default {f!r} "
+                             f"and 1, got {b!r}")
 
     swaps = 0
     passes = 0

@@ -272,6 +272,7 @@ def _converge(target: float, ancillas: Sequence[float], precision: float,
     probamp is the product :func:`~qcool.regstate.probamps` forms, bit for
     bit.  A pass the gate clears exchanges only the limiting pair, if it is
     beneficial; any other applies the full mask, to the same distribution.
+    The ancillas, defaults or checked limits, lie in [0, 1], as the gate needs.
     """
     rest = [float(b) for b in ancillas]
     q = len(rest) + 1
@@ -287,9 +288,7 @@ def _converge(target: float, ancillas: Sequence[float], precision: float,
     pair = p[half - 1:half + 1]  # the limiting pair's two entries
     slices = list(p.reshape(-1, block.shape[1]))
     sign = _sign_vector(1, q)
-    # A saturated earlier round can leave an ancilla above 1, which the
-    # verdict must not see: a NaN smallest bias sends every pass to the full mask.
-    b_min = min(rest) if max(rest) <= 1.0 else math.nan
+    b_min = min(rest)
     for _ in range(iteration_cap):
         lo, hi = (1.0 + target) / 2.0, (1.0 - target) / 2.0
         if lead:
@@ -334,6 +333,7 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int | Non
     target) that needs more than *iteration_cap* passes raises
     :class:`DivergenceError`: a *precision* near the rounding of the bias
     can leave the target alternating between two neighbouring floats.
+    The first settled target outside [0, 1] raises :class:`ValueError`.
     """
     if not isinstance(biases, RegisterBiases):
         biases = RegisterBiases.from_values(biases)
@@ -353,6 +353,9 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int | Non
                     f"numerical limits exceeded {iteration_cap} passes "
                     f"(round {r}, target {v}, bias {target!r})",
                     round_index=r, subspace=v, passes=iteration_cap)
+            if not 0.0 <= target <= 1.0:
+                raise ValueError(f"limit entries must lie in [0, 1]: round {r}, qubit {v} "
+                                 f"settled at {target!r}")
             row[v - 1] = target
         seed = row
     return LimitMatrix(matrix)

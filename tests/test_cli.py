@@ -667,6 +667,13 @@ class TestCool:
         assert payload["complexity"] == 0
         assert payload["round_limits"] == [[0.0] * 4] * 2
 
+    def test_bias_of_one_beside_near_one_biases(self, capsys):
+        # the full-mask walk once rounded the qubit at 1 to 1.0000000000000002
+        code, out, err = run(capsys, "cool", "--biases", "1e-05,1.0,0.1,0.999")
+        assert (code, err) == (0, "")
+        limits = json.loads(out)["round_limits"]
+        assert max(max(row) for row in limits) == 1.0
+
     def test_four_qubit_terminal_bias(self, capsys):
         code, out, _ = run(capsys, "cool", "--n", "4", "--epsilon", "0.1",
                            "--rounds", "2")
@@ -899,9 +906,10 @@ class TestExitCodesAndDeterminism:
         assert code == 4 and out == ""
         assert message in err and "--iteration-cap" in err
 
-    @pytest.mark.parametrize("command", ["limits", "cool"])
+    # the analytic matrix runs no loop, but its flags are checked as the others'
+    @pytest.mark.parametrize("command", ["limits", "cool", "limits --analytic"])
     def test_iteration_cap_must_be_positive(self, capsys, command):
-        code, out, err = run(capsys, command, "--n", "4", "--epsilon", "0.1",
+        code, out, err = run(capsys, *command.split(), "--n", "4", "--epsilon", "0.1",
                              "--iteration-cap", "0")
         assert code == 2 and out == "" and "iteration cap" in err
 

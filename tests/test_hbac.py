@@ -8,7 +8,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcool.cli as cli
@@ -27,6 +27,10 @@ UNEQUAL_SETS = [
     (0.15, 0.4, 0.1, 0.2, 0.05),
     (0.2, 0.1, 0.3, 0.05, 0.1, 0.15),
 ]
+
+
+#: Biases near 0, in the middle and near 1, where the full-mask walk's sums round past 1.
+NEAR_ONE = [0.0, 1e-5, 0.1, 0.5, 0.9, 0.999, 0.999999, 1.0 - 2.0 ** -52, 1.0]
 
 
 def run_equal(n, eps, rounds, **kw):
@@ -166,6 +170,52 @@ class TestRegisterCompression:
         message = f"exceeded {cap} passes (round 2, head {head}, target {target})"
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("values", [
+        (1e-05, 1.0, 0.1, 0.999),
+        (0.999999, 0.3, 0.9, 0.5, 1.0, 0.9),
+        (0.999999, 0.1, 0.999, 0.999999, 0.0, 1.0),
+    ], ids=lambda v: ",".join(map(repr, v)))
+    def test_full_mask_walk_keeps_biases_at_most_one(self, values):
+        # Exactly, no marginal exceeds 1; summed in floats, the full-mask
+        # walk's steps take a bias of 1 to 1.0000000000000002 on these
+        # registers, and the walk caps it.
+        config = HbacConfig(RegisterBiases.from_values(values), len(values) - 2)
+        rl = register_compression(config).round_limits.values
+        assert np.all((np.asarray(values) <= rl) & (rl <= 1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(NEAR_ONE), min_size=3, max_size=5),
+           st.sampled_from(["full", "lim"]), st.sampled_from([50, 1000]))
+    @example([1e-05, 1.0, 0.1, 0.999], "full", 50)
+    def test_every_bias_stays_in_range(self, values, mode, cap):
+        # Each run returns limits in [default, 1] or stops at its pass cap or
+        # at a numerical limit outside [0, 1], which names its target; every
+        # pass reads biases in [default, 1].
+        def checked(verdict):
+            def check(*args):
+                gamma = sys._getframe(1).f_locals["gamma"]
+                assert all(f <= b <= 1.0 for f, b in zip(floor[-len(gamma):], gamma))
+                return verdict(*args)
+            return check
+
+        floor = list(values)
+        config = HbacConfig(RegisterBiases.from_values(values), len(values) - 2, mode=mode,
+                            iteration_cap=cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hbac, "_limiting_verdict", checked(hbac._limiting_verdict))
+            mp.setattr(hbac, "_beneficial", checked(hbac._beneficial))
+            try:
+                rl = register_compression(config).round_limits.values
+            except DivergenceError:
+                return
+            except ValueError as exc:
+                assert re.fullmatch(r"limit entries must lie in \[0, 1\]: round \d+, qubit \d+ "
+                                    r"settled at \S+", str(exc))
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    numerical_limits(values, config.rounds, iteration_cap=cap)
+                return
+        assert np.all((np.asarray(values) <= rl) & (rl <= 1.0))
+
     def test_explicit_targets_shape_checked(self):
         config = HbacConfig.equal(4, 0.1, 2)
         with pytest.raises(ValueError):
@@ -229,12 +279,17 @@ class TestSubspaceCompression:
             subspace_compression(config, 2, 1, 0, targets, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("row, message", [
-        ([0.2, 0.2, 0.15, 0.2], "qubit 3 must be at least its default 0.2, got 0.15"),
-        ([0.3, math.nan, 0.2, 0.2], "qubit 2 must be at least its default 0.2, got nan"),
+        ([0.2, 0.2, 0.15, 0.2], "qubit 3 must be between its default 0.2 and 1, got 0.15"),
+        ([0.3, math.nan, 0.2, 0.2], "qubit 2 must be between its default 0.2 and 1, got nan"),
+        ([0.3, 1.5, 1.5, 0.2], "qubit 2 must be between its default 0.2 and 1, got 1.5"),
+        ([1.0 + 2.0 ** -52, 0.2, 0.2, 0.2],
+         "qubit 1 must be between its default 0.2 and 1, got 1.0000000000000002"),
+        ([0.3, 0.2, 0.2, math.inf], "qubit 4 must be between its default 0.2 and 1, got inf"),
     ])
     def test_row_below_its_default_is_refused(self, row, message):
         # Every pass reads its biases floored at the defaults, so a row below
-        # them would be read as another row; cooling never writes one.
+        # them would be read as another row, and the verdict needs biases of
+        # at most 1; cooling writes neither.
         targets = numerical_limits([0.2] * 4, 1)
         rl = np.array([row])
         with pytest.raises(ValueError, match=re.escape(f"round 1 bias of {message}")):
@@ -422,25 +477,23 @@ class TestLimitingPairFastPath:
         half = p.size // 2
         assert _bits(calls[1]) == _bits((gamma[0], p[half - 1], p[half], min(gamma[1:])))
 
-    def test_ancillas_above_one_take_the_full_mask(self, monkeypatch):
+    def test_ancillas_above_one_never_reach_the_verdict(self, monkeypatch):
         # With two ancillas above 1 the verdict's scalars are all in range
         # while other entries of the build are negative: the four scalars
         # accept [0.99, 1.5, 1.5, 0.2] with nothing beneficial, yet the full
-        # mask exchanges.  Cooling tests a call's ancillas once and defers.
+        # mask exchanges.  So cooling refuses such a row before any pass.
         beta = [0.99, 1.5, 1.5, 0.2]
         assert verdict_on(beta) is False
-
-        def run():
-            rl = np.array([beta])
-            targets = LimitMatrix(np.array([[0.999, 0.1, 0.1, 0.1]]))
-            config = HbacConfig(RegisterBiases.equal(4, 0.1), 1)
-            return subspace_compression(config, 1, 1, 0, targets, rl), rl.tobytes()
-
+        p = _probamps_raw(beta)
+        assert _beneficial_mask(p[:p.size // 2], p[::-1][:p.size // 2]).any()
         accepted = record_verdicts(monkeypatch)
-        got = run()
-        assert accepted == [False] and got[0] == (1, 2)
-        force_full_mask(monkeypatch)
-        assert run() == got
+        rl = np.array([beta])
+        targets = LimitMatrix(np.array([[0.999, 0.1, 0.1, 0.1]]))
+        config = HbacConfig(RegisterBiases.equal(4, 0.1), 1)
+        with pytest.raises(ValueError, match=re.escape(
+                "round 1 bias of qubit 2 must be between its default 0.1 and 1, got 1.5")):
+            subspace_compression(config, 1, 1, 0, targets, rl)
+        assert accepted == [] and np.array_equal(rl, [beta])
 
     @pytest.mark.parametrize("shift,verdict", [(2e-9, True), (0.5e-9, False), (-1e-6, False)])
     def test_gate_margin(self, shift, verdict):
@@ -449,11 +502,27 @@ class TestLimitingPairFastPath:
         head = math.tanh(sum(a) - 2.0 * min(a) + shift)
         assert gate([head, *rest]) is verdict
 
-    @pytest.mark.parametrize("beta", [[0.1] * 4, [0.9, 1.0, 0.2], [0.0, 0.0], [0.5, -0.1, 0.1]])
+    @pytest.mark.parametrize("beta", [[0.1] * 4, [0.9, 1.0, 0.2], [0.0, 0.0]])
     def test_gate_defers(self, beta):
-        # equal biases (other pairs tie the limiting one), a saturated qubit,
-        # zero biases and a negative bias all take the full mask
+        # equal biases (other pairs tie the limiting one), a saturated qubit
+        # and zero biases all take the full mask
         assert not gate(beta)
+
+    def test_negative_biases_are_refused_where_they_enter(self):
+        # The verdict has no sign test: a bias enters cooling as a default, a
+        # target or a row entry, and each of them refuses a negative one.
+        beta = [0.5, -0.1, 0.1]
+        with pytest.raises(ValueError, match=re.escape("bias must lie in [0, 1], got -0.1")):
+            RegisterBiases.from_values(beta)
+        with pytest.raises(ValueError, match=re.escape("bias must lie in [0, 1], got -0.1")):
+            numerical_limits(beta, 1)
+        with pytest.raises(ValueError, match=re.escape("limit entries must lie in [0, 1]")):
+            LimitMatrix(np.array([beta]))
+        config = HbacConfig.equal(3, 0.0, 1)
+        with pytest.raises(ValueError, match=re.escape(
+                "round 1 bias of qubit 2 must be between its default 0.0 and 1, got -0.1")):
+            subspace_compression(config, 1, 1, 0, numerical_limits([0.0] * 3, 1),
+                                 np.array([beta]))
 
     @pytest.mark.parametrize("mode", ["full", "lim"])
     @pytest.mark.parametrize("values", [(eps,) * n for n in range(3, 7) for eps in (0.1, 1e-5)]

@@ -402,18 +402,19 @@ class TestTargetPass:
         verdict = _limiting_verdict(0.5, 3.0 * _NORMAL_FLOOR * scale, 0.0, 0.5)
         assert verdict is (False if accepted else None)
 
-    def test_ancillas_above_one_take_the_full_mask(self, monkeypatch):
-        # A saturated round can leave ancillas above 1, and with two of them
-        # the verdict's scalars cannot see the negative entries of the
-        # build: the four scalars accept [0.99, 1.5, 1.5, 0.2] with nothing
-        # beneficial, yet the full mask exchanges.  The loop defers instead.
-        beta = [0.99, 1.5, 1.5, 0.2]
-        assert _limiting_verdict(beta[0], *limiting_probamps(beta)) is False
-        verdicts = _record_gate(monkeypatch)
-        got, _ = _converge(beta[0], beta[1:], 1e-9, 3)
-        assert verdicts == [False] * 3
-        want, _ = converge_loop(beta[0], np.array(beta[1:]), 1e-9, 3)
-        assert _same_float(got, want) and got != beta[0]
+    def test_ancillas_above_one_never_reach_the_verdict(self, monkeypatch):
+        # With two ancillas above 1 the verdict's four scalars cannot see the
+        # negative entries of the build (tests/test_hbac.py shows one).  At
+        # n = 10, eps = 0.2 a round-5 limit rounds above 1, and the loop
+        # stops there: no later target takes it as an ancilla.
+        seen = []
+        real = limits._converge
+        monkeypatch.setattr(limits, "_converge",
+                            lambda target, ancillas, *rest:
+                            seen.append(list(ancillas)) or real(target, ancillas, *rest))
+        with pytest.raises(ValueError, match=re.escape("limit entries must lie in [0, 1]")):
+            numerical_limits([0.2] * 10, 8)
+        assert seen and max(max(ancillas) for ancillas in seen) <= 1.0
 
     @pytest.mark.parametrize("values", ORACLE_REGISTERS)
     def test_matrices_bit_identical_to_oracle_loop(self, values):
@@ -425,19 +426,40 @@ class TestTargetPass:
                                                (SATURATING_N9, 7)],
                              ids=["n10-eps0.1", "n10-eps0.2", "unequal9"])
     def test_saturated_rows_bit_identical_to_oracle_loop(self, monkeypatch, values, rounds):
-        # The rows that fail the [0, 1] check are still the defining loop's,
-        # bit for bit: the saturation is the loop's, not this implementation's.
-        # At eps = 0.2 later rounds start with ancillas above 1.
-        rows = []
-        real_matrix = limits.LimitMatrix
-        monkeypatch.setattr(limits, "LimitMatrix",
-                            lambda values: rows.append(values.copy()) or real_matrix(values))
-        with pytest.raises(ValueError, match=re.escape("limit entries must lie in [0, 1]")):
+        # The loop stops at the first settled target outside [0, 1].  Every
+        # target settled before it, and that one, is the defining loop's, bit
+        # for bit: the saturation is the loop's, not this implementation's.
+        settled = []
+        real = limits._converge
+
+        def recorded(*args):
+            out = real(*args)
+            settled.append(out[0])
+            return out
+
+        monkeypatch.setattr(limits, "_converge", recorded)
+        with pytest.raises(ValueError) as info:
             numerical_limits(list(values), rounds)
+        n = len(values)
+        order = [(r, v) for r in range(1, rounds + 1) for v in range(1, n - r)]
+        r, v = order[len(settled) - 1]
+        assert str(info.value) == (f"limit entries must lie in [0, 1]: round {r}, qubit {v} "
+                                   f"settled at {settled[-1]!r}")
         want = numerical_limits_loop(values, rounds)
-        assert rows[0].tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match=re.escape("limit entries must lie in [0, 1]")):
-            real_matrix(want)
+        assert (np.array(settled).tobytes()
+                == np.array([want[r - 1, v - 1] for r, v in order[:len(settled)]]).tobytes())
+        assert settled[-1] > 1.0 and max(settled[:-1]) <= 1.0
+
+    def test_stops_at_the_first_limit_above_one(self, monkeypatch):
+        # Rounds 1..3 of n = 12 settle 10 + 9 + 8 targets; round 4's first
+        # rounds above 1, and no later target is compressed.
+        calls = []
+        real = limits._converge
+        monkeypatch.setattr(limits, "_converge", lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(ValueError, match=re.escape(
+                "limit entries must lie in [0, 1]: round 4, qubit 1 settled at ")):
+            numerical_limits([0.1] * 12, 10)
+        assert len(calls) == 10 + 9 + 8 + 1
 
     def test_gated_and_fallback_paths_both_run(self, monkeypatch):
         verdicts = _record_gate(monkeypatch)
@@ -487,7 +509,9 @@ class TestTargetPass:
         assert peak < 3 * (1 << q) * 8
 
     def test_known_defect_n10_still_rounds_above_one(self):
-        # `limits --n 10 --epsilon 0.1`: a limit rounds above 1.  Fixing it
-        # changes limit bits, so it waits for a change to the benchmark.
-        with pytest.raises(ValueError, match=re.escape("limit entries must lie in [0, 1]")):
+        # `limits --n 10 --epsilon 0.1`: a limit rounds above 1, in the last
+        # round.  Fixing it changes limit bits, so it waits for a change to
+        # the benchmark.
+        with pytest.raises(ValueError, match=re.escape(
+                "limit entries must lie in [0, 1]: round 8, qubit 1 settled at ")):
             numerical_limits([0.1] * 10, 8)
