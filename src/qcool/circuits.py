@@ -99,9 +99,9 @@ def _fold(n: int) -> tuple[Gate, ...]:
 
 def _swap_block(n: int, j: int, fold: tuple[Gate, ...]) -> tuple[Gate, ...]:
     """Compute-flip-uncompute gate block for the exchange j <-> 2^n - 1 - j."""
-    comp = (1 << n) - 1 - j
-    c0 = tuple(w for w in range(2, n + 1) if not (comp >> (n - w)) & 1)
-    c1 = tuple(w for w in range(2, n + 1) if (comp >> (n - w)) & 1)
+    bits = format(j, f"0{n}b")  # wire w is character w - 1; the complement flips it
+    c0 = tuple(w for w, bit in enumerate(bits[1:], start=2) if bit == "1")
+    c1 = tuple(w for w, bit in enumerate(bits[1:], start=2) if bit == "0")
     flip = Gate(target=1, controls_on_0=c0, controls_on_1=c1)
     return fold + (flip,) + fold[::-1]
 

@@ -15,31 +15,23 @@ the self-calls, since the chain can grow deeper than the interpreter allows.
 
 The cooling state has one form each: a sub-register's marginals are Python
 float lists for all of its passes, and each settled sub-register is written
-straight into the round's row of the limit database, which the re-entry
-tests then read.  That row, like the targets, is a float list for the
-length of one top-level subspace compression, and goes back into the
-database when it ends.  The run's inputs have one form too: the
-:class:`HbacConfig` reaches every pass unchanged, and each subspace
-compression returns its exchange and pass counts, which register
-compression sums; no counter lives on shared state.
+straight into the round's row of the limit database.  That row, and the
+two target rows it is tested against, are float lists for the length of
+one top-level subspace compression.  The :class:`HbacConfig` stops there:
+subspace compression owns every rule that reads the limit database (caps,
+re-entry tests, the pass cap), and hands each pass loop its sub-register,
+its cap and its remaining pass budget.  Each level returns its exchange
+and pass counts, and the level above sums them.
 
 Nearly every pass can gain only from the limiting exchange
-|011..1> <-> |100..0>, and ``lim`` mode performs no other.  Each pass is
-one loop over the sub-register: it applies the last limiting exchange
-(a step of 0.0 on the first pass and after a full-mask pass), floors
-every qubit at its default, and builds that pair's two probamps and the
-smallest ancilla bias as scalars, in the full build's multiplication
-order, at O(q) for a q-qubit sub-register.  A ``lim`` pass then tests the
-pair with the tie rule; a ``full`` pass asks
-:func:`~qcool.compress._limiting_verdict`, whose value-domain gate
-proves, from the head bias and those scalars, that no other pair can
-gain, and which then gives the same tie verdict.  Only the rare other
-``full`` passes build all 2^q probamps and walk the full beneficial mask.
-Both paths yield bit-identical exchanges, and every bias stays in [0, 1]
+|011..1> <-> |100..0>, and ``lim`` mode performs no other.  Each pass
+builds that pair's two probamps and the smallest ancilla bias as scalars in
+one O(q) loop, from which :func:`~qcool.compress._limiting_verdict`, shared
+with :func:`numerical_limits`, proves that no other pair can gain.  Only
+the rare other ``full`` passes build all 2^q probamps and walk the full
+beneficial mask, with bit-identical exchanges.  Every bias stays in [0, 1]
 where it is made: a row entry outside [default, 1] is refused on entry,
-and the walk caps each floored bias at 1.  The verdict, its gate and the
-gate's margin proof live in :mod:`qcool.compress`, shared with
-:func:`numerical_limits`.
+and the walk caps each floored bias at 1.
 
 Every individual pair exchange is counted; the run's complexity is the sum
 of the per-round counts.  Pass counts are reported alongside for the coarser
@@ -51,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -85,7 +78,7 @@ class HbacConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rounds", check_rounds(self.biases.n, self.rounds))
-        check_loop(self.precision, self.iteration_cap)
+        object.__setattr__(self, "iteration_cap", check_loop(self.precision, self.iteration_cap))
         if self.mode not in (MODE_FULL, MODE_LIM):
             raise ValueError(f"mode must be '{MODE_FULL}' or '{MODE_LIM}', got {self.mode!r}")
 
@@ -109,59 +102,45 @@ class CoolingReport:
         return sum(self.per_round_swaps)
 
 
-def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: int, x: int,
-                  z: int, v: int, raw: list[float], floor: list[float], passes_used: int,
-                  on_swap: SwapHook | None) -> tuple[list[float], int, int]:
-    """Converge the head of sub-register v..n in round r; returns (biases, swaps, passes).
+def _sub_compress(raw: list[float], floor: list[float], cap: float, lim: bool,
+                  precision: float, budget: int,
+                  swap: Callable[[int], None] | None) -> tuple[list[float], int, int]:
+    """Converge the head of one sub-register; returns (biases, exchanges, passes).
 
-    The pass state is two lists of Python floats over qubits v..n: *raw*,
-    which enters as the sub-register's recorded biases and tracks the
-    marginals exactly through each exchange, and ``gamma``, the same floored
-    at the default biases *floor* (the heat-bath reset).  One while-pass:
-    from the biases at the pass start, find the beneficial complementary
-    pairs of the product state, then exchange each in index order.
-    Exchanging pair k of gap d adds 2 d to qubit i when bit i of k (MSB
-    first) is 0 and subtracts it when the bit is 1; every qubit is then
-    floored again.  The pass ratio is the head bias after the pass over the
-    head bias before it, and the next pass starts from the floored biases.
+    The pass state is two float lists over the sub-register: *raw*, which
+    enters as its recorded biases and tracks the marginals exactly through
+    each exchange, and ``gamma``, the same floored at the default biases
+    *floor* (the heat-bath reset).  One while-pass: from the biases at the
+    pass start, find the beneficial complementary pairs of the product
+    state, then exchange each in index order.  Exchanging pair k of gap d
+    adds 2 d to qubit i when bit i of k (MSB first) is 0 and subtracts it
+    when the bit is 1; every qubit is then floored again.  The pass ratio is
+    the head bias after the pass over the head bias before it, and the next
+    pass starts from the floored biases.
 
     Each pass opens with one loop: it applies the last limiting exchange's
     step (0.0 on the first pass and after a full-mask pass), floors every
     qubit, keeping the default on a tie, and builds from the floored biases
     the limiting pair's two probamps, bit-identical to the full build's
     (head factor first), and the smallest ancilla bias: O(q) per pass.  The
-    previous pass's convergence test, the cap test and the verdict follow.
-    A pass whose head starts at its cap exchanges nothing and converges; it
-    still counts.  In ``lim`` mode, and whenever :func:`_limiting_verdict`
-    proves that only the limiting pair can gain (almost every ``full``
-    pass), the pass tests that pair with the tie rule: a beneficial pair's
-    step goes to the next pass's loop, else nothing moves and the pass
-    returns.  Any other ``full`` pass builds all 2^q probamps and the full
-    beneficial mask, with bit-identical exchanges.  That walk caps each
-    floored bias at 1.0, as its summed steps can round past 1; a limiting
-    exchange only lowers the ancillas and cannot lift the head past 1.
+    previous pass's convergence test against *precision*, the *budget* test
+    and the verdict follow.  A pass whose head starts at *cap* exchanges
+    nothing and converges; it still counts.  With *lim*, and whenever
+    :func:`_limiting_verdict` proves that only the limiting pair can gain
+    (almost every other pass), the pass tests that pair with the tie rule: a
+    beneficial pair's step goes to the next pass's loop, else nothing moves
+    and the pass returns.  Any other pass builds all 2^q probamps and walks
+    the full beneficial mask, with bit-identical exchanges, capping each
+    floored bias at 1.0, as its summed steps can round past 1.
 
-    *x* is the head of the current re-entry and *top* that of the top-level
-    :func:`subspace_compression` call, which has used *passes_used* of its
-    pass budget ``config.iteration_cap``; a :class:`DivergenceError` names
-    *top*.
+    *swap*, if given, receives each exchanged pair's index.  A pass past
+    *budget* returns at once with ``budget + 1`` passes; the caller raises.
     """
     q = len(raw)
-    lim = config.mode == MODE_LIM
-    precision = config.precision
-    budget = config.iteration_cap - passes_used
     limiting = (1 << (q - 1)) - 1
     bits = f"0{q}b"
     floor0 = floor[0]
     floor_rest = floor[1:]
-    # Which cap applies to this sub-register's head (checked before each
-    # exchange): ancillas and re-entry heads stop at the prior round's level
-    # (in round 1 that is the bath default), the primary head at this
-    # round's level.  Without the ancilla cap the hierarchy breaks: deep
-    # marginals can transiently rise above their defaults during a pass and
-    # an uncapped ancilla then overshoots its own round limit.
-    prev_level = targets[r - 2][v - 1] if r > 1 else floor0
-    cap = targets[r - 1][v - 1] if z == 0 and v == x else prev_level
     step = 0.0
     swaps_done = 0
     passes = 0
@@ -189,12 +168,7 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
             if converged:
                 return gamma, swaps_done, passes
         passes += 1
-        if passes > budget:
-            raise DivergenceError(
-                f"subspace compression exceeded {config.iteration_cap} passes "
-                f"(round {r}, head {top}, target {v})",
-                round_index=r, subspace=top, passes=passes_used + passes)
-        if h >= cap:
+        if passes > budget or h >= cap:
             return gamma, swaps_done, passes
         head_before = h
         raw = gamma
@@ -202,8 +176,8 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
         if verdict:
             step = 2.0 * (p_kk - p_k)
             swaps_done += 1
-            if on_swap is not None:
-                on_swap(r, x, v, limiting)
+            if swap is not None:
+                swap(limiting)
         elif verdict is None:
             # Complementary pairs are disjoint, so the pass-start beneficial
             # set equals on-the-fly re-testing; walk it in index order.
@@ -217,8 +191,8 @@ def _sub_compress(config: HbacConfig, targets: list[list[float]], r: int, top: i
                        for b, bit in zip(raw, format(k, bits))]
                 gamma = [min(b if b > f else f, 1.0) for f, b in zip(floor, raw)]
                 swaps_done += 1
-                if on_swap is not None:
-                    on_swap(r, x, v, k)
+                if swap is not None:
+                    swap(k)
             raw, step = gamma, 0.0
         else:
             # Nothing moved, so the convergence test holds.
@@ -235,10 +209,16 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
     call re-enters itself: at the head (z = 0) if it stays short of its
     round-r target, then with z = 1 at each deeper qubit below its
     previous-round target.  The re-entries run from an explicit stack.
-    *passes* counts the passes of every re-entry, and
-    ``config.iteration_cap`` bounds it.  An entry of row r below its
-    default bias (the bath floor every cooled bias keeps) or above 1
+    *passes* counts the passes of every re-entry; past
+    ``config.iteration_cap`` of them the call raises
+    :class:`DivergenceError`, naming the head *x*.  An entry of row r below
+    its default bias (the bath floor every cooled bias keeps) or above 1
     raises :class:`ValueError`, after the checks of r, x and z.
+
+    Every rule that reads the limit database lives here.  Each exchange is
+    capped: the primary head (v the head of a z = 0 entry) at its round-r
+    target, every other qubit at its previous-round target (its default in
+    round 1), as an ancilla whose marginal rises in a pass would overshoot.
     """
     n = config.biases.n
     if not 1 <= r <= config.rounds:
@@ -247,8 +227,9 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
         raise ValueError(f"subspace head {x} out of range 1..{n - 1}")
     if z not in (0, 1):
         raise ValueError(f"re-entry flag must be 0 or 1, got {z!r}")
-    tgt = targets.values.tolist()
     floor = config.biases.values.tolist()
+    level = targets.values[r - 1].tolist()
+    prev = targets.values[r - 2].tolist() if r > 1 else floor
     row = rl[r - 1].tolist()
     for i, (f, b) in enumerate(zip(floor, row), start=1):
         if not f <= b <= 1.0:  # also flags NaN
@@ -262,25 +243,29 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
         head, flag = stack.pop()
         before = row.copy()
         for v in range(head, n):
-            if row[v - 1] < tgt[r - 1][v - 1]:
+            if row[v - 1] < level[v - 1]:
+                cap = level[v - 1] if flag == 0 and v == head else prev[v - 1]
+                swap = None if on_swap is None else partial(on_swap, r, head, v)
                 gamma, nswaps, npasses = _sub_compress(
-                    config, tgt, r, x, head, flag, v, row[v - 1:], floor[v - 1:],
-                    passes, on_swap)
+                    row[v - 1:], floor[v - 1:], cap, config.mode == MODE_LIM, config.precision,
+                    config.iteration_cap - passes, swap)
+                passes += npasses
+                if passes > config.iteration_cap:
+                    raise DivergenceError(
+                        f"subspace compression exceeded {config.iteration_cap} passes "
+                        f"(round {r}, head {x}, target {v})",
+                        round_index=r, subspace=x, passes=passes)
                 row[v - 1:] = gamma
                 swaps += nswaps
-                passes += npasses
         if row == before:
             continue
-        # Re-entry order matches the tail of the recursive form: first the
-        # head itself if short of this round's target, then each deeper qubit
-        # short of the previous round's target.
-        pending: list[tuple[int, int]] = []
-        if row[head - 1] < tgt[r - 1][head - 1]:
-            pending.append((head, 0))
-        for i in range(head + 1, n):
-            if r > 1 and row[i - 1] < tgt[r - 2][i - 1]:
-                pending.append((i, 1))
-        stack.extend(reversed(pending))
+        # Pops follow the tail of the recursive form: first the head itself
+        # if short of this round's target, then each deeper qubit in order
+        # if short of the previous round's target (in round 1 its default,
+        # which no entry falls below, so only the head re-enters).
+        stack += [(i, 1) for i in range(n - 1, head, -1) if row[i - 1] < prev[i - 1]]
+        if row[head - 1] < level[head - 1]:
+            stack.append((head, 0))
     rl[r - 1] = row
     return swaps, passes
 

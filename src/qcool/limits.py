@@ -23,6 +23,7 @@ ANALYTIC_GRID_CAP entries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -57,11 +58,19 @@ def max_rounds(n: int) -> int:
     return n - 2
 
 
+def _count(value: int, name: str) -> int:
+    """*value* as an int; a float or any other non-integer raises :class:`ValueError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_rounds(n: int, rounds: int | None) -> int:
-    """*rounds*, None meaning n - 2, once n >= 3 and 1 <= rounds <= n - 2 hold."""
-    if n < 3:
+    """*rounds* as an int, None meaning n - 2, once n >= 3 and 1 <= rounds <= n - 2 hold."""
+    if _count(n, "register size") < 3:
         raise ValueError(f"register must have n >= 3 qubits, got {n}")
-    rounds = max_rounds(n) if rounds is None else rounds
+    rounds = max_rounds(n) if rounds is None else _count(rounds, "rounds")
     if not 1 <= rounds <= max_rounds(n):
         raise ValueError(f"rounds must lie in 1..{max_rounds(n)} for n = {n}, got {rounds}")
     return rounds
@@ -84,7 +93,8 @@ def f(r: int, k: int, n: int) -> int:
 
 def _partial_exponents(r: int, k: int, n: int) -> Iterator[int]:
     """Increasing partial sums of :func:`f`, ending with f(r, k, n); checks r, k and n now."""
-    check_rounds(n, r)
+    r = check_rounds(n, r)
+    k = _count(k, "qubit index")
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     m = max(n - k - 1, 0)
@@ -217,12 +227,14 @@ class LimitMatrix:
         return self.values[key]
 
 
-def check_loop(precision: float, iteration_cap: int) -> None:
-    """The one rule for a convergence loop's bounds: *precision* > 0, *iteration_cap* >= 1."""
+def check_loop(precision: float, iteration_cap: int) -> int:
+    """The one loop-bounds rule: *precision* > 0 and *iteration_cap* an int >= 1, returned."""
     if not precision > 0.0:
         raise ValueError(f"precision must be positive, got {precision!r}")
+    iteration_cap = _count(iteration_cap, "iteration cap")
     if iteration_cap < 1:
         raise ValueError("iteration cap must be positive")
+    return iteration_cap
 
 
 def _check_grid(rounds: int, n: int) -> None:
@@ -340,7 +352,7 @@ def numerical_limits(biases: RegisterBiases | Sequence[float], rounds: int | Non
     n = biases.n
     _check_size(n)
     rounds = check_rounds(n, rounds)
-    check_loop(precision, iteration_cap)
+    iteration_cap = check_loop(precision, iteration_cap)
 
     matrix = np.empty((rounds, n))
     seed = biases.values

@@ -194,6 +194,17 @@ def nbmc_text(n: int, swaps) -> str:
     return "\n".join(lines) + "\n"
 
 
+def flip_controls(n: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The flip gate's (controls on 0, controls on 1) for the exchange j <-> 2^n - 1 - j.
+
+    Wire w = 2..n is read as bit n - w of the complement, one shift per wire.
+    """
+    comp = (1 << n) - 1 - j
+    c0 = tuple(w for w in range(2, n + 1) if not (comp >> (n - w)) & 1)
+    c1 = tuple(w for w in range(2, n + 1) if (comp >> (n - w)) & 1)
+    return c0, c1
+
+
 def exchange(p: np.ndarray, swaps) -> np.ndarray:
     q = p.copy()
     for k in swaps:

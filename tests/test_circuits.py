@@ -10,7 +10,8 @@ from qcool import (Circuit, Gate, RegisterBiases, ResourceCapError,
                    export_text, find_optswaps, lim_comp, nb_maxcomp,
                    parse_text, probamps)
 from qcool import circuits
-from oracles import circuit_permutation_per_control, nbmc_text, transposition_perm
+from oracles import (circuit_permutation_per_control, flip_controls, nbmc_text,
+                     transposition_perm)
 
 
 def permutation(c):
@@ -38,6 +39,12 @@ class TestGateAndCircuit:
     def test_gate_rejects_zero_based_wires(self):
         with pytest.raises(ValueError):
             Gate(target=0)
+
+    def test_circuit_needs_a_wire(self):
+        with pytest.raises(ValueError, match="circuit needs at least one wire"):
+            Circuit(0)
+        with pytest.raises(ValueError, match="circuit needs at least one wire"):
+            nb_maxcomp(0, [])
 
     def test_circuit_rejects_wide_gates(self):
         with pytest.raises(ValueError):
@@ -143,6 +150,17 @@ class TestSharedFoldGates:
         assert text == nbmc_text(n, [2 ** (n - 1) - 1])
         assert export_text(parse_text(text)) == text
         assert np.array_equal(permutation(c), transposition_perm(n, [2 ** (n - 1) - 1]))
+
+    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 ** n - 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_flip_controls_match_reference(self, case):
+        n, j = case
+        fold = circuits._fold(n)
+        block = circuits._swap_block(n, j, fold)
+        flip = block[n - 1]
+        assert block == fold + (flip,) + fold[::-1]
+        assert flip.target == 1
+        assert (flip.controls_on_0, flip.controls_on_1) == flip_controls(n, j)
 
 
 class TestLimComp:

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -43,6 +42,19 @@ class TestConfig:
             HbacConfig.equal(4, 0.1, 3)
         with pytest.raises(ValueError):
             HbacConfig.equal(4, 0.1, 0)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"rounds": 2.0}, "rounds must be an integer, got 2.0"),
+        ({"rounds": 2, "iteration_cap": 2.5}, "iteration cap must be an integer, got 2.5"),
+    ], ids=["rounds", "iteration_cap"])
+    def test_counts_must_be_integers(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            register_compression(HbacConfig.equal(4, 0.1, **kw))
+
+    def test_counts_are_stored_as_int(self):
+        config = HbacConfig.equal(4, 0.1, np.int64(2), iteration_cap=True)
+        assert (config.rounds, config.iteration_cap) == (2, 1)
+        assert type(config.rounds) is int and type(config.iteration_cap) is int
 
     def test_rejects_bad_precision(self):
         with pytest.raises(ValueError):
@@ -419,11 +431,10 @@ def verdict_calls(raw, floor, exchanges):
         calls.append(args)
         return len(calls) <= exchanges
 
-    config = types.SimpleNamespace(mode="full", precision=-1.0, iteration_cap=exchanges + 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hbac, "_limiting_verdict", verdict_stub)
-        gamma, swaps, passes = hbac._sub_compress(config, [[math.inf]], 1, 1, 1, 0, 1,
-                                                  list(raw), list(floor), 0, None)
+        gamma, swaps, passes = hbac._sub_compress(list(raw), list(floor), math.inf, False,
+                                                  -1.0, exchanges + 2, None)
     assert swaps == exchanges and passes == len(calls)
     return gamma, calls
 

@@ -273,10 +273,31 @@ class TestNumericalLimits:
         with pytest.raises(ValueError):
             numerical_limits([0.1] * 4, 1, iteration_cap=0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: numerical_limits([0.1] * 4, 2.0), "rounds must be an integer, got 2.0"),
+        (lambda: numerical_limits([0.1] * 4, 2, iteration_cap=2.5),
+         "iteration cap must be an integer, got 2.5"),
+        (lambda: f(1, 1.5, 5), "qubit index must be an integer, got 1.5"),
+        (lambda: analytic_limits(5.0, None, 0.1), "register size must be an integer, got 5.0"),
+    ], ids=["rounds", "iteration_cap", "qubit_index", "register_size"])
+    def test_counts_must_be_integers(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    def test_iteration_cap_is_used_as_converted(self):
+        # operator.index turns True into 1, and the error counts 1 pass.
+        with pytest.raises(DivergenceError, match=re.escape("exceeded 1 passes")) as info:
+            numerical_limits([0.1] * 4, 2, iteration_cap=True)
+        assert type(info.value.passes) is int
+
     def test_limit_matrix_shape_accessors(self):
         lm = numerical_limits([0.1] * 5, 2)
         assert lm.rounds == 2 and lm.n == 5
         assert lm.values.shape == (2, 5)
+
+    def test_limit_matrix_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="limit matrix must be two-dimensional"):
+            limits.LimitMatrix(np.array([0.1, 0.2]))
 
 
 def _settles(values, rounds, cap) -> bool:

@@ -30,6 +30,15 @@ class TestRegisterBiases:
         with pytest.raises(ValueError):
             RegisterBiases(())
 
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="biases must be one-dimensional"):
+            RegisterBiases(np.full((2, 2), 0.1))
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_with_target_first_rejects_out_of_range(self, m):
+        with pytest.raises(ValueError, match=re.escape(f"qubit index {m} out of range 1..3")):
+            RegisterBiases.equal(3, 0.1).with_target_first(m)
+
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
     def test_rejects_out_of_range(self, bad):
         # the message names the first bad bias as a Python float
@@ -49,6 +58,9 @@ class TestRegisterBiases:
         b = RegisterBiases.from_values([0.1, 0.1, 0.1])
         assert a == b and hash(a) == hash(b)
         assert a != RegisterBiases.equal(3, 0.2)
+        # against anything else __eq__ defers, and Python falls back to identity
+        assert a.__eq__([0.1, 0.1, 0.1]) is NotImplemented
+        assert a != [0.1, 0.1, 0.1]
 
     def test_factors(self):
         assert np.allclose(_probamps_raw([0.2]), [0.6, 0.4])
@@ -67,6 +79,10 @@ class TestDiagDist:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             DiagDist(np.array([0.5, 0.4]))
+
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="probamps must be one-dimensional"):
+            DiagDist(np.full((2, 2), 0.25))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
