@@ -14,7 +14,7 @@ the re-entry worklist here is an explicit stack with the exact semantics of
 the self-calls, since the chain can grow deeper than the interpreter allows.
 
 The cooling state has one form each: a sub-register's marginals are Python
-float lists for all of its passes, and each settled sub-register is written
+floats for all of its passes, and each settled sub-register is written
 straight into the round's row of the limit database.  That row, and the
 two target rows it is tested against, are float lists for the length of
 one top-level subspace compression.  The :class:`HbacConfig` stops there:
@@ -26,12 +26,20 @@ and pass counts, and the level above sums them.
 Nearly every pass can gain only from the limiting exchange
 |011..1> <-> |100..0>, and ``lim`` mode performs no other.  Each pass
 builds that pair's two probamps and the smallest ancilla bias as scalars in
-one O(q) loop, from which :func:`~qcool.compress._limiting_verdict`, shared
+O(q) steps, from which :func:`~qcool.compress._limiting_verdict`, shared
 with :func:`numerical_limits`, proves that no other pair can gain.  Only
 the rare other ``full`` passes build all 2^q probamps and walk the full
-beneficial mask, with bit-identical exchanges.  Every bias stays in [0, 1]
-where it is made: a row entry outside [default, 1] is refused on entry,
-and the walk caps each floored bias at 1.
+beneficial mask (:func:`_full_walk`), with bit-identical exchanges.  Every
+bias stays in [0, 1] where it is made: a row entry outside [default, 1] is
+refused on entry, and the walk caps each floored bias at 1.
+
+The passes of a sub-register of q qubits run in its kernel: the pass loop
+written out for that q from one template, and compiled on the first use
+of the size.  Its biases are local names (``h``, ``c1``..``c{q-1}`` and
+the defaults ``f0``..``f{q-1}``), so a pass does the float operations of
+a loop over the qubits, in the same order, without walking or growing a
+list: it builds one list, the floored biases, per pass.  Cooling spends
+nearly all of its time in these passes, a few microseconds each.
 
 Every individual pair exchange is counted; the run's complexity is the sum
 of the per-round counts.  Pass counts are reported alongside for the coarser
@@ -41,9 +49,9 @@ runs one register compression per point of a sweep.
 
 from __future__ import annotations
 
-import math
+import linecache
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -102,64 +110,24 @@ class CoolingReport:
         return sum(self.per_round_swaps)
 
 
-def _sub_compress(raw: list[float], floor: list[float], cap: float, lim: bool,
-                  precision: float, budget: int,
-                  swap: Callable[[int], None] | None) -> tuple[list[float], int, int]:
-    """Converge the head of one sub-register; returns (biases, exchanges, passes).
-
-    The pass state is two float lists over the sub-register: *raw*, which
-    enters as its recorded biases and tracks the marginals exactly through
-    each exchange, and ``gamma``, the same floored at the default biases
-    *floor* (the heat-bath reset).  One while-pass: from the biases at the
-    pass start, find the beneficial complementary pairs of the product
-    state, then exchange each in index order.  Exchanging pair k of gap d
-    adds 2 d to qubit i when bit i of k (MSB first) is 0 and subtracts it
-    when the bit is 1; every qubit is then floored again.  The pass ratio is
-    the head bias after the pass over the head bias before it, and the next
-    pass starts from the floored biases.
-
-    Each pass opens with one loop: it applies the last limiting exchange's
-    step (0.0 on the first pass and after a full-mask pass), floors every
-    qubit, keeping the default on a tie, and builds from the floored biases
-    the limiting pair's two probamps, bit-identical to the full build's
-    (head factor first), and the smallest ancilla bias: O(q) per pass.  The
-    previous pass's convergence test against *precision*, the *budget* test
-    and the verdict follow.  A pass whose head starts at *cap* exchanges
-    nothing and converges; it still counts.  With *lim*, and whenever
-    :func:`_limiting_verdict` proves that only the limiting pair can gain
-    (almost every other pass), the pass tests that pair with the tie rule: a
-    beneficial pair's step goes to the next pass's loop, else nothing moves
-    and the pass returns.  Any other pass builds all 2^q probamps and walks
-    the full beneficial mask, with bit-identical exchanges, capping each
-    floored bias at 1.0, as its summed steps can round past 1.
-
-    *swap*, if given, receives each exchanged pair's index.  A pass past
-    *budget* returns at once with ``budget + 1`` passes; the caller raises.
-    """
-    q = len(raw)
-    limiting = (1 << (q - 1)) - 1
-    bits = f"0{q}b"
-    floor0 = floor[0]
-    floor_rest = floor[1:]
+#: One cooling pass loop, per sub-register size q >= 2: the head bias is ``h``,
+#: the ancillas' are ``c1``..``c{q-1}`` and the defaults ``f0``..``f{q-1}``.
+#: Only integers are filled in, by :func:`_kernel`.
+_KERNEL = """\
+def _pass_loop_{q}(raw, floor, cap, lim, precision, budget, swap):
+    h, {cs} = raw
+    f0, {fs} = floor
     step = 0.0
     swaps_done = 0
     passes = 0
     while True:
         # The floor is max(default, raw) and keeps the default on a tie, so
         # a zero marginal carries its default's sign.
-        h = raw[0] + step
-        h = h if h > floor0 else floor0
-        gamma = [h]
-        p_k, p_kk = (1.0 + h) / 2.0, (1.0 - h) / 2.0
-        b_min = math.inf
-        for f, b in zip(floor_rest, raw[1:]):
-            c = b - step
-            c = c if c > f else f
-            gamma.append(c)
-            p_k *= (1.0 - c) / 2.0
-            p_kk *= (1.0 + c) / 2.0
-            if c < b_min:
-                b_min = c
+        h = h + step
+        h = h if h > f0 else f0
+{floors}        gamma = [h, {cs}]
+        p_k = (1.0 + h) / 2.0{p_k_factors}
+        p_kk = (1.0 - h) / 2.0{p_kk_factors}
         if passes:
             if head_before == 0.0:
                 converged = h == 0.0
@@ -171,32 +139,124 @@ def _sub_compress(raw: list[float], floor: list[float], cap: float, lim: bool,
         if passes > budget or h >= cap:
             return gamma, swaps_done, passes
         head_before = h
-        raw = gamma
-        verdict = _beneficial(p_k, p_kk) if lim else _limiting_verdict(h, p_k, p_kk, b_min)
+        if lim:
+            verdict = _beneficial(p_k, p_kk)
+        else:
+            b_min = c1
+{minima}            verdict = _limiting_verdict(h, p_k, p_kk, b_min)
         if verdict:
             step = 2.0 * (p_kk - p_k)
             swaps_done += 1
             if swap is not None:
-                swap(limiting)
+                swap({limiting})
         elif verdict is None:
-            # Complementary pairs are disjoint, so the pass-start beneficial
-            # set equals on-the-fly re-testing; walk it in index order.
-            head, tail = _halves(_probamps_raw(raw))
-            ks = _beneficial_indices(head, tail)
-            for k, d in zip(ks.tolist(), (tail[ks] - head[ks]).tolist()):
-                if gamma[0] >= cap:
-                    break
-                step = 2.0 * d
-                raw = [b - step if bit == "1" else b + step
-                       for b, bit in zip(raw, format(k, bits))]
-                gamma = [min(b if b > f else f, 1.0) for f, b in zip(floor, raw)]
-                swaps_done += 1
-                if swap is not None:
-                    swap(k)
-            raw, step = gamma, 0.0
+            gamma, walked = _full_walk(gamma, floor, cap, swap)
+            swaps_done += walked
+            h, {cs} = gamma
+            step = 0.0
         else:
             # Nothing moved, so the convergence test holds.
             return gamma, swaps_done, passes
+"""
+
+
+@cache
+def _kernel(q: int) -> Callable:
+    """The pass loop for sub-registers of q qubits, compiled on its first use.
+
+    Compiling every size at import would delay every command that imports
+    this module, cooling or not.  The kernel runs in this module's globals,
+    so the verdicts and :func:`_full_walk` are looked up at each call, and
+    its source is in :mod:`linecache` under its own file name, for
+    tracebacks, :mod:`inspect` and line tracing.
+    """
+    ancillas = range(1, q)
+    source = _KERNEL.format(
+        q=q, limiting=(1 << (q - 1)) - 1,
+        cs=", ".join(f"c{i}" for i in ancillas),
+        fs=", ".join(f"f{i}" for i in ancillas),
+        floors="".join(f"        c{i} = c{i} - step\n"
+                       f"        c{i} = c{i} if c{i} > f{i} else f{i}\n" for i in ancillas),
+        p_k_factors="".join(f" * ((1.0 - c{i}) / 2.0)" for i in ancillas),
+        p_kk_factors="".join(f" * ((1.0 + c{i}) / 2.0)" for i in ancillas),
+        minima="".join(f"            if c{i} < b_min:\n"
+                       f"                b_min = c{i}\n" for i in ancillas[1:]))
+    filename = f"<qcool.hbac pass loop q={q}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace[f"_pass_loop_{q}"]
+
+
+def _full_walk(raw: list[float], floor: list[float], cap: float,
+               swap: Callable[[int], None] | None) -> tuple[list[float], int]:
+    """Exchange every beneficial pair of the product state of *raw*, in index order.
+
+    Returns the floored biases after the last exchange and the number of
+    exchanges; the walk stops once the head reaches *cap*.
+    """
+    bits = f"0{len(raw)}b"
+    gamma = raw
+    swaps_done = 0
+    # Complementary pairs are disjoint, so the pass-start beneficial
+    # set equals on-the-fly re-testing; walk it in index order.
+    head, tail = _halves(_probamps_raw(raw))
+    ks = _beneficial_indices(head, tail)
+    for k, d in zip(ks.tolist(), (tail[ks] - head[ks]).tolist()):
+        if gamma[0] >= cap:
+            break
+        step = 2.0 * d
+        raw = [b - step if bit == "1" else b + step
+               for b, bit in zip(raw, format(k, bits))]
+        gamma = [min(b if b > f else f, 1.0) for f, b in zip(floor, raw)]
+        swaps_done += 1
+        if swap is not None:
+            swap(k)
+    return gamma, swaps_done
+
+
+def _sub_compress(raw: list[float], floor: list[float], cap: float, lim: bool,
+                  precision: float, budget: int,
+                  swap: Callable[[int], None] | None) -> tuple[list[float], int, int]:
+    """Converge the head of one sub-register; returns (biases, exchanges, passes).
+
+    The pass state is the sub-register's biases: *raw*, which enters as its
+    recorded biases and tracks the marginals exactly through each exchange,
+    and ``gamma``, the same floored at the default biases *floor* (the
+    heat-bath reset).  One while-pass: from the biases at the pass start,
+    find the beneficial complementary pairs of the product state, then
+    exchange each in index order.  Exchanging pair k of gap d adds 2 d to
+    qubit i when bit i of k (MSB first) is 0 and subtracts it when the bit
+    is 1; every qubit is then floored again.  The pass ratio is the head
+    bias after the pass over the head bias before it, and the next pass
+    starts from the floored biases.
+
+    Each pass opens by applying the last limiting exchange's step (0.0 on
+    the first pass and after a full-mask pass), flooring every qubit,
+    keeping the default on a tie, and building from the floored biases the
+    limiting pair's two probamps, bit-identical to the full build's (head
+    factor first): O(q) per pass.  The previous pass's convergence test
+    against *precision*, the *budget* test and the verdict follow, the
+    verdict's smallest ancilla bias kept with ``<``.  A pass whose head
+    starts at *cap* exchanges nothing and converges; it still counts.  With
+    *lim*, and whenever :func:`_limiting_verdict` proves that only the
+    limiting pair can gain (almost every other pass), the pass tests that
+    pair with the tie rule: a beneficial pair's step goes to the next
+    pass's opening, else nothing moves and the pass returns.  Any other
+    pass runs :func:`_full_walk`, which builds all 2^q probamps and walks
+    the full beneficial mask, with bit-identical exchanges, capping each
+    floored bias at 1.0, as its summed steps can round past 1.
+
+    The passes run in a kernel: the pass loop written out for the
+    sub-register's size q >= 2 by :func:`_kernel`.  Its biases are local
+    names rather than list entries, so a pass walks no list; it builds
+    ``gamma`` once, with the same float operations in the same order as a
+    loop over the qubits.
+
+    *swap*, if given, receives each exchanged pair's index.  A pass past
+    *budget* returns at once with ``budget + 1`` passes; the caller raises.
+    """
+    return _kernel(len(raw))(raw, floor, cap, lim, precision, budget, swap)
 
 
 def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: LimitMatrix,

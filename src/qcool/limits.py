@@ -59,11 +59,13 @@ def max_rounds(n: int) -> int:
 
 
 def _count(value: int, name: str) -> int:
-    """*value* as an int; a float or any other non-integer raises :class:`ValueError`."""
+    """*value* as an int; a bool, a float or any other non-integer raises :class:`ValueError`."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_rounds(n: int, rounds: int | None) -> int:

@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is written with explicit loops, straight from the defining
-formulas, and shares no code with the package internals it checks.
+formulas, and shares no code with the package internals it checks.  The
+one exception is :func:`pass_loop`, a former package loop kept as the
+reference for the code that replaced it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from qcool.compress import _beneficial, _beneficial_indices, _halves, _limiting_verdict
+from qcool.regstate import _probamps_raw
 
 TIE_RTOL = 1e-12
 
@@ -317,3 +322,74 @@ def cool_head_fixed_point(defaults, rel_step: float = 1e-12,
             return floored[0]
         biases = floored
     raise AssertionError("oracle iteration did not settle")
+
+
+def pass_loop(raw, floor, cap, lim, precision, budget, swap):
+    """The cooling pass loop over float lists, as first written for ``hbac._sub_compress``.
+
+    The reference for the pass kernels that replaced it: the same contract
+    and arguments, returning (floored biases, exchanges, passes).  It calls
+    the package's verdicts and full build, since it pins the loop's own
+    arithmetic, order and swap calls, not those.
+    """
+    q = len(raw)
+    limiting = (1 << (q - 1)) - 1
+    bits = f"0{q}b"
+    floor0 = floor[0]
+    floor_rest = floor[1:]
+    step = 0.0
+    swaps_done = 0
+    passes = 0
+    while True:
+        # The floor is max(default, raw) and keeps the default on a tie, so
+        # a zero marginal carries its default's sign.
+        h = raw[0] + step
+        h = h if h > floor0 else floor0
+        gamma = [h]
+        p_k, p_kk = (1.0 + h) / 2.0, (1.0 - h) / 2.0
+        b_min = math.inf
+        for f, b in zip(floor_rest, raw[1:]):
+            c = b - step
+            c = c if c > f else f
+            gamma.append(c)
+            p_k *= (1.0 - c) / 2.0
+            p_kk *= (1.0 + c) / 2.0
+            if c < b_min:
+                b_min = c
+        if passes:
+            if head_before == 0.0:
+                converged = h == 0.0
+            else:
+                converged = abs(h / head_before - 1.0) <= precision
+            if converged:
+                return gamma, swaps_done, passes
+        passes += 1
+        if passes > budget or h >= cap:
+            return gamma, swaps_done, passes
+        head_before = h
+        raw = gamma
+        verdict = _beneficial(p_k, p_kk) if lim else _limiting_verdict(h, p_k, p_kk, b_min)
+        if verdict:
+            step = 2.0 * (p_kk - p_k)
+            swaps_done += 1
+            if swap is not None:
+                swap(limiting)
+        elif verdict is None:
+            # Complementary pairs are disjoint, so the pass-start beneficial
+            # set equals on-the-fly re-testing; walk it in index order.
+            head, tail = _halves(_probamps_raw(raw))
+            ks = _beneficial_indices(head, tail)
+            for k, d in zip(ks.tolist(), (tail[ks] - head[ks]).tolist()):
+                if gamma[0] >= cap:
+                    break
+                step = 2.0 * d
+                raw = [b - step if bit == "1" else b + step
+                       for b, bit in zip(raw, format(k, bits))]
+                gamma = [min(b if b > f else f, 1.0) for f, b in zip(floor, raw)]
+                swaps_done += 1
+                if swap is not None:
+                    swap(k)
+            raw, step = gamma, 0.0
+        else:
+            # Nothing moved, so the convergence test holds.
+            return gamma, swaps_done, passes

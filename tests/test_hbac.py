@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import linecache
 import math
 import re
 import sys
@@ -18,7 +19,7 @@ from qcool import (CoolingReport, DivergenceError, HbacConfig, LimitMatrix, Regi
 from qcool.compress import _beneficial, _beneficial_mask, _limiting_verdict
 from qcool.limits import DEFAULT_PRECISION
 from qcool.regstate import _probamps_raw
-from oracles import cool_head_fixed_point, largest_bias_verdict, limiting_probamps
+from oracles import cool_head_fixed_point, largest_bias_verdict, limiting_probamps, pass_loop
 from strategies import product_registers
 
 UNEQUAL_SETS = [
@@ -52,9 +53,15 @@ class TestConfig:
             register_compression(HbacConfig.equal(4, 0.1, **kw))
 
     def test_counts_are_stored_as_int(self):
-        config = HbacConfig.equal(4, 0.1, np.int64(2), iteration_cap=True)
+        config = HbacConfig.equal(4, 0.1, np.int64(2), iteration_cap=np.int64(1))
         assert (config.rounds, config.iteration_cap) == (2, 1)
         assert type(config.rounds) is int and type(config.iteration_cap) is int
+        # a bool is refused, as the count it names
+        with pytest.raises(ValueError, match=re.escape("rounds must be an integer, got True")):
+            HbacConfig.equal(4, 0.1, True)
+        with pytest.raises(ValueError, match=re.escape(
+                "iteration cap must be an integer, got False")):
+            HbacConfig.equal(4, 0.1, 2, iteration_cap=False)
 
     def test_rejects_bad_precision(self):
         with pytest.raises(ValueError):
@@ -391,19 +398,19 @@ def record_verdicts(monkeypatch):
     return accepted
 
 
-def line_hits(func, text, call):
-    """call()'s result and how often the line of *func* containing *text* ran during it."""
-    lines, first = inspect.getsourcelines(func)
-    target = first + next(i for i, line in enumerate(lines) if text in line)
+def line_hits(funcs, text, call):
+    """call()'s result and how often a line containing *text* of one of *funcs* ran during it."""
+    codes = {func.__code__ for func in funcs}
     hits = []
 
     def in_func(frame, event, arg):
-        if event == "line" and frame.f_lineno == target:
-            hits.append(target)
+        if event == "line" and text in linecache.getline(frame.f_code.co_filename,
+                                                         frame.f_lineno):
+            hits.append(frame.f_lineno)
         return in_func
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: in_func if frame.f_code is func.__code__ else None)
+    sys.settrace(lambda frame, event, arg: in_func if frame.f_code in codes else None)
     try:
         result = call()
     finally:
@@ -556,8 +563,8 @@ class TestLimitingPairFastPath:
     def test_zero_default_head(self, monkeypatch, values, complexity, mode):
         # A head whose default bias is 0 starts its first pass at exactly 0.0,
         # so that pass converges only if the head stays 0.0 (no ratio to take).
-        fast, hits = line_hits(hbac._sub_compress, "converged = h == 0.0",
-                               lambda: cooling_run(values, mode))
+        kernels = [hbac._kernel(q) for q in range(2, len(values) + 1)]
+        fast, hits = line_hits(kernels, "converged = h == 0.0", lambda: cooling_run(values, mode))
         assert hits == 1
         assert fast[0] == complexity[mode]
         config = HbacConfig(RegisterBiases.from_values(values), len(values) - 2, mode=mode)
@@ -566,3 +573,49 @@ class TestLimitingPairFastPath:
         assert np.all(np.abs(final / targets - 1.0) <= 10 * config.precision)
         force_full_mask(monkeypatch)
         assert cooling_run(values, mode) == fast
+
+
+def _sub_register_entry(pool):
+    # a tie with another entry, a signed zero, 1.0, or anywhere in [0, 1]
+    return st.sampled_from(pool) | st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def sub_registers(draw):
+    """Biases and defaults of q = 2..9 qubits, with ties, signed zeros and 1.0."""
+    beta = draw(product_registers())  # heads near the gate and the tie
+    raw = [draw(st.just(b) | _sub_register_entry(beta)) for b in beta]
+    floor = [draw(st.just(b) | _sub_register_entry(raw)) for b in raw]
+    return raw, floor
+
+
+def pass_run(loop, raw, floor, cap, lim, precision, budget, record):
+    """What *loop* returns on copies of the inputs, and every pair it exchanged."""
+    swaps = []
+    gamma, exchanges, passes = loop(list(raw), list(floor), cap, lim, precision, budget,
+                                    swaps.append if record else None)
+    return _bits(gamma), exchanges, passes, swaps
+
+
+class TestPassKernels:
+    @settings(max_examples=400, deadline=None)
+    @given(sub_registers(), st.booleans(),
+           st.sampled_from([math.inf, 1.0, 0.0]) | st.floats(0.0, 1.0),
+           st.sampled_from([-1.0, 0.0, 1e-12, DEFAULT_PRECISION, 1e-3, 0.5]),
+           st.integers(1, 40), st.booleans())
+    @example(([0.1, 0.1], [0.1, 0.1]), False, math.inf, -1.0, 40, True)
+    @example(([0.3] * 9, [0.3] * 9), False, math.inf, DEFAULT_PRECISION, 40, True)
+    @example(([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]), True, math.inf, -1.0, 40, True)
+    def test_kernel_matches_reference(self, sub, lim, cap, precision, budget, record):
+        # Each size's kernel returns the reference loop's biases bit for bit,
+        # its exchange and pass counts, and makes the same swap calls.
+        raw, floor = sub
+        args = (raw, floor, cap, lim, precision, budget, record)
+        assert pass_run(hbac._sub_compress, *args) == pass_run(pass_loop, *args)
+
+    def test_kernel_per_size_with_source(self):
+        kernel = hbac._kernel(4)
+        assert hbac._kernel(4) is kernel and kernel.__globals__ is vars(hbac)
+        source = inspect.getsource(kernel)
+        assert source.startswith("def _pass_loop_4(raw, floor, cap, lim, precision, budget, swap):")
+        assert "gamma = [h, c1, c2, c3]" in source

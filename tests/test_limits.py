@@ -285,10 +285,15 @@ class TestNumericalLimits:
             call()
 
     def test_iteration_cap_is_used_as_converted(self):
-        # operator.index turns True into 1, and the error counts 1 pass.
+        # operator.index turns np.int64(1) into 1, and the error counts 1
+        # pass; a bool is no count, though operator.index takes it as one.
         with pytest.raises(DivergenceError, match=re.escape("exceeded 1 passes")) as info:
-            numerical_limits([0.1] * 4, 2, iteration_cap=True)
+            numerical_limits([0.1] * 4, 2, iteration_cap=np.int64(1))
         assert type(info.value.passes) is int
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"iteration cap must be an integer, got {flag}")):
+                numerical_limits([0.1] * 4, 2, iteration_cap=flag)
 
     def test_limit_matrix_shape_accessors(self):
         lm = numerical_limits([0.1] * 5, 2)
