@@ -64,7 +64,7 @@ from . import __version__
 from .circuits import export_text, lim_comp, nb_maxcomp
 from .compress import bias_gain, find_optswaps, verify_optimality
 from .errors import DivergenceError, ResourceCapError
-from .hbac import HbacConfig, register_compression
+from .hbac import MODE_FULL, MODE_LIM, HbacConfig, register_compression
 from .limits import (DEFAULT_ITERATION_CAP, DEFAULT_PRECISION, _check_grid, analytic_limit,
                      analytic_limits, check_loop, check_rounds, numerical_limits, shannon_bound,
                      single_round_limit, sqrt_bound)
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bias_args(p)
     p.add_argument("--rounds", type=_INT)
     p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
-    p.add_argument("--mode", choices=["full", "lim"], default="full")
+    p.add_argument("--mode", choices=[MODE_FULL, MODE_LIM], default=MODE_FULL)
     _add_iteration_cap(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cool)
@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_INT)
     p.add_argument("--rounds", type=_INT, help="override rounds (default n-2)")
     p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
-    p.add_argument("--mode", choices=["full", "lim"], default="full")
+    p.add_argument("--mode", choices=[MODE_FULL, MODE_LIM], default=MODE_FULL)
     _add_iteration_cap(p)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out")

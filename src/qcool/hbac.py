@@ -19,27 +19,18 @@ straight into the round's row of the limit database.  That row, and the
 two target rows it is tested against, are float lists for the length of
 one top-level subspace compression.  The :class:`HbacConfig` stops there:
 subspace compression owns every rule that reads the limit database (caps,
-re-entry tests, the pass cap), and hands each pass loop its sub-register,
+re-entry tests, the pass cap), and hands each pass kernel its sub-register,
 its cap and its remaining pass budget.  Each level returns its exchange
-and pass counts, and the level above sums them.
+and pass counts, and the level above sums them.  Every bias stays in
+[0, 1] where it is made: a row entry outside [default, 1] is refused on
+entry, and the full-mask walk caps each floored bias at 1.
 
-Nearly every pass can gain only from the limiting exchange
-|011..1> <-> |100..0>, and ``lim`` mode performs no other.  Each pass
-builds that pair's two probamps and the smallest ancilla bias as scalars in
-O(q) steps, from which :func:`~qcool.compress._limiting_verdict`, shared
-with :func:`numerical_limits`, proves that no other pair can gain.  Only
-the rare other ``full`` passes build all 2^q probamps and walk the full
-beneficial mask (:func:`_full_walk`), with bit-identical exchanges.  Every
-bias stays in [0, 1] where it is made: a row entry outside [default, 1] is
-refused on entry, and the walk caps each floored bias at 1.
-
-The passes of a sub-register of q qubits run in its kernel: the pass loop
-written out for that q from one template, and compiled on the first use
-of the size.  Its biases are local names (``h``, ``c1``..``c{q-1}`` and
-the defaults ``f0``..``f{q-1}``), so a pass does the float operations of
-a loop over the qubits, in the same order, without walking or growing a
-list: it builds one list, the floored biases, per pass.  Cooling spends
-nearly all of its time in these passes, a few microseconds each.
+The passes of a sub-register of q qubits run in its kernel, the pass loop
+written out for that q and compiled on first use; :func:`_kernel` states
+the pass loop's contract.  Nearly every pass exchanges only the limiting
+pair |011..1> <-> |100..0> in O(q) steps, and ``lim`` mode exchanges no
+other.  Cooling spends nearly all of its time in these passes, a few
+microseconds each.
 
 Every individual pair exchange is counted; the run's complexity is the sum
 of the per-round counts.  Pass counts are reported alongside for the coarser
@@ -112,10 +103,11 @@ class CoolingReport:
 
 #: One cooling pass loop, per sub-register size q >= 2: the head bias is ``h``,
 #: the ancillas' are ``c1``..``c{q-1}`` and the defaults ``f0``..``f{q-1}``.
-#: Only integers are filled in, by :func:`_kernel`.
+#: Only these names and integers are filled in, by :func:`_kernel`.  A pass
+#: binds no list: ``[h, c1, ...]`` is built only where the biases leave.
 _KERNEL = """\
 def _pass_loop_{q}(raw, floor, cap, lim, precision, budget, swap):
-    h, {cs} = raw
+    {biases} = raw
     f0, {fs} = floor
     step = 0.0
     swaps_done = 0
@@ -125,8 +117,7 @@ def _pass_loop_{q}(raw, floor, cap, lim, precision, budget, swap):
         # a zero marginal carries its default's sign.
         h = h + step
         h = h if h > f0 else f0
-{floors}        gamma = [h, {cs}]
-        p_k = (1.0 + h) / 2.0{p_k_factors}
+{floors}        p_k = (1.0 + h) / 2.0{p_k_factors}
         p_kk = (1.0 - h) / 2.0{p_kk_factors}
         if passes:
             if head_before == 0.0:
@@ -134,10 +125,10 @@ def _pass_loop_{q}(raw, floor, cap, lim, precision, budget, swap):
             else:
                 converged = abs(h / head_before - 1.0) <= precision
             if converged:
-                return gamma, swaps_done, passes
+                return [{biases}], swaps_done, passes
         passes += 1
         if passes > budget or h >= cap:
-            return gamma, swaps_done, passes
+            return [{biases}], swaps_done, passes
         head_before = h
         if lim:
             verdict = _beneficial(p_k, p_kk)
@@ -150,19 +141,54 @@ def _pass_loop_{q}(raw, floor, cap, lim, precision, budget, swap):
             if swap is not None:
                 swap({limiting})
         elif verdict is None:
-            gamma, walked = _full_walk(gamma, floor, cap, swap)
+            ({biases}), walked = _full_walk([{biases}], floor, cap, swap)
             swaps_done += walked
-            h, {cs} = gamma
             step = 0.0
         else:
             # Nothing moved, so the convergence test holds.
-            return gamma, swaps_done, passes
+            return [{biases}], swaps_done, passes
 """
 
 
 @cache
 def _kernel(q: int) -> Callable:
-    """The pass loop for sub-registers of q qubits, compiled on its first use.
+    """The pass loop for sub-registers of q >= 2 qubits, compiled on its first use.
+
+    ``_kernel(q)(raw, floor, cap, lim, precision, budget, swap)`` converges
+    the head of one sub-register and returns (biases, exchanges, passes).
+    The pass state is the sub-register's biases: *raw*, which enters as its
+    recorded biases and tracks the marginals exactly through each exchange,
+    and the same floored at the default biases *floor* (the heat-bath
+    reset).  One pass: from the floored biases at the pass start, find the
+    beneficial complementary pairs of the product state, then exchange each
+    in index order.  Exchanging pair k of gap d adds 2 d to qubit i when bit
+    i of k (MSB first) is 0 and subtracts it when the bit is 1; every qubit
+    is then floored again.  The pass ratio is the head bias after the pass
+    over the head bias before it, and the next pass starts from the floored
+    biases.
+
+    Each pass opens by applying the last limiting exchange's step (0.0 on
+    the first pass and after a full-mask pass), flooring every qubit,
+    keeping the default on a tie, and building from the floored biases the
+    limiting pair's two probamps, bit-identical to the full build's (head
+    factor first): O(q) per pass.  The previous pass's convergence test
+    against *precision*, the *budget* test and the verdict follow, the
+    verdict's smallest ancilla bias kept with ``<``.  A pass whose head
+    starts at *cap* exchanges nothing and converges; it still counts.  With
+    *lim*, and whenever :func:`~qcool.compress._limiting_verdict` proves
+    that only the limiting pair can gain (almost every other pass), the
+    pass tests that pair with the tie rule: a beneficial pair's step goes
+    to the next pass's opening, else nothing moves and the pass returns.
+    Any other pass runs :func:`_full_walk`, which builds all 2^q probamps
+    and walks the full beneficial mask, with bit-identical exchanges,
+    capping each floored bias at 1.0, as its summed steps can round past 1.
+
+    The biases are local names, so a pass does the float operations of a
+    loop over the qubits, in the same order, without walking or building a
+    list; the list of floored biases is built only where it leaves the
+    kernel, at its returns and its full-mask walk.  *swap*, if given,
+    receives each exchanged pair's index.  A pass past *budget* returns at
+    once with ``budget + 1`` passes; the caller raises.
 
     Compiling every size at import would delay every command that imports
     this module, cooling or not.  The kernel runs in this module's globals,
@@ -173,7 +199,7 @@ def _kernel(q: int) -> Callable:
     ancillas = range(1, q)
     source = _KERNEL.format(
         q=q, limiting=(1 << (q - 1)) - 1,
-        cs=", ".join(f"c{i}" for i in ancillas),
+        biases=", ".join(["h", *(f"c{i}" for i in ancillas)]),
         fs=", ".join(f"f{i}" for i in ancillas),
         floors="".join(f"        c{i} = c{i} - step\n"
                        f"        c{i} = c{i} if c{i} > f{i} else f{i}\n" for i in ancillas),
@@ -215,50 +241,6 @@ def _full_walk(raw: list[float], floor: list[float], cap: float,
     return gamma, swaps_done
 
 
-def _sub_compress(raw: list[float], floor: list[float], cap: float, lim: bool,
-                  precision: float, budget: int,
-                  swap: Callable[[int], None] | None) -> tuple[list[float], int, int]:
-    """Converge the head of one sub-register; returns (biases, exchanges, passes).
-
-    The pass state is the sub-register's biases: *raw*, which enters as its
-    recorded biases and tracks the marginals exactly through each exchange,
-    and ``gamma``, the same floored at the default biases *floor* (the
-    heat-bath reset).  One while-pass: from the biases at the pass start,
-    find the beneficial complementary pairs of the product state, then
-    exchange each in index order.  Exchanging pair k of gap d adds 2 d to
-    qubit i when bit i of k (MSB first) is 0 and subtracts it when the bit
-    is 1; every qubit is then floored again.  The pass ratio is the head
-    bias after the pass over the head bias before it, and the next pass
-    starts from the floored biases.
-
-    Each pass opens by applying the last limiting exchange's step (0.0 on
-    the first pass and after a full-mask pass), flooring every qubit,
-    keeping the default on a tie, and building from the floored biases the
-    limiting pair's two probamps, bit-identical to the full build's (head
-    factor first): O(q) per pass.  The previous pass's convergence test
-    against *precision*, the *budget* test and the verdict follow, the
-    verdict's smallest ancilla bias kept with ``<``.  A pass whose head
-    starts at *cap* exchanges nothing and converges; it still counts.  With
-    *lim*, and whenever :func:`_limiting_verdict` proves that only the
-    limiting pair can gain (almost every other pass), the pass tests that
-    pair with the tie rule: a beneficial pair's step goes to the next
-    pass's opening, else nothing moves and the pass returns.  Any other
-    pass runs :func:`_full_walk`, which builds all 2^q probamps and walks
-    the full beneficial mask, with bit-identical exchanges, capping each
-    floored bias at 1.0, as its summed steps can round past 1.
-
-    The passes run in a kernel: the pass loop written out for the
-    sub-register's size q >= 2 by :func:`_kernel`.  Its biases are local
-    names rather than list entries, so a pass walks no list; it builds
-    ``gamma`` once, with the same float operations in the same order as a
-    loop over the qubits.
-
-    *swap*, if given, receives each exchanged pair's index.  A pass past
-    *budget* returns at once with ``budget + 1`` passes; the caller raises.
-    """
-    return _kernel(len(raw))(raw, floor, cap, lim, precision, budget, swap)
-
-
 def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: LimitMatrix,
                          rl: np.ndarray, on_swap: SwapHook | None = None) -> tuple[int, int]:
     """Initialize the subspace spanning qubits x..n in round r; returns (swaps, passes).
@@ -271,9 +253,10 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
     previous-round target.  The re-entries run from an explicit stack.
     *passes* counts the passes of every re-entry; past
     ``config.iteration_cap`` of them the call raises
-    :class:`DivergenceError`, naming the head *x*.  An entry of row r below
-    its default bias (the bath floor every cooled bias keeps) or above 1
-    raises :class:`ValueError`, after the checks of r, x and z.
+    :class:`DivergenceError`, naming the head *x*.  After the checks of r, x
+    and z, *targets* and *rl* must both have shape (rounds, n), and an
+    entry of row r below its default bias (the bath floor every cooled bias
+    keeps) or above 1 raises :class:`ValueError`.
 
     Every rule that reads the limit database lives here.  Each exchange is
     capped: the primary head (v the head of a z = 0 entry) at its round-r
@@ -287,6 +270,10 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
         raise ValueError(f"subspace head {x} out of range 1..{n - 1}")
     if z not in (0, 1):
         raise ValueError(f"re-entry flag must be 0 or 1, got {z!r}")
+    shape = (config.rounds, n)
+    for name, array in (("targets", targets.values), ("rl", rl)):
+        if array.shape != shape:
+            raise ValueError(f"{name} shape {array.shape} does not match {shape}")
     floor = config.biases.values.tolist()
     level = targets.values[r - 1].tolist()
     prev = targets.values[r - 2].tolist() if r > 1 else floor
@@ -306,7 +293,7 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
             if row[v - 1] < level[v - 1]:
                 cap = level[v - 1] if flag == 0 and v == head else prev[v - 1]
                 swap = None if on_swap is None else partial(on_swap, r, head, v)
-                gamma, nswaps, npasses = _sub_compress(
+                gamma, nswaps, npasses = _kernel(n - v + 1)(
                     row[v - 1:], floor[v - 1:], cap, config.mode == MODE_LIM, config.precision,
                     config.iteration_cap - passes, swap)
                 passes += npasses
@@ -334,7 +321,8 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
                          on_swap: SwapHook | None = None) -> CoolingReport:
     """Cool every qubit to its per-round limit, counting all pair exchanges.
 
-    Targets default to :func:`numerical_limits` on the configured biases.
+    Targets default to :func:`numerical_limits` on the configured biases;
+    :func:`subspace_compression` checks their shape before the first pass.
     Round 1 of the limit database is seeded with the default biases (the
     bath floor: a register fresh from the bath sits at its defaults), and
     each finished row seeds the next round.
@@ -343,10 +331,6 @@ def register_compression(config: HbacConfig, *, targets: LimitMatrix | None = No
     if targets is None:
         targets = numerical_limits(config.biases, config.rounds, config.precision,
                                    iteration_cap=config.iteration_cap)
-    if targets.values.shape != (config.rounds, n):
-        raise ValueError(
-            f"targets shape {targets.values.shape} does not match "
-            f"({config.rounds}, {n})")
 
     rl = np.zeros((config.rounds, n))
     rl[0] = config.biases.values

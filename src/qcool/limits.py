@@ -68,6 +68,14 @@ def _count(value: int, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _positive_count(value: int, name: str) -> int:
+    """*value* as an int by :func:`_count`, once it is at least 1."""
+    value = _count(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def check_rounds(n: int, rounds: int | None) -> int:
     """*rounds* as an int, None meaning n - 2, once n >= 3 and 1 <= rounds <= n - 2 hold."""
     if _count(n, "register size") < 3:
@@ -171,13 +179,12 @@ def analytic_limit(r: int, k: int, n: int, eps: float) -> float:
 
 def single_round_limit(eps: float, m: int) -> float:
     """Fixed point of the limiting swap with m ancilla/reset qubits at bias eps."""
-    if m < 1:
-        raise ValueError(f"ancilla count must be >= 1, got {m}")
-    return _tanh_ratio(eps, m)
+    return _tanh_ratio(eps, _positive_count(m, "ancilla count"))
 
 
 def shannon_bound(n: int, eps: float) -> float:
     """Closed-system entropy bound on the number of fully purifiable qubits."""
+    n = _positive_count(n, "register size")
     _check_bias(eps)
     if eps == 0.0:
         return 0.0
@@ -191,6 +198,8 @@ def shannon_bound(n: int, eps: float) -> float:
 
 def sqrt_bound(n: int, eps: float) -> float:
     """First-order purity-conservation bound on the target bias, sqrt(n) * eps."""
+    n = _positive_count(n, "register size")
+    _check_bias(eps)
     return math.sqrt(n) * eps
 
 
@@ -233,10 +242,7 @@ def check_loop(precision: float, iteration_cap: int) -> int:
     """The one loop-bounds rule: *precision* > 0 and *iteration_cap* an int >= 1, returned."""
     if not precision > 0.0:
         raise ValueError(f"precision must be positive, got {precision!r}")
-    iteration_cap = _count(iteration_cap, "iteration cap")
-    if iteration_cap < 1:
-        raise ValueError("iteration cap must be positive")
-    return iteration_cap
+    return _positive_count(iteration_cap, "iteration cap")
 
 
 def _check_grid(rounds: int, n: int) -> None:

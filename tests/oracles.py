@@ -325,12 +325,14 @@ def cool_head_fixed_point(defaults, rel_step: float = 1e-12,
 
 
 def pass_loop(raw, floor, cap, lim, precision, budget, swap):
-    """The cooling pass loop over float lists, as first written for ``hbac._sub_compress``.
+    """The cooling pass loop over float lists, as first written before the pass kernels.
 
-    The reference for the pass kernels that replaced it: the same contract
-    and arguments, returning (floored biases, exchanges, passes).  It calls
-    the package's verdicts and full build, since it pins the loop's own
-    arithmetic, order and swap calls, not those.
+    The reference for the kernels of ``hbac._kernel`` that replaced it: the
+    same contract and arguments, returning (floored biases, exchanges,
+    passes).  It calls the package's verdicts and full build, since it pins
+    the loop's own arithmetic, order and swap calls, not those; it looks the
+    verdicts up in this module, and it holds each pass's floored biases in
+    the list ``gamma``, for tests that patch them to see every pass.
     """
     q = len(raw)
     limiting = (1 << (q - 1)) - 1

@@ -19,6 +19,7 @@ from qcool import (CoolingReport, DivergenceError, HbacConfig, LimitMatrix, Regi
 from qcool.compress import _beneficial, _beneficial_mask, _limiting_verdict
 from qcool.limits import DEFAULT_PRECISION
 from qcool.regstate import _probamps_raw
+import oracles
 from oracles import cool_head_fixed_point, largest_bias_verdict, limiting_probamps, pass_loop
 from strategies import product_registers
 
@@ -208,34 +209,50 @@ class TestRegisterCompression:
     @example([1e-05, 1.0, 0.1, 0.999], "full", 50)
     def test_every_bias_stays_in_range(self, values, mode, cap):
         # Each run returns limits in [default, 1] or stops at its pass cap or
-        # at a numerical limit outside [0, 1], which names its target; every
-        # pass reads biases in [default, 1].
-        def checked(verdict):
+        # at a numerical limit outside [0, 1], which names its target.  On the
+        # reference pass loop every pass reads biases in [default, 1]; on the
+        # kernels, so do the biases each kernel and each full-mask walk returns.
+        def in_range(gamma):
+            assert all(f <= b <= 1.0 for f, b in zip(values[-len(gamma):], gamma))
+
+        def checked_verdict(verdict):
             def check(*args):
-                gamma = sys._getframe(1).f_locals["gamma"]
-                assert all(f <= b <= 1.0 for f, b in zip(floor[-len(gamma):], gamma))
+                in_range(sys._getframe(1).f_locals["gamma"])  # the reference pass's biases
                 return verdict(*args)
             return check
 
-        floor = list(values)
+        def checked_result(func):
+            def check(*args):
+                result = func(*args)
+                in_range(result[0])
+                return result
+            return check
+
         config = HbacConfig(RegisterBiases.from_values(values), len(values) - 2, mode=mode,
                             iteration_cap=cap)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hbac, "_limiting_verdict", checked(hbac._limiting_verdict))
-            mp.setattr(hbac, "_beneficial", checked(hbac._beneficial))
-            try:
-                rl = register_compression(config).round_limits.values
-            except DivergenceError:
-                return
-            except ValueError as exc:
-                assert re.fullmatch(r"limit entries must lie in \[0, 1\]: round \d+, qubit \d+ "
-                                    r"settled at \S+", str(exc))
-                with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    numerical_limits(values, config.rounds, iteration_cap=cap)
-                return
+            mp.setattr(oracles, "_limiting_verdict", checked_verdict(oracles._limiting_verdict))
+            mp.setattr(oracles, "_beneficial", checked_verdict(oracles._beneficial))
+            mp.setattr(hbac, "_kernel", lambda q: pass_loop)
+            reference = cooling_outcome(config)
+        kernel = hbac._kernel
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hbac, "_kernel", lambda q: checked_result(kernel(q)))
+            mp.setattr(hbac, "_full_walk", checked_result(hbac._full_walk))
+            assert cooling_outcome(config) == reference
+        if reference[0] is DivergenceError:
+            return
+        if reference[0] is ValueError:
+            assert re.fullmatch(r"limit entries must lie in \[0, 1\]: round \d+, qubit \d+ "
+                                r"settled at \S+", reference[1])
+            with pytest.raises(ValueError, match=re.escape(reference[1])):
+                numerical_limits(values, config.rounds, iteration_cap=cap)
+            return
+        rl = np.frombuffer(reference, dtype=float).reshape(config.rounds, len(values))
         assert np.all((np.asarray(values) <= rl) & (rl <= 1.0))
 
     def test_explicit_targets_shape_checked(self):
+        # subspace_compression checks the shape, in the first call of round 1
         config = HbacConfig.equal(4, 0.1, 2)
         with pytest.raises(ValueError):
             register_compression(config, targets=numerical_limits([0.1] * 4, 1))
@@ -296,6 +313,21 @@ class TestSubspaceCompression:
             subspace_compression(config, 1, 1, 2, targets, np.zeros((1, 3)))
         with pytest.raises(ValueError, match="round 2 out of range"):
             subspace_compression(config, 2, 1, 0, targets, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("target_shape, rl_shape, message", [
+        ((2, 5), (2, 4), "targets shape (2, 5) does not match (2, 4)"),
+        ((1, 4), (2, 4), "targets shape (1, 4) does not match (2, 4)"),
+        ((2, 4), (1, 4), "rl shape (1, 4) does not match (2, 4)"),
+        ((2, 4), (2, 3), "rl shape (2, 3) does not match (2, 4)"),
+    ], ids=["targets-columns", "targets-rows", "rl-rows", "rl-columns"])
+    def test_limit_database_shape_checked(self, target_shape, rl_shape, message):
+        # Every (round, qubit) of the call reads both arrays: too few entries
+        # would fail far inside, and extra ones would go unread.
+        targets = LimitMatrix(np.full(target_shape, 0.3))
+        rl = np.full(rl_shape, 0.2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            subspace_compression(HbacConfig.equal(4, 0.2, 2), 2, 1, 0, targets, rl)
+        assert np.array_equal(rl, np.full(rl_shape, 0.2))
 
     @pytest.mark.parametrize("row, message", [
         ([0.2, 0.2, 0.15, 0.2], "qubit 3 must be between its default 0.2 and 1, got 0.15"),
@@ -365,6 +397,14 @@ def gate(beta):
     return verdict_on(beta) is not None
 
 
+def cooling_outcome(config):
+    """The bytes of a cooling run's limits, or the type and message of the error it stops on."""
+    try:
+        return register_compression(config).round_limits.values.tobytes()
+    except (DivergenceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 def cooling_run(values, mode):
     """Everything a cooling run of *values* reports, its exchange events included."""
     events = []
@@ -374,14 +414,21 @@ def cooling_run(values, mode):
             report.round_limits.values.tobytes(), events)
 
 
-def force_full_mask(monkeypatch):
-    """Full passes always build the mask; lim passes read the pair from the full build."""
+def force_full_mask(monkeypatch, mode):
+    """Full passes always build the mask; lim passes read the pair from the full build.
+
+    Full mode runs the kernels, each pass through :func:`hbac._full_walk`.
+    Lim mode runs the reference pass loop, whose biases the full build reads.
+    """
     def full_build_pair(p_k, p_kk):
         p = _probamps_raw(sys._getframe(1).f_locals["gamma"])  # the pass's floored biases
         return _beneficial(p[p.size // 2 - 1], p[p.size // 2])
 
-    monkeypatch.setattr(hbac, "_limiting_verdict", lambda *args: None)
-    monkeypatch.setattr(hbac, "_beneficial", full_build_pair)
+    if mode == "full":
+        monkeypatch.setattr(hbac, "_limiting_verdict", lambda *args: None)
+    else:
+        monkeypatch.setattr(hbac, "_kernel", lambda q: pass_loop)
+        monkeypatch.setattr(oracles, "_beneficial", full_build_pair)
 
 
 def record_verdicts(monkeypatch):
@@ -424,9 +471,9 @@ def _bits(values):
 
 
 def verdict_calls(raw, floor, exchanges):
-    """The biases a :func:`hbac._sub_compress` run returns, and every verdict's arguments.
+    """The biases a pass kernel returns, and every verdict's arguments.
 
-    Runs it on the sub-register *raw* with defaults *floor*: its first
+    Runs the kernel on the sub-register *raw* with defaults *floor*: its first
     *exchanges* verdicts say exchange the limiting pair, and the next says
     nothing moves, so the pass returns its floored biases.  The cap is
     never met, and a negative precision keeps a pass from converging
@@ -440,8 +487,8 @@ def verdict_calls(raw, floor, exchanges):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hbac, "_limiting_verdict", verdict_stub)
-        gamma, swaps, passes = hbac._sub_compress(list(raw), list(floor), math.inf, False,
-                                                  -1.0, exchanges + 2, None)
+        gamma, swaps, passes = hbac._kernel(len(raw))(list(raw), list(floor), math.inf, False,
+                                                      -1.0, exchanges + 2, None)
     assert swaps == exchanges and passes == len(calls)
     return gamma, calls
 
@@ -552,7 +599,7 @@ class TestLimitingPairFastPath:
             assert sum(accepted) > 0.9 * len(accepted)
         else:
             assert not accepted  # lim mode never consults the gate
-        force_full_mask(monkeypatch)
+        force_full_mask(monkeypatch, mode)
         assert cooling_run(values, mode) == fast
 
     @pytest.mark.parametrize("mode", ["full", "lim"])
@@ -571,7 +618,7 @@ class TestLimitingPairFastPath:
         report = register_compression(config)
         final, targets = report.round_limits.values[-1], report.targets.values[-1]
         assert np.all(np.abs(final / targets - 1.0) <= 10 * config.precision)
-        force_full_mask(monkeypatch)
+        force_full_mask(monkeypatch, mode)
         assert cooling_run(values, mode) == fast
 
 
@@ -582,8 +629,8 @@ def _sub_register_entry(pool):
 
 @st.composite
 def sub_registers(draw):
-    """Biases and defaults of q = 2..9 qubits, with ties, signed zeros and 1.0."""
-    beta = draw(product_registers())  # heads near the gate and the tie
+    """Biases and defaults of q = 2..12 qubits, with ties, signed zeros and 1.0."""
+    beta = draw(product_registers(max_q=12))  # heads near the gate and the tie
     raw = [draw(st.just(b) | _sub_register_entry(beta)) for b in beta]
     floor = [draw(st.just(b) | _sub_register_entry(raw)) for b in raw]
     return raw, floor
@@ -607,15 +654,15 @@ class TestPassKernels:
     @example(([0.3] * 9, [0.3] * 9), False, math.inf, DEFAULT_PRECISION, 40, True)
     @example(([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]), True, math.inf, -1.0, 40, True)
     def test_kernel_matches_reference(self, sub, lim, cap, precision, budget, record):
-        # Each size's kernel returns the reference loop's biases bit for bit,
-        # its exchange and pass counts, and makes the same swap calls.
+        # Each size's kernel, to q = 12 as cooling at n = 12 compiles, returns
+        # the reference loop's biases bit for bit, its exchange and pass
+        # counts, and makes the same swap calls.
         raw, floor = sub
         args = (raw, floor, cap, lim, precision, budget, record)
-        assert pass_run(hbac._sub_compress, *args) == pass_run(pass_loop, *args)
+        assert pass_run(hbac._kernel(len(raw)), *args) == pass_run(pass_loop, *args)
 
     def test_kernel_per_size_with_source(self):
         kernel = hbac._kernel(4)
         assert hbac._kernel(4) is kernel and kernel.__globals__ is vars(hbac)
         source = inspect.getsource(kernel)
         assert source.startswith("def _pass_loop_4(raw, floor, cap, lim, precision, budget, swap):")
-        assert "gamma = [h, c1, c2, c3]" in source

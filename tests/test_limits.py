@@ -166,9 +166,13 @@ class TestSingleRoundLimit:
         (lambda: single_round_limit(-0.1, 2), "-0.1"),
         (lambda: single_round_limit(math.nan, 2), "nan"),
         (lambda: analytic_limit(1, 1, 3, 1.5), "1.5"),
-    ], ids=["negative", "nan", "analytic-above-one"])
+        (lambda: sqrt_bound(4, 1.5), "1.5"),
+        (lambda: sqrt_bound(4, -0.1), "-0.1"),
+        (lambda: shannon_bound(4, 1.5), "1.5"),
+    ], ids=["negative", "nan", "analytic-above-one", "sqrt-above-one", "sqrt-negative",
+            "shannon-above-one"])
     def test_rejects_bias_outside_unit_interval(self, call, bad):
-        # the closed forms' shared range check, in the tanh ratio
+        # the closed forms' shared range check
         with pytest.raises(ValueError, match=re.escape(f"bias must lie in [0, 1], got {bad}")):
             call()
 
@@ -270,7 +274,7 @@ class TestNumericalLimits:
         assert info.value.passes == needed - 1
 
     def test_iteration_cap_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("iteration cap must be >= 1, got 0")):
             numerical_limits([0.1] * 4, 1, iteration_cap=0)
 
     @pytest.mark.parametrize("call, message", [
@@ -279,7 +283,15 @@ class TestNumericalLimits:
          "iteration cap must be an integer, got 2.5"),
         (lambda: f(1, 1.5, 5), "qubit index must be an integer, got 1.5"),
         (lambda: analytic_limits(5.0, None, 0.1), "register size must be an integer, got 5.0"),
-    ], ids=["rounds", "iteration_cap", "qubit_index", "register_size"])
+        (lambda: single_round_limit(0.1, 2.5), "ancilla count must be an integer, got 2.5"),
+        (lambda: single_round_limit(0.1, True), "ancilla count must be an integer, got True"),
+        (lambda: shannon_bound(2.5, 0.1), "register size must be an integer, got 2.5"),
+        (lambda: shannon_bound(-3, 0.1), "register size must be >= 1, got -3"),
+        (lambda: sqrt_bound(2.5, 0.1), "register size must be an integer, got 2.5"),
+        (lambda: sqrt_bound(0, 0.1), "register size must be >= 1, got 0"),
+    ], ids=["rounds", "iteration_cap", "qubit_index", "register_size", "ancilla_count",
+            "ancilla_count_bool", "shannon_size", "shannon_size_negative", "sqrt_size",
+            "sqrt_size_zero"])
     def test_counts_must_be_integers(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
