@@ -17,13 +17,17 @@ its mirror tail block with the vector's own block builder and masks the
 pair, so it holds two blocks, never the 2^n vector, and selects exactly
 what the scan of the full vector selects.
 
-The one verdict function of register cooling and of the numerical limits
-lives here as well, :func:`_limiting_verdict`.  From the head bias, the
-limiting pair |011..1> <-> |100..0> and the smallest ancilla bias, its
-value-domain gate proves, in O(1), when no other pair of a product state
-can be beneficial; it then returns the pair's tie verdict, and otherwise
-None, so that the caller builds the full mask.  The gate's inequality and
-its margin proof, ``GATE_MARGIN``, are written here once.
+The verdict on the limiting pair |011..1> <-> |100..0> lives here as well,
+:func:`_limiting_verdict`, which the numerical limits call.  From the head
+bias, that pair and the smallest ancilla bias, its value-domain gate
+proves, in O(1), when no other pair of a product state can be beneficial;
+it then returns the pair's tie verdict, and otherwise None, so that the
+caller builds the full mask.  The margin proof, ``GATE_MARGIN``, is written
+here only.  Register cooling's full-mode pass kernels
+(:func:`qcool.hbac._kernel`) carry a written-out copy of the gate and the
+tie test, on this module's constants; ``test_kernel_matches_reference``
+holds every kernel to the reference pass loop ``tests/oracles.pass_loop``,
+which calls this function.
 """
 
 from __future__ import annotations
@@ -98,6 +102,11 @@ def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> boo
     defers; it is 0 when a bias is 1.  With biases in [0, 1) it is never
     below ((1 - max beta) / 2)^q, so no register whose largest bias keeps
     that above the floor defers.
+
+    The full-mode cooling kernels of :func:`qcool.hbac._kernel` write this
+    gate and the tie test out again, the tie test reduced to
+    ``p_kk - p_k > REL_TIE_TOL * p_kk`` as non-negative probamps allow;
+    ``test_kernel_matches_reference`` holds the two forms equal.
     """
     if not p_k * (1.0 - head) / (1.0 + head) >= _NORMAL_FLOOR:
         return None

@@ -26,11 +26,13 @@ and pass counts, and the level above sums them.  Every bias stays in
 entry, and the full-mask walk caps each floored bias at 1.
 
 The passes of a sub-register of q qubits run in its kernel, the pass loop
-written out for that q and compiled on first use; :func:`_kernel` states
-the pass loop's contract.  Nearly every pass exchanges only the limiting
-pair |011..1> <-> |100..0> in O(q) steps, and ``lim`` mode exchanges no
-other.  Cooling spends nearly all of its time in these passes, a few
-microseconds each.
+written out for that q and mode and compiled on first use: the verdict is
+written in, and there is one loop per count of live ancillas, those not
+pinned at their default bias.  :func:`_kernel` states the pass loop's
+contract and why its arithmetic is exact.  Nearly every pass exchanges
+only the limiting pair |011..1> <-> |100..0> in O(q) steps, and ``lim``
+mode exchanges no other.  Cooling spends nearly all of its time in these
+passes, about a microsecond each.
 
 Every individual pair exchange is counted; the run's complexity is the sum
 of the per-round counts.  Pass counts are reported alongside for the coarser
@@ -41,13 +43,15 @@ runs one register compression per point of a sweep.
 from __future__ import annotations
 
 import linecache
+import textwrap
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 
-from .compress import _beneficial, _beneficial_indices, _halves, _limiting_verdict
+from .compress import (REL_TIE_TOL, _GATE_RATIO, _NORMAL_FLOOR, _beneficial_indices,
+                       _halves)
 from .errors import DivergenceError
 from .limits import (DEFAULT_ITERATION_CAP, DEFAULT_PRECISION, LimitMatrix, check_loop,
                      check_rounds, numerical_limits)
@@ -101,117 +105,184 @@ class CoolingReport:
         return sum(self.per_round_swaps)
 
 
-#: One cooling pass loop, per sub-register size q >= 2: the head bias is ``h``,
-#: the ancillas' are ``c1``..``c{q-1}`` and the defaults ``f0``..``f{q-1}``.
-#: Only these names and integers are filled in, by :func:`_kernel`.  A pass
-#: binds no list: ``[h, c1, ...]`` is built only where the biases leave.
-_KERNEL = """\
-def _pass_loop_{q}(raw, floor, cap, lim, precision, budget, swap):
+#: The opening of a kernel for q qubits; :func:`_kernel` fills in the names.
+_HEAD = """\
+def _pass_loop_{mode}_{q}(raw, floor, cap, precision, budget, swap):
     {biases} = raw
-    f0, {fs} = floor
+    {defaults} = floor
     step = 0.0
     swaps_done = 0
     passes = 0
-    while True:
-        # The floor is max(default, raw) and keeps the default on a tie, so
-        # a zero marginal carries its default's sign.
-        h = h + step
-        h = h if h > f0 else f0
-{floors}        p_k = (1.0 + h) / 2.0{p_k_factors}
-        p_kk = (1.0 - h) / 2.0{p_kk_factors}
-        if passes:
-            if head_before == 0.0:
-                converged = h == 0.0
-            else:
-                converged = abs(h / head_before - 1.0) <= precision
-            if converged:
-                return [{biases}], swaps_done, passes
-        passes += 1
-        if passes > budget or h >= cap:
+    head_before = float("nan")  # fails both convergence tests
+"""
+
+#: The loop of passes with ancillas 1..m live, as :func:`_kernel` writes it
+#: out.  The head bias is ``h``, the live ancillas' ``c1``..``c{m}`` and the
+#: defaults ``f0``..``f{q-1}``; a floor keeps the default on a tie, so a zero
+#: marginal carries its default's sign.  Each pinned ancilla i > m enters
+#: through its factors ``pk{i}`` and ``pkk{i}``, and in full mode
+#: :data:`_GATE` reads the smallest pinned default, ``s{m+1}``.  A pass
+#: binds no list: ``[h, c1, ...]`` is built only where the biases leave.
+_PASS = """\
+while True:
+    h = h + step
+    h = h if h > f0 else f0
+{floors}    p_k = (1.0 + h) * 0.5{p_k_factors}
+    p_kk = (1.0 - h) * 0.5{p_kk_factors}
+    if head_before == 0.0:
+        if h == 0.0:
             return [{biases}], swaps_done, passes
-        head_before = h
-        if lim:
-            verdict = _beneficial(p_k, p_kk)
-        else:
-            b_min = c1
-{minima}            verdict = _limiting_verdict(h, p_k, p_kk, b_min)
-        if verdict:
-            step = 2.0 * (p_kk - p_k)
-            swaps_done += 1
-            if swap is not None:
-                swap({limiting})
-        elif verdict is None:
-            ({biases}), walked = _full_walk([{biases}], floor, cap, swap)
-            swaps_done += walked
-            step = 0.0
-        else:
-            # Nothing moved, so the convergence test holds.
-            return [{biases}], swaps_done, passes
+    elif abs(h / head_before - 1.0) <= precision:
+        return [{biases}], swaps_done, passes
+    passes += 1
+    if passes > budget or h >= cap:
+        return [{biases}], swaps_done, passes
+    head_before = h
+{gate}    d = p_kk - p_k
+    if d > REL_TIE_TOL * p_kk:
+        step = 2.0 * d
+        swaps_done += 1
+        if swap is not None:
+            swap({limiting})
+{step_down}        continue
+    return [{biases}], swaps_done, passes
+"""
+
+#: A full-mode pass's gate, between its budget test and its tie test.
+_GATE = """\
+{minima}    r = (1.0 - b_min) / (1.0 + b_min)
+    if not (p_k * (1.0 - h) / (1.0 + h) >= _NORMAL_FLOOR
+            and p_kk * r * r < _GATE_RATIO * p_k):
+        ({biases}), walked = _full_walk([{biases}], floor, cap, swap)
+        swaps_done += walked
+        step = 0.0
+        {walk_exit}
 """
 
 
-@cache
-def _kernel(q: int) -> Callable:
-    """The pass loop for sub-registers of q >= 2 qubits, compiled on its first use.
+def _biases(q: int) -> str:
+    """The names of a kernel's q biases, head first, as a list's items."""
+    return ", ".join(["h", *(f"c{i}" for i in range(1, q))])
 
-    ``_kernel(q)(raw, floor, cap, lim, precision, budget, swap)`` converges
-    the head of one sub-register and returns (biases, exchanges, passes).
-    The pass state is the sub-register's biases: *raw*, which enters as its
-    recorded biases and tracks the marginals exactly through each exchange,
-    and the same floored at the default biases *floor* (the heat-bath
-    reset).  One pass: from the floored biases at the pass start, find the
-    beneficial complementary pairs of the product state, then exchange each
-    in index order.  Exchanging pair k of gap d adds 2 d to qubit i when bit
-    i of k (MSB first) is 0 and subtracts it when the bit is 1; every qubit
-    is then floored again.  The pass ratio is the head bias after the pass
-    over the head bias before it, and the next pass starts from the floored
-    biases.
+
+def _pass(q: int, m: int, lim: bool) -> str:
+    """The loop of passes with ancillas 1..m live and m+1..q-1 pinned, from :data:`_PASS`."""
+    live, pinned = range(1, m + 1), range(m + 1, q)
+    biases = _biases(q)
+    gate = ""
+    if not lim:
+        minima = [f"    b_min = {'c1' if m else 's1'}\n"]
+        minima += [f"    if c{i} < b_min:\n        b_min = c{i}\n" for i in live[1:]]
+        if m and pinned:
+            minima.append(f"    if s{m + 1} < b_min:\n        b_min = s{m + 1}\n")
+        # a walk from the top loop stays there; one from below returns to it
+        gate = _GATE.format(minima="".join(minima), biases=biases,
+                            walk_exit="continue" if m == q - 1 else "break")
+    return _PASS.format(
+        biases=biases, gate=gate, limiting=(1 << (q - 1)) - 1,
+        floors="".join(f"    c{i} = c{i} - step\n"
+                       f"    c{i} = c{i} if c{i} > f{i} else f{i}\n" for i in live),
+        p_k_factors="".join([f" * ((1.0 - c{i}) * 0.5)" for i in live]
+                            + [f" * pk{i}" for i in pinned]),
+        p_kk_factors="".join([f" * ((1.0 + c{i}) * 0.5)" for i in live]
+                             + [f" * pkk{i}" for i in pinned]),
+        step_down=f"        if c{m} == f{m}:\n            break\n" if m else "")
+
+
+def _pin(q: int, i: int, lim: bool) -> str:
+    """Ancilla i's factors on its floor, and in full mode the smallest default of i..q-1."""
+    source = f"pk{i} = (1.0 - f{i}) * 0.5\npkk{i} = (1.0 + f{i}) * 0.5\n"
+    if lim:
+        return source
+    if i == q - 1:
+        return source + f"s{i} = f{i}\n"
+    return source + f"s{i} = f{i} if f{i} <= s{i + 1} else s{i + 1}\n"
+
+
+@cache
+def _kernel(q: int, lim: bool) -> Callable:
+    """The pass loop for sub-registers of q >= 2 qubits in one mode, compiled on its first use.
+
+    ``_kernel(q, lim)(raw, floor, cap, precision, budget, swap)`` converges
+    the head of one sub-register, in lim mode if *lim* is true and else in
+    full mode, and returns (biases, exchanges, passes).  The pass state is the
+    sub-register's biases: *raw*, which enters as its recorded biases and
+    tracks the marginals exactly through each exchange, and the same
+    floored at the default biases *floor* (the heat-bath reset).  One
+    pass: from the floored biases at the pass start, find the beneficial
+    complementary pairs of the product state, then exchange each in index
+    order.  Exchanging pair k of gap d adds 2 d to qubit i when bit i of k
+    (MSB first) is 0 and subtracts it when the bit is 1; every qubit is
+    then floored again.  The pass ratio is the head bias after the pass
+    over the head bias before it, and the next pass starts from the
+    floored biases.
 
     Each pass opens by applying the last limiting exchange's step (0.0 on
     the first pass and after a full-mask pass), flooring every qubit,
     keeping the default on a tie, and building from the floored biases the
     limiting pair's two probamps, bit-identical to the full build's (head
     factor first): O(q) per pass.  The previous pass's convergence test
-    against *precision*, the *budget* test and the verdict follow, the
-    verdict's smallest ancilla bias kept with ``<``.  A pass whose head
-    starts at *cap* exchanges nothing and converges; it still counts.  With
-    *lim*, and whenever :func:`~qcool.compress._limiting_verdict` proves
-    that only the limiting pair can gain (almost every other pass), the
-    pass tests that pair with the tie rule: a beneficial pair's step goes
-    to the next pass's opening, else nothing moves and the pass returns.
-    Any other pass runs :func:`_full_walk`, which builds all 2^q probamps
-    and walks the full beneficial mask, with bit-identical exchanges,
-    capping each floored bias at 1.0, as its summed steps can round past 1.
+    against *precision* and the *budget* test follow.  A pass whose head
+    starts at *cap* exchanges nothing and converges; it still counts.  In
+    lim mode, and in full mode whenever the gate of
+    :func:`~qcool.compress._limiting_verdict` proves that only the limiting
+    pair can gain (almost every other pass), the pass tests that pair with
+    the tie rule: a beneficial pair's step goes to the next pass's
+    opening, else nothing moves and the pass returns.  Any other pass runs
+    :func:`_full_walk`, which builds all 2^q probamps and walks the full
+    beneficial mask, with bit-identical exchanges, capping each floored
+    bias at 1.0, as its summed steps can round past 1.
 
-    The biases are local names, so a pass does the float operations of a
-    loop over the qubits, in the same order, without walking or building a
-    list; the list of floored biases is built only where it leaves the
-    kernel, at its returns and its full-mask walk.  *swap*, if given,
-    receives each exchanged pair's index.  A pass past *budget* returns at
-    once with ``budget + 1`` passes; the caller raises.
+    The verdict is written into the full-mode kernel: the gate as
+    ``_limiting_verdict`` states it, on this module's ``_GATE_RATIO`` and
+    ``_NORMAL_FLOOR``, read at each pass, and the tie test reduced to
+    ``d > REL_TIE_TOL * p_kk`` with d = p_kk - p_k.  That reduction is
+    exact: biases in [0, 1] make every factor and probamp non-negative, so
+    both absolute values are the probamps, and the larger is p_kk whenever
+    d > 0.  A lim-mode kernel has only the tie test, so it never walks.
+    Each factor is (1.0 -+ c) * 0.5, bit-identical to the reference's
+    / 2.0: both are the correctly rounded value of the same real.
+    ``tests/oracles.pass_loop``, which calls ``_limiting_verdict`` itself,
+    is the referee of every kernel in ``test_kernel_matches_reference``.
+
+    A positive step, the only one a limiting exchange takes, keeps an
+    ancilla on its floor, so the kernel runs one loop per count m =
+    q-1..0 of live ancillas, with ancillas m+1..q-1 pinned: their factors,
+    and in full mode their smallest default, are set once as they pin,
+    and their floor and factors are not formed again.  A loop steps down
+    to m-1 once a limiting exchange leaves ancilla m on its floor; a
+    full-mask walk, whose step is 0.0 and which can lift any ancilla,
+    returns to m = q-1.  The biases are local names, so a pass does the
+    float operations of a loop over the qubits, in the same order, without
+    walking or building a list; the list of floored biases is built only
+    where it leaves the kernel, at its returns and its full-mask walks.
+    *swap*, if given, receives each exchanged pair's index.  A pass past
+    *budget* returns at once with ``budget + 1`` passes; the caller raises.
 
     Compiling every size at import would delay every command that imports
     this module, cooling or not.  The kernel runs in this module's globals,
-    so the verdicts and :func:`_full_walk` are looked up at each call, and
-    its source is in :mod:`linecache` under its own file name, for
+    and its source is in :mod:`linecache` under its own file name, for
     tracebacks, :mod:`inspect` and line tracing.
     """
-    ancillas = range(1, q)
-    source = _KERNEL.format(
-        q=q, limiting=(1 << (q - 1)) - 1,
-        biases=", ".join(["h", *(f"c{i}" for i in ancillas)]),
-        fs=", ".join(f"f{i}" for i in ancillas),
-        floors="".join(f"        c{i} = c{i} - step\n"
-                       f"        c{i} = c{i} if c{i} > f{i} else f{i}\n" for i in ancillas),
-        p_k_factors="".join(f" * ((1.0 - c{i}) / 2.0)" for i in ancillas),
-        p_kk_factors="".join(f" * ((1.0 + c{i}) / 2.0)" for i in ancillas),
-        minima="".join(f"            if c{i} < b_min:\n"
-                       f"                b_min = c{i}\n" for i in ancillas[1:]))
-    filename = f"<qcool.hbac pass loop q={q}>"
+    mode = MODE_LIM if lim else MODE_FULL
+    body = []
+    for m in range(q - 1, -1, -1):
+        if m < q - 1:
+            body.append(f"# ancilla {m + 1} stays on its floor\n" + _pin(q, m + 1, lim))
+        body.append(f"# live ancillas: {m}\n" + _pass(q, m, lim))
+        if not lim and m < q - 1:
+            body.append("if not step:\n    continue  # walked: every ancilla is live again\n")
+    body = "".join(body)
+    if not lim:
+        body = "while True:\n" + textwrap.indent(body, "    ")
+    source = (_HEAD.format(mode=mode, q=q, biases=_biases(q),
+                           defaults=", ".join(f"f{i}" for i in range(q)))
+              + textwrap.indent(body, "    "))
+    filename = f"<qcool.hbac pass loop q={q} {mode}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace[f"_pass_loop_{q}"]
+    return namespace[f"_pass_loop_{mode}_{q}"]
 
 
 def _full_walk(raw: list[float], floor: list[float], cap: float,
@@ -293,8 +364,8 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
             if row[v - 1] < level[v - 1]:
                 cap = level[v - 1] if flag == 0 and v == head else prev[v - 1]
                 swap = None if on_swap is None else partial(on_swap, r, head, v)
-                gamma, nswaps, npasses = _kernel(n - v + 1)(
-                    row[v - 1:], floor[v - 1:], cap, config.mode == MODE_LIM, config.precision,
+                gamma, nswaps, npasses = _kernel(n - v + 1, config.mode == MODE_LIM)(
+                    row[v - 1:], floor[v - 1:], cap, config.precision,
                     config.iteration_cap - passes, swap)
                 passes += npasses
                 if passes > config.iteration_cap:

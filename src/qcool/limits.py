@@ -23,7 +23,6 @@ ANALYTIC_GRID_CAP entries.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -32,7 +31,7 @@ import numpy as np
 
 from .compress import _beneficial_indices, _halves, _limiting_verdict
 from .errors import DivergenceError, ResourceCapError
-from .regstate import DiagDist, RegisterBiases, _check_size, _sign_vector
+from .regstate import DiagDist, RegisterBiases, _check_size, _count, _sign_vector
 
 #: Above this value of f * eps the limit tanh(f * atanh(eps)) rounds to 1.0.
 TANH_CROSSOVER = 30.0
@@ -56,16 +55,6 @@ ANALYTIC_GRID_CAP = 1 << 20
 def max_rounds(n: int) -> int:
     """Highest meaningful limiting round for an n-qubit register."""
     return n - 2
-
-
-def _count(value: int, name: str) -> int:
-    """*value* as an int; a bool, a float or any other non-integer raises :class:`ValueError`."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _positive_count(value: int, name: str) -> int:
@@ -239,9 +228,13 @@ class LimitMatrix:
 
 
 def check_loop(precision: float, iteration_cap: int) -> int:
-    """The one loop-bounds rule: *precision* > 0 and *iteration_cap* an int >= 1, returned."""
-    if not precision > 0.0:
-        raise ValueError(f"precision must be positive, got {precision!r}")
+    """The one loop-bounds rule: *iteration_cap* as an int >= 1, once both bounds pass.
+
+    *precision* must be a positive finite number, as the CLI's ``--precision``
+    must, and not a bool; anything else raises :class:`ValueError` naming it.
+    """
+    if isinstance(precision, (bool, np.bool_)) or not 0.0 < precision < math.inf:
+        raise ValueError(f"precision must be a positive finite number, got {precision!r}")
     return _positive_count(iteration_cap, "iteration cap")
 
 

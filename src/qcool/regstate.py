@@ -9,6 +9,7 @@ factors.  Qubit 1 is the most significant bit of a basis index, so indices
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +24,31 @@ SIZE_CAP = 26
 NORM_ATOL = 1e-9
 
 
+def _count(value: int, name: str) -> int:
+    """*value* as an int; a bool, a float or any other non-integer raises :class:`ValueError`."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _refuse_flags_and_text(values) -> None:
+    """Raise :class:`ValueError` at the first bool, string or None of *values*: none is a bias.
+
+    numpy would read True as 1.0, parse '0.1' and turn None into NaN, so the
+    entries are looked at before any conversion; a numeric array is not
+    scanned.
+    """
+    entries = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if entries.dtype.kind in "bSUO":
+        for entry in entries.flat:
+            if entry is None or isinstance(entry, (bool, np.bool_, str, bytes)):
+                entry = entry.item() if isinstance(entry, np.generic) else entry
+                raise ValueError(f"bias must be a number, got {entry!r}")
+
+
 def _check_size(n: int) -> None:
     """Raise :class:`ResourceCapError` for a register of more than SIZE_CAP qubits."""
     if n > SIZE_CAP:
@@ -33,13 +59,15 @@ def _check_size(n: int) -> None:
 class RegisterBiases:
     """Ordered per-qubit biases toward |0>; index 0 is qubit 1, the top of the hierarchy.
 
-    *values* is a read-only float64 array, validated once: each bias lies in
-    [0, 1], where 0 is the maximally mixed state and 1 the pure |0> state.
+    *values* is a read-only float64 array, validated once: each bias is a
+    number, not a bool, a string or None, and lies in [0, 1], where 0 is
+    the maximally mixed state and 1 the pure |0> state.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        _refuse_flags_and_text(self.values)
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1:
             raise ValueError("biases must be one-dimensional")
@@ -53,13 +81,13 @@ class RegisterBiases:
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "RegisterBiases":
-        return cls([float(v) for v in values])
+        return cls(list(values))
 
     @classmethod
     def equal(cls, n: int, eps: float) -> "RegisterBiases":
-        if n < 1:
+        if _count(n, "register size") < 1:
             raise ValueError("register needs at least one qubit")
-        return cls(np.full(n, float(eps)))
+        return cls(np.full(n, eps))
 
     @property
     def n(self) -> int:

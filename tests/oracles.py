@@ -324,15 +324,18 @@ def cool_head_fixed_point(defaults, rel_step: float = 1e-12,
     raise AssertionError("oracle iteration did not settle")
 
 
-def pass_loop(raw, floor, cap, lim, precision, budget, swap):
+def pass_loop(lim, raw, floor, cap, precision, budget, swap):
     """The cooling pass loop over float lists, as first written before the pass kernels.
 
-    The reference for the kernels of ``hbac._kernel`` that replaced it: the
-    same contract and arguments, returning (floored biases, exchanges,
-    passes).  It calls the package's verdicts and full build, since it pins
-    the loop's own arithmetic, order and swap calls, not those; it looks the
-    verdicts up in this module, and it holds each pass's floored biases in
-    the list ``gamma``, for tests that patch them to see every pass.
+    The reference for the kernels of ``hbac._kernel`` that replaced it:
+    ``partial(pass_loop, lim)`` takes the arguments of ``_kernel(q, lim)``
+    and keeps its contract, returning (floored biases, exchanges, passes).
+    It calls the package's verdicts and full build, since it pins the
+    loop's own arithmetic, order and swap calls, not those; so the gate
+    and tie test that the kernels write out are held to
+    ``compress._limiting_verdict`` here.  It looks the verdicts up in this
+    module, and it holds each pass's floored biases in the list ``gamma``,
+    for tests that patch them to see every pass.
     """
     q = len(raw)
     limiting = (1 << (q - 1)) - 1

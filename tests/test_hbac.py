@@ -5,6 +5,7 @@ import linecache
 import math
 import re
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -233,11 +234,11 @@ class TestRegisterCompression:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracles, "_limiting_verdict", checked_verdict(oracles._limiting_verdict))
             mp.setattr(oracles, "_beneficial", checked_verdict(oracles._beneficial))
-            mp.setattr(hbac, "_kernel", lambda q: pass_loop)
+            mp.setattr(hbac, "_kernel", lambda q, lim: partial(pass_loop, lim))
             reference = cooling_outcome(config)
         kernel = hbac._kernel
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hbac, "_kernel", lambda q: checked_result(kernel(q)))
+            mp.setattr(hbac, "_kernel", lambda q, lim: checked_result(kernel(q, lim)))
             mp.setattr(hbac, "_full_walk", checked_result(hbac._full_walk))
             assert cooling_outcome(config) == reference
         if reference[0] is DivergenceError:
@@ -397,6 +398,19 @@ def gate(beta):
     return verdict_on(beta) is not None
 
 
+def margin_register(shift):
+    """A register whose best non-limiting pair's log ratio is -2 *shift*, near the gate's margin."""
+    rest = [0.1, 0.2, 0.05]
+    a = [math.atanh(b) for b in rest]
+    return [math.tanh(sum(a) - 2.0 * min(a) + shift), *rest]
+
+
+#: With these defaults, and a precision that never converges, both ancillas
+#: pin one after the other (ancilla 2, then ancilla 1); the head then rounds
+#: to 1.0, where the gate defers, and the walk makes every ancilla live again.
+PIN_THEN_WALK = [0.3, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -52]
+
+
 def cooling_outcome(config):
     """The bytes of a cooling run's limits, or the type and message of the error it stops on."""
     try:
@@ -417,32 +431,33 @@ def cooling_run(values, mode):
 def force_full_mask(monkeypatch, mode):
     """Full passes always build the mask; lim passes read the pair from the full build.
 
-    Full mode runs the kernels, each pass through :func:`hbac._full_walk`.
-    Lim mode runs the reference pass loop, whose biases the full build reads.
+    Full mode runs the kernels with a gate ratio of 0.0, which the kernels
+    read at each pass and no pair meets, so every pass runs
+    :func:`hbac._full_walk`.  Lim mode runs the reference pass loop, whose
+    biases the full build reads.
     """
     def full_build_pair(p_k, p_kk):
         p = _probamps_raw(sys._getframe(1).f_locals["gamma"])  # the pass's floored biases
         return _beneficial(p[p.size // 2 - 1], p[p.size // 2])
 
     if mode == "full":
-        monkeypatch.setattr(hbac, "_limiting_verdict", lambda *args: None)
+        monkeypatch.setattr(hbac, "_GATE_RATIO", 0.0)
     else:
-        monkeypatch.setattr(hbac, "_kernel", lambda q: pass_loop)
+        monkeypatch.setattr(hbac, "_kernel", lambda q, lim: partial(pass_loop, lim))
         monkeypatch.setattr(oracles, "_beneficial", full_build_pair)
 
 
-def record_verdicts(monkeypatch):
-    """Whether the gate accepted, for every verdict cooling asks for from now on."""
-    real = hbac._limiting_verdict
-    accepted = []
+def record_walks(monkeypatch):
+    """A list that gets one entry per full-mask walk cooling runs from now on."""
+    real = hbac._full_walk
+    walks = []
 
     def recorded(*args):
-        result = real(*args)
-        accepted.append(result is not None)
-        return result
+        walks.append(None)
+        return real(*args)
 
-    monkeypatch.setattr(hbac, "_limiting_verdict", recorded)
-    return accepted
+    monkeypatch.setattr(hbac, "_full_walk", recorded)
+    return walks
 
 
 def line_hits(funcs, text, call):
@@ -471,13 +486,14 @@ def _bits(values):
 
 
 def verdict_calls(raw, floor, exchanges):
-    """The biases a pass kernel returns, and every verdict's arguments.
+    """The biases the reference pass loop returns, and every verdict's arguments.
 
-    Runs the kernel on the sub-register *raw* with defaults *floor*: its first
-    *exchanges* verdicts say exchange the limiting pair, and the next says
-    nothing moves, so the pass returns its floored biases.  The cap is
-    never met, and a negative precision keeps a pass from converging
-    unless the head stays at 0.0.
+    Runs :func:`oracles.pass_loop`, the referee of every kernel, in full mode
+    on the sub-register *raw* with defaults *floor*: its first *exchanges*
+    verdicts say exchange the limiting pair, and the next says nothing
+    moves, so the pass returns its floored biases.  The cap is never met,
+    and a negative precision keeps a pass from converging unless the head
+    stays at 0.0.
     """
     calls = []
 
@@ -486,9 +502,9 @@ def verdict_calls(raw, floor, exchanges):
         return len(calls) <= exchanges
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hbac, "_limiting_verdict", verdict_stub)
-        gamma, swaps, passes = hbac._kernel(len(raw))(list(raw), list(floor), math.inf, False,
-                                                      -1.0, exchanges + 2, None)
+        mp.setattr(oracles, "_limiting_verdict", verdict_stub)
+        gamma, swaps, passes = pass_loop(False, list(raw), list(floor), math.inf, -1.0,
+                                         exchanges + 2, None)
     assert swaps == exchanges and passes == len(calls)
     return gamma, calls
 
@@ -551,21 +567,19 @@ class TestLimitingPairFastPath:
         assert verdict_on(beta) is False
         p = _probamps_raw(beta)
         assert _beneficial_mask(p[:p.size // 2], p[::-1][:p.size // 2]).any()
-        accepted = record_verdicts(monkeypatch)
+        kernels = []
+        monkeypatch.setattr(hbac, "_kernel", lambda *args: kernels.append(args))
         rl = np.array([beta])
         targets = LimitMatrix(np.array([[0.999, 0.1, 0.1, 0.1]]))
         config = HbacConfig(RegisterBiases.equal(4, 0.1), 1)
         with pytest.raises(ValueError, match=re.escape(
                 "round 1 bias of qubit 2 must be between its default 0.1 and 1, got 1.5")):
             subspace_compression(config, 1, 1, 0, targets, rl)
-        assert accepted == [] and np.array_equal(rl, [beta])
+        assert kernels == [] and np.array_equal(rl, [beta])
 
     @pytest.mark.parametrize("shift,verdict", [(2e-9, True), (0.5e-9, False), (-1e-6, False)])
     def test_gate_margin(self, shift, verdict):
-        rest = [0.1, 0.2, 0.05]
-        a = [math.atanh(b) for b in rest]
-        head = math.tanh(sum(a) - 2.0 * min(a) + shift)
-        assert gate([head, *rest]) is verdict
+        assert gate(margin_register(shift)) is verdict
 
     @pytest.mark.parametrize("beta", [[0.1] * 4, [0.9, 1.0, 0.2], [0.0, 0.0]])
     def test_gate_defers(self, beta):
@@ -593,14 +607,18 @@ class TestLimitingPairFastPath:
     @pytest.mark.parametrize("values", [(eps,) * n for n in range(3, 7) for eps in (0.1, 1e-5)]
                              + UNEQUAL_SETS, ids=lambda v: ",".join(map(repr, v)))
     def test_same_run_as_full_mask_path(self, monkeypatch, values, mode):
-        accepted = record_verdicts(monkeypatch)
+        walks = record_walks(monkeypatch)
         fast = cooling_run(values, mode)
+        passes = fast[2]
         if mode == "full":
-            assert sum(accepted) > 0.9 * len(accepted)
+            assert len(walks) <= 0.1 * passes  # the gate accepts nearly every pass
         else:
-            assert not accepted  # lim mode never consults the gate
+            assert not walks  # lim mode has no gate and no walk
         force_full_mask(monkeypatch, mode)
+        walks.clear()
         assert cooling_run(values, mode) == fast
+        if mode == "full":
+            assert len(walks) > 0.9 * passes  # now nearly every pass walks
 
     @pytest.mark.parametrize("mode", ["full", "lim"])
     @pytest.mark.parametrize("values, complexity", [
@@ -610,8 +628,8 @@ class TestLimitingPairFastPath:
     def test_zero_default_head(self, monkeypatch, values, complexity, mode):
         # A head whose default bias is 0 starts its first pass at exactly 0.0,
         # so that pass converges only if the head stays 0.0 (no ratio to take).
-        kernels = [hbac._kernel(q) for q in range(2, len(values) + 1)]
-        fast, hits = line_hits(kernels, "converged = h == 0.0", lambda: cooling_run(values, mode))
+        kernels = [hbac._kernel(q, mode == hbac.MODE_LIM) for q in range(2, len(values) + 1)]
+        fast, hits = line_hits(kernels, "if h == 0.0:", lambda: cooling_run(values, mode))
         assert hits == 1
         assert fast[0] == complexity[mode]
         config = HbacConfig(RegisterBiases.from_values(values), len(values) - 2, mode=mode)
@@ -636,10 +654,10 @@ def sub_registers(draw):
     return raw, floor
 
 
-def pass_run(loop, raw, floor, cap, lim, precision, budget, record):
+def pass_run(loop, raw, floor, cap, precision, budget, record):
     """What *loop* returns on copies of the inputs, and every pair it exchanged."""
     swaps = []
-    gamma, exchanges, passes = loop(list(raw), list(floor), cap, lim, precision, budget,
+    gamma, exchanges, passes = loop(list(raw), list(floor), cap, precision, budget,
                                     swaps.append if record else None)
     return _bits(gamma), exchanges, passes, swaps
 
@@ -653,16 +671,49 @@ class TestPassKernels:
     @example(([0.1, 0.1], [0.1, 0.1]), False, math.inf, -1.0, 40, True)
     @example(([0.3] * 9, [0.3] * 9), False, math.inf, DEFAULT_PRECISION, 40, True)
     @example(([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]), True, math.inf, -1.0, 40, True)
+    # Where the written-out verdict flips: the gate's margin (accept, defer),
+    # the normal floor, a tie, and ancillas that pin and are then walked.
+    @example((margin_register(2e-9),) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
+    @example((margin_register(2e-9),) * 2, True, math.inf, DEFAULT_PRECISION, 40, True)
+    @example((margin_register(0.5e-9),) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
+    @example((margin_register(0.5e-9),) * 2, True, math.inf, DEFAULT_PRECISION, 40, True)
+    @example(([0.9, 1.0, 0.2],) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
+    @example(([0.9, 1.0, 0.2],) * 2, True, math.inf, DEFAULT_PRECISION, 40, True)
+    @example(([0.1] * 4,) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
+    @example(([0.1] * 4,) * 2, True, math.inf, DEFAULT_PRECISION, 40, True)
+    @example((PIN_THEN_WALK,) * 2, False, math.inf, -1.0, 40, True)
+    @example((PIN_THEN_WALK,) * 2, True, math.inf, -1.0, 40, True)
     def test_kernel_matches_reference(self, sub, lim, cap, precision, budget, record):
-        # Each size's kernel, to q = 12 as cooling at n = 12 compiles, returns
-        # the reference loop's biases bit for bit, its exchange and pass
-        # counts, and makes the same swap calls.
+        # Each size's kernel in each mode, to q = 12 as cooling at n = 12
+        # compiles, returns the reference loop's biases bit for bit, its
+        # exchange and pass counts, and makes the same swap calls.  The
+        # reference asks compress._limiting_verdict, so this holds the
+        # kernels' written-out gate and tie test to it.
         raw, floor = sub
-        args = (raw, floor, cap, lim, precision, budget, record)
-        assert pass_run(hbac._kernel(len(raw)), *args) == pass_run(pass_loop, *args)
+        args = (raw, floor, cap, precision, budget, record)
+        assert (pass_run(hbac._kernel(len(raw), lim), *args)
+                == pass_run(partial(pass_loop, lim), *args))
+
+    @pytest.mark.parametrize("lim", [False, True], ids=["full", "lim"])
+    def test_loops_step_down_and_walk_back(self, lim):
+        # PIN_THEN_WALK steps each kernel down from 2 live ancillas to 1 and
+        # then 0, each pin setting the pinned ancilla's factors once; in full
+        # mode the walk at the head's 1.0 then returns to 2 live ancillas.
+        kernel = hbac._kernel(3, lim)
+
+        def run():
+            return kernel(list(PIN_THEN_WALK), list(PIN_THEN_WALK), math.inf, -1.0, 40, None)
+
+        for text in ("pk2 = ", "pk1 = "):
+            assert line_hits([kernel], text, run)[1] == 1
+        assert line_hits([kernel], "every ancilla is live again", run)[1] == (0 if lim else 1)
+        assert run()[1:] == ((2, 3) if lim else (2, 41))
 
     def test_kernel_per_size_with_source(self):
-        kernel = hbac._kernel(4)
-        assert hbac._kernel(4) is kernel and kernel.__globals__ is vars(hbac)
-        source = inspect.getsource(kernel)
-        assert source.startswith("def _pass_loop_4(raw, floor, cap, lim, precision, budget, swap):")
+        full, lim = hbac._kernel(4, False), hbac._kernel(4, True)
+        assert hbac._kernel(4, False) is full and hbac._kernel(4, True) is lim
+        assert full is not lim and full.__globals__ is vars(hbac) is lim.__globals__
+        assert full.__code__.co_filename != lim.__code__.co_filename
+        for kernel, mode in ((full, "full"), (lim, "lim")):
+            assert inspect.getsource(kernel).startswith(
+                f"def _pass_loop_{mode}_4(raw, floor, cap, precision, budget, swap):")

@@ -259,6 +259,18 @@ class TestNumericalLimits:
         with pytest.raises(ValueError):
             numerical_limits([0.1] * 4, 1, precision=0.0)
 
+    @pytest.mark.parametrize("precision", [math.inf, math.nan, True, np.True_, -1e-9],
+                             ids=["inf", "nan", "bool", "numpy-bool", "negative"])
+    def test_precision_is_a_positive_finite_number(self, precision):
+        # The CLI's --precision rule: an infinite precision settles every
+        # target after one pass (and cooling n = 5 then reports 26 exchanges
+        # in 21 passes), and True is no precision, though it compares as 1.
+        message = f"precision must be a positive finite number, got {precision!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            numerical_limits([0.1] * 4, 2, precision)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hbac.HbacConfig.equal(5, 0.1, 3, precision=precision)
+
     def test_iteration_cap_stops_a_target_that_never_settles(self):
         # At precision 1e-300 the round-3 target of this register alternates
         # between 0.9999997953311102 and the next float up.
@@ -501,14 +513,13 @@ class TestTargetPass:
 
     def test_gated_and_fallback_paths_both_run(self, monkeypatch):
         verdicts = _record_gate(monkeypatch)
-        hbac_calls = []
-        monkeypatch.setattr(hbac, "_limiting_verdict",
-                            lambda *args: hbac_calls.append(args) or None)
+        kernels = []
+        monkeypatch.setattr(hbac, "_kernel", lambda *args: kernels.append(args))
         values = [1e-5] * 8
         got = numerical_limits(values, 6).values
         assert sum(verdicts) > 0.9 * len(verdicts)
         assert not all(verdicts)  # the fallback ran as well
-        assert not hbac_calls  # the limits loop asks the gate through its own module
+        assert not kernels  # the limits loop asks the gate itself, never a cooling kernel
         want = numerical_limits_loop(values, 6)
         assert got.tobytes() == want.tobytes()
         monkeypatch.setattr(limits, "_limiting_verdict", lambda *args: None)

@@ -45,6 +45,31 @@ class TestRegisterBiases:
         with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
             RegisterBiases.from_values([0.2, bad, 2.0])
 
+    @pytest.mark.parametrize("make, shown", [
+        (lambda: RegisterBiases.equal(3, True), "True"),
+        (lambda: RegisterBiases(["0.1", "0.2", "0.3"]), "'0.1'"),
+        (lambda: RegisterBiases.from_values([0.1, True, 0.2]), "True"),
+        (lambda: RegisterBiases(np.array([0.1, 0.2]) > 0.15), "False"),
+        (lambda: RegisterBiases(np.array(["0.1", "0.2"])), "'0.1'"),
+        (lambda: RegisterBiases.from_values([0.1, np.bool_(False)]), "False"),
+        (lambda: RegisterBiases([None, 0.1]), "None"),
+    ], ids=["equal-bool", "strings", "bool-entry", "bool-array", "string-array",
+            "numpy-bool-entry", "none-entry"])
+    def test_bools_and_strings_are_no_biases(self, make, shown):
+        # numpy would read True as 1.0, parse '0.1' and take None as NaN
+        # (reported as "got nan"); none of them is a bias.
+        with pytest.raises(ValueError, match=re.escape(f"bias must be a number, got {shown}")):
+            make()
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3"])
+    def test_equal_takes_a_count(self, n):
+        # the count rule of every other integer input; True is no count,
+        # though operator.index would take it as 1
+        message = f"register size must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RegisterBiases.equal(n, 0.1)
+        assert RegisterBiases.equal(np.int64(2), 0.1) == RegisterBiases.from_values([0.1, 0.1])
+
     def test_values_read_only(self):
         src = np.array([0.1, 0.2])
         r = RegisterBiases(src)
