@@ -25,9 +25,10 @@ it then returns the pair's tie verdict, and otherwise None, so that the
 caller builds the full mask.  The margin proof, ``GATE_MARGIN``, is written
 here only.  Register cooling's full-mode pass kernels
 (:func:`qcool.hbac._kernel`) carry a written-out copy of the gate and the
-tie test, on this module's constants; ``test_kernel_matches_reference``
-holds every kernel to the reference pass loop ``tests/oracles.pass_loop``,
-which calls this function.
+tie test, on this module's constants.  They share the factors fl(1 -+ b)
+but do not halve them, so their probamps are 2^q times this module's, an
+exact scaling; ``test_kernel_matches_reference`` holds every kernel to the
+reference pass loop ``tests/oracles.pass_loop``, which calls this function.
 """
 
 from __future__ import annotations
@@ -57,11 +58,13 @@ def _beneficial(a: float, b: float) -> bool:
 #: Margin by which the gate must rule out every non-limiting pair: it accepts
 #: only when the best such pair's probamp ratio, tail over head, is below
 #: exp(-2 GATE_MARGIN).  Take as exact the product of the rounded factors
-#: fl(1 -+ b) / 2 that a pass's scalar loop and the full build share
-#: (u = 2^-53).  Each computed probamp is a product of at most 26 of them,
-#: within 26u relative of it; r = fl(1 - b) / fl(1 + b) is within u, and
-#: the gate's two sides are within 60u of exact.  The full build's ratio of
-#: any pair is within 52u.  Together that is below 1e-14 relative, far
+#: fl(1 -+ b) that every build shares (u = 2^-53): the full build and a
+#: pass's scalar loop halve each and the cooling kernels do not, and
+#: halving scales a product by 2^-q, exactly wherever the gate's normal
+#: floor admits it.  Each computed probamp is a product of at most 26 of
+#: them, within 26u relative of it; r = fl(1 - b) / fl(1 + b) is within u,
+#: and the gate's two sides are within 60u of exact.  The full build's ratio
+#: of any pair is within 52u.  Together that is below 1e-14 relative, far
 #: inside the 2e-9 that separates exp(-2 GATE_MARGIN) from 1, so a pair the
 #: gate rules out is not beneficial in the full build either.  The 1e-12
 #: relative tie tolerance of the beneficial test only ever removes pairs,
@@ -69,7 +72,8 @@ def _beneficial(a: float, b: float) -> bool:
 GATE_MARGIN = 1e-9
 _GATE_RATIO = math.exp(-2.0 * GATE_MARGIN)
 
-#: Smallest entry of the build, |11..1>, the gate accepts.  With biases in
+#: Smallest entry of the build, |11..1>, the gate accepts (the cooling
+#: kernels, whose factors are not halved, scale it by 2^q).  With biases in
 #: [0, 1) every factor (1 -+ b) / 2 lies in (0, 1] and that entry takes the
 #: smaller factor of each qubit, so no entry or partial product falls below
 #: it.  Above this floor none is subnormal and float rounding cannot reorder
@@ -105,7 +109,11 @@ def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> boo
 
     The full-mode cooling kernels of :func:`qcool.hbac._kernel` write this
     gate and the tie test out again, the tie test reduced to
-    ``p_kk - p_k > REL_TIE_TOL * p_kk`` as non-negative probamps allow;
+    ``p_kk - p_k > REL_TIE_TOL * p_kk`` as non-negative probamps allow.
+    They share fl(1 -+ b), not fl(1 -+ b) / 2: their probamps are 2^q
+    times these, and the floor ``_NORMAL_FLOOR`` * 2^q, so every clause
+    compares the same values scaled by an exact power of two, and the
+    margin proof holds for them unchanged.
     ``test_kernel_matches_reference`` holds the two forms equal.
     """
     if not p_k * (1.0 - head) / (1.0 + head) >= _NORMAL_FLOOR:

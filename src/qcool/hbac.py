@@ -28,11 +28,11 @@ entry, and the full-mask walk caps each floored bias at 1.
 The passes of a sub-register of q qubits run in its kernel, the pass loop
 written out for that q and mode and compiled on first use: the verdict is
 written in, and there is one loop per count of live ancillas, those not
-pinned at their default bias.  :func:`_kernel` states the pass loop's
-contract and why its arithmetic is exact.  Nearly every pass exchanges
-only the limiting pair |011..1> <-> |100..0> in O(q) steps, and ``lim``
-mode exchanges no other.  Cooling spends nearly all of its time in these
-passes, about a microsecond each.
+pinned at their default bias, down to three pinned.  :func:`_kernel`
+states the pass loop's contract and why its arithmetic is exact.  Nearly
+every pass exchanges only the limiting pair |011..1> <-> |100..0> in O(q)
+steps, and ``lim`` mode exchanges no other.  Cooling spends nearly all of
+its time in these passes, under a microsecond each.
 
 Every individual pair exchange is counted; the run's complexity is the sum
 of the per-round counts.  Pass counts are reported alongside for the coarser
@@ -106,10 +106,12 @@ class CoolingReport:
 
 
 #: The opening of a kernel for q qubits; :func:`_kernel` fills in the names.
+#: The head is floored here only, as it never falls within a call.
 _HEAD = """\
 def _pass_loop_{mode}_{q}(raw, floor, cap, precision, budget, swap):
     {biases} = raw
     {defaults} = floor
+    h = h if h > f0 else f0
     step = 0.0
     swaps_done = 0
     passes = 0
@@ -121,26 +123,29 @@ def _pass_loop_{mode}_{q}(raw, floor, cap, precision, budget, swap):
 #: defaults ``f0``..``f{q-1}``; a floor keeps the default on a tie, so a zero
 #: marginal carries its default's sign.  Each pinned ancilla i > m enters
 #: through its factors ``pk{i}`` and ``pkk{i}``, and in full mode
-#: :data:`_GATE` reads the smallest pinned default, ``s{m+1}``.  A pass
-#: binds no list: ``[h, c1, ...]`` is built only where the biases leave.
+#: :data:`_GATE` reads the smallest pinned default, ``s{m+1}``.  The
+#: probamps ``p_k`` and ``p_kk`` are 2^q times the limiting pair's, so the
+#: step takes 2^(1-q) times their gap.  A pass binds no list: ``[h, c1,
+#: ...]`` is built only where the biases leave.
 _PASS = """\
 while True:
-    h = h + step
-    h = h if h > f0 else f0
-{floors}    p_k = (1.0 + h) * 0.5{p_k_factors}
-    p_kk = (1.0 - h) * 0.5{p_kk_factors}
-    if head_before == 0.0:
+{floors}    if head_before == 0.0:
         if h == 0.0:
             return [{biases}], swaps_done, passes
-    elif abs(h / head_before - 1.0) <= precision:
+    elif h / head_before - 1.0 <= precision:
         return [{biases}], swaps_done, passes
     passes += 1
     if passes > budget or h >= cap:
         return [{biases}], swaps_done, passes
     head_before = h
+    up = 1.0 + h
+    down = 1.0 - h
+    p_k = up{p_k_factors}
+    p_kk = down{p_kk_factors}
 {gate}    d = p_kk - p_k
     if d > REL_TIE_TOL * p_kk:
-        step = 2.0 * d
+        step = d * {scale!r}
+        h = h + step
         swaps_done += 1
         if swap is not None:
             swap({limiting})
@@ -148,10 +153,11 @@ while True:
     return [{biases}], swaps_done, passes
 """
 
-#: A full-mode pass's gate, between its budget test and its tie test.
+#: A full-mode pass's gate, between its products and its tie test;
+#: ``normal_floor`` is ``_NORMAL_FLOOR`` scaled as the probamps are.
 _GATE = """\
 {minima}    r = (1.0 - b_min) / (1.0 + b_min)
-    if not (p_k * (1.0 - h) / (1.0 + h) >= _NORMAL_FLOOR
+    if not (p_k * down / up >= normal_floor
             and p_kk * r * r < _GATE_RATIO * p_k):
         ({biases}), walked = _full_walk([{biases}], floor, cap, swap)
         swaps_done += walked
@@ -165,8 +171,11 @@ def _biases(q: int) -> str:
     return ", ".join(["h", *(f"c{i}" for i in range(1, q))])
 
 
-def _pass(q: int, m: int, lim: bool) -> str:
-    """The loop of passes with ancillas 1..m live and m+1..q-1 pinned, from :data:`_PASS`."""
+def _pass(q: int, m: int, lim: bool, last: bool) -> str:
+    """The loop of passes with ancillas 1..m live and m+1..q-1 pinned, from :data:`_PASS`.
+
+    The *last* loop has no step-down: an ancilla on its floor stays live there.
+    """
     live, pinned = range(1, m + 1), range(m + 1, q)
     biases = _biases(q)
     gate = ""
@@ -179,19 +188,18 @@ def _pass(q: int, m: int, lim: bool) -> str:
         gate = _GATE.format(minima="".join(minima), biases=biases,
                             walk_exit="continue" if m == q - 1 else "break")
     return _PASS.format(
-        biases=biases, gate=gate, limiting=(1 << (q - 1)) - 1,
+        biases=biases, gate=gate, limiting=(1 << (q - 1)) - 1, scale=2.0 ** (1 - q),
         floors="".join(f"    c{i} = c{i} - step\n"
                        f"    c{i} = c{i} if c{i} > f{i} else f{i}\n" for i in live),
-        p_k_factors="".join([f" * ((1.0 - c{i}) * 0.5)" for i in live]
-                            + [f" * pk{i}" for i in pinned]),
-        p_kk_factors="".join([f" * ((1.0 + c{i}) * 0.5)" for i in live]
+        p_k_factors="".join([f" * (1.0 - c{i})" for i in live] + [f" * pk{i}" for i in pinned]),
+        p_kk_factors="".join([f" * (1.0 + c{i})" for i in live]
                              + [f" * pkk{i}" for i in pinned]),
-        step_down=f"        if c{m} == f{m}:\n            break\n" if m else "")
+        step_down="" if last else f"        if c{m} == f{m}:\n            break\n")
 
 
 def _pin(q: int, i: int, lim: bool) -> str:
     """Ancilla i's factors on its floor, and in full mode the smallest default of i..q-1."""
-    source = f"pk{i} = (1.0 - f{i}) * 0.5\npkk{i} = (1.0 + f{i}) * 0.5\n"
+    source = f"pk{i} = 1.0 - f{i}\npkk{i} = 1.0 + f{i}\n"
     if lim:
         return source
     if i == q - 1:
@@ -217,40 +225,58 @@ def _kernel(q: int, lim: bool) -> Callable:
     over the head bias before it, and the next pass starts from the
     floored biases.
 
-    Each pass opens by applying the last limiting exchange's step (0.0 on
-    the first pass and after a full-mask pass), flooring every qubit,
-    keeping the default on a tie, and building from the floored biases the
-    limiting pair's two probamps, bit-identical to the full build's (head
-    factor first): O(q) per pass.  The previous pass's convergence test
-    against *precision* and the *budget* test follow.  A pass whose head
-    starts at *cap* exchanges nothing and converges; it still counts.  In
-    lim mode, and in full mode whenever the gate of
+    Each pass opens by applying the last limiting exchange's step to the
+    live ancillas (0.0 on the first pass and after a full-mask pass) and
+    flooring them, keeping the default on a tie.  The previous pass's
+    convergence test against *precision* and the *budget* test follow, and
+    only a pass that gets past them builds, from the floored biases, the
+    limiting pair's two probamps (head factor first): O(q) per pass.  A
+    pass whose head starts at *cap* exchanges nothing and converges; it
+    still counts.  In lim mode, and in full mode whenever the gate of
     :func:`~qcool.compress._limiting_verdict` proves that only the limiting
     pair can gain (almost every other pass), the pass tests that pair with
-    the tie rule: a beneficial pair's step goes to the next pass's
-    opening, else nothing moves and the pass returns.  Any other pass runs
-    :func:`_full_walk`, which builds all 2^q probamps and walks the full
-    beneficial mask, with bit-identical exchanges, capping each floored
-    bias at 1.0, as its summed steps can round past 1.
+    the tie rule: a beneficial pair's step goes to the head at once and to
+    the ancillas at the next pass's opening, else nothing moves and the
+    pass returns.  Any other pass runs :func:`_full_walk`, which builds all
+    2^q probamps and walks the full beneficial mask, with bit-identical
+    exchanges, capping each floored bias at 1.0, as its summed steps can
+    round past 1.
+
+    The head never falls within a call: a limiting step is positive and at
+    most fl(1 - h), so the head it lifts stays at most 1, and a walk only
+    adds to the head before capping it at 1.0.  So the head is floored once,
+    on entry, the convergence ratio needs no ``abs``, and after a walk the
+    head is left as it is (adding a step of 0.0 would turn a -0.0 head into
+    0.0).
 
     The verdict is written into the full-mode kernel: the gate as
-    ``_limiting_verdict`` states it, on this module's ``_GATE_RATIO`` and
-    ``_NORMAL_FLOOR``, read at each pass, and the tie test reduced to
-    ``d > REL_TIE_TOL * p_kk`` with d = p_kk - p_k.  That reduction is
-    exact: biases in [0, 1] make every factor and probamp non-negative, so
-    both absolute values are the probamps, and the larger is p_kk whenever
-    d > 0.  A lim-mode kernel has only the tie test, so it never walks.
-    Each factor is (1.0 -+ c) * 0.5, bit-identical to the reference's
-    / 2.0: both are the correctly rounded value of the same real.
+    ``_limiting_verdict`` states it, on this module's ``_GATE_RATIO``, read
+    at each pass, and ``_NORMAL_FLOOR``, read once per call, and the tie
+    test reduced to ``d > REL_TIE_TOL * p_kk`` with d = p_kk - p_k.  That
+    reduction is exact: biases in [0, 1] make every factor and probamp
+    non-negative, so both absolute values are the probamps, and the larger
+    is p_kk whenever d > 0.  A lim-mode kernel has only the tie test, so it
+    never walks.  The kernel multiplies the unhalved factors fl(1 -+ c),
+    so its probamps are 2^q times the reference's, whose factors are
+    halved; its step is d * 2^(1-q) and its gate's floor ``_NORMAL_FLOOR``
+    * 2^q.  Halving is exact, and p_kk is 0 or at least 2^-(q+53), so the
+    products, d, the step, the tie test and the gate's ratio clause are the
+    reference's values times a power of two, bit for bit.  Only the
+    reference's p_k can leave the normal range (from q = 20, with ancillas
+    within about 2^-50 of 1); then both forms fail the normal-floor test in
+    full mode, and both take d = p_kk in lim mode.
     ``tests/oracles.pass_loop``, which calls ``_limiting_verdict`` itself,
     is the referee of every kernel in ``test_kernel_matches_reference``.
 
     A positive step, the only one a limiting exchange takes, keeps an
-    ancilla on its floor, so the kernel runs one loop per count m =
-    q-1..0 of live ancillas, with ancillas m+1..q-1 pinned: their factors,
-    and in full mode their smallest default, are set once as they pin,
-    and their floor and factors are not formed again.  A loop steps down
-    to m-1 once a limiting exchange leaves ancilla m on its floor; a
+    ancilla on its floor, so the kernel runs one loop per count m = q-1
+    down to max(q-4, 0) of live ancillas, with ancillas m+1..q-1 pinned:
+    their factors, and in full mode their smallest default, are set once as
+    they pin, and their floor and factors are not formed again.  A loop
+    steps down to m-1 once a limiting exchange leaves ancilla m on its
+    floor, except the last, in which an ancilla on its floor is floored to
+    its default again each pass, with the same bits; pins fall almost only
+    on the last three ancillas, and so the source grows linearly in q.  A
     full-mask walk, whose step is 0.0 and which can lift any ancilla,
     returns to m = q-1.  The biases are local names, so a pass does the
     float operations of a loop over the qubits, in the same order, without
@@ -265,19 +291,21 @@ def _kernel(q: int, lim: bool) -> Callable:
     tracebacks, :mod:`inspect` and line tracing.
     """
     mode = MODE_LIM if lim else MODE_FULL
+    last = max(q - 4, 0)
     body = []
-    for m in range(q - 1, -1, -1):
+    for m in range(q - 1, last - 1, -1):
         if m < q - 1:
             body.append(f"# ancilla {m + 1} stays on its floor\n" + _pin(q, m + 1, lim))
-        body.append(f"# live ancillas: {m}\n" + _pass(q, m, lim))
+        body.append(f"# live ancillas: {m}\n" + _pass(q, m, lim, m == last))
         if not lim and m < q - 1:
             body.append("if not step:\n    continue  # walked: every ancilla is live again\n")
     body = "".join(body)
+    head = _HEAD.format(mode=mode, q=q, biases=_biases(q),
+                        defaults=", ".join(f"f{i}" for i in range(q)))
     if not lim:
+        head += f"    normal_floor = _NORMAL_FLOOR * {2.0 ** q!r}\n"
         body = "while True:\n" + textwrap.indent(body, "    ")
-    source = (_HEAD.format(mode=mode, q=q, biases=_biases(q),
-                           defaults=", ".join(f"f{i}" for i in range(q)))
-              + textwrap.indent(body, "    "))
+    source = head + textwrap.indent(body, "    ")
     filename = f"<qcool.hbac pass loop q={q} {mode}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict = {}
@@ -354,6 +382,9 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
             raise ValueError(f"round {r} bias of qubit {i} must be between its default {f!r} "
                              f"and 1, got {b!r}")
 
+    # each target's kernel and defaults; re-entries only go deeper than x
+    lim = config.mode == MODE_LIM
+    subs = [(_kernel(n - v + 1, lim), floor[v - 1:]) for v in range(x, n)]
     swaps = 0
     passes = 0
     stack: list[tuple[int, int]] = [(x, z)]
@@ -364,8 +395,9 @@ def subspace_compression(config: HbacConfig, r: int, x: int, z: int, targets: Li
             if row[v - 1] < level[v - 1]:
                 cap = level[v - 1] if flag == 0 and v == head else prev[v - 1]
                 swap = None if on_swap is None else partial(on_swap, r, head, v)
-                gamma, nswaps, npasses = _kernel(n - v + 1, config.mode == MODE_LIM)(
-                    row[v - 1:], floor[v - 1:], cap, config.precision,
+                kernel, sub_floor = subs[v - x]
+                gamma, nswaps, npasses = kernel(
+                    row[v - 1:], sub_floor, cap, config.precision,
                     config.iteration_cap - passes, swap)
                 passes += npasses
                 if passes > config.iteration_cap:

@@ -410,6 +410,12 @@ def margin_register(shift):
 #: to 1.0, where the gate defers, and the walk makes every ancilla live again.
 PIN_THEN_WALK = [0.3, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -52]
 
+#: At q = 20 the reference's limiting head probamp, 1/2 (2^-54)^19 from
+#: halved factors, is below 2^-1022, where the kernels' unhalved product,
+#: (2^-53)^19, is normal.  A cap of 1e-300 ends the full-mode walk at its
+#: first exchange; at cap inf it walks 2^18 pairs, about 1.5 s.
+UNDERFLOW = [0.0] + [1.0 - 2.0 ** -53] * 19
+
 
 def cooling_outcome(config):
     """The bytes of a cooling run's limits, or the type and message of the error it stops on."""
@@ -670,9 +676,13 @@ class TestPassKernels:
            st.integers(1, 40), st.booleans())
     @example(([0.1, 0.1], [0.1, 0.1]), False, math.inf, -1.0, 40, True)
     @example(([0.3] * 9, [0.3] * 9), False, math.inf, DEFAULT_PRECISION, 40, True)
+    # every ancilla on its floor: three pin, and five stay live in the last loop
+    @example(([0.3] * 9, [0.3] * 9), True, math.inf, DEFAULT_PRECISION, 40, True)
     @example(([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]), True, math.inf, -1.0, 40, True)
     # Where the written-out verdict flips: the gate's margin (accept, defer),
-    # the normal floor, a tie, and ancillas that pin and are then walked.
+    # the normal floor, a tie, and ancillas that pin and are then walked;
+    # a walk that exchanges nothing and keeps a -0.0 head; and where only
+    # the reference's halved p_k underflows.
     @example((margin_register(2e-9),) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
     @example((margin_register(2e-9),) * 2, True, math.inf, DEFAULT_PRECISION, 40, True)
     @example((margin_register(0.5e-9),) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
@@ -683,6 +693,9 @@ class TestPassKernels:
     @example(([0.1] * 4,) * 2, True, math.inf, DEFAULT_PRECISION, 40, True)
     @example((PIN_THEN_WALK,) * 2, False, math.inf, -1.0, 40, True)
     @example((PIN_THEN_WALK,) * 2, True, math.inf, -1.0, 40, True)
+    @example(([-0.0, 0.0, 0.0],) * 2, False, math.inf, -1.0, 40, True)
+    @example((UNDERFLOW,) * 2, False, 1e-300, DEFAULT_PRECISION, 2, True)
+    @example((UNDERFLOW,) * 2, True, 1e-300, DEFAULT_PRECISION, 2, True)
     def test_kernel_matches_reference(self, sub, lim, cap, precision, budget, record):
         # Each size's kernel in each mode, to q = 12 as cooling at n = 12
         # compiles, returns the reference loop's biases bit for bit, its
@@ -708,6 +721,13 @@ class TestPassKernels:
             assert line_hits([kernel], text, run)[1] == 1
         assert line_hits([kernel], "every ancilla is live again", run)[1] == (0 if lim else 1)
         assert run()[1:] == ((2, 3) if lim else (2, 41))
+
+    @pytest.mark.parametrize("lim", [False, True], ids=["full", "lim"])
+    def test_kernel_source_grows_linearly(self, lim):
+        # At most three ancillas pin, so a kernel has at most four loops of
+        # O(q) lines each, and each qubit more adds the same count of lines.
+        lines = [len(inspect.getsource(hbac._kernel(q, lim)).splitlines()) for q in range(5, 9)]
+        assert len({b - a for a, b in zip(lines, lines[1:])}) == 1
 
     def test_kernel_per_size_with_source(self):
         full, lim = hbac._kernel(4, False), hbac._kernel(4, True)
