@@ -18,7 +18,6 @@ writes, one pattern per line, but skips blank lines and sorts each wire list.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -28,7 +27,7 @@ from numpy.typing import ArrayLike
 
 from .compress import _swap_pairs
 from .errors import ResourceCapError
-from .regstate import DiagDist
+from .regstate import DiagDist, _count
 
 #: Full permutation enumeration is limited to this many wires.
 PERM_CAP = 20
@@ -44,10 +43,10 @@ class Gate:
 
     def __post_init__(self) -> None:
         try:
-            c0 = tuple(sorted(map(operator.index, self.controls_on_0)))
-            c1 = tuple(sorted(map(operator.index, self.controls_on_1)))
-            wires = (operator.index(self.target),) + c0 + c1
-        except TypeError:
+            c0 = tuple(sorted(_count(w, "wire") for w in self.controls_on_0))
+            c1 = tuple(sorted(_count(w, "wire") for w in self.controls_on_1))
+            wires = (_count(self.target, "wire"),) + c0 + c1
+        except (TypeError, ValueError):
             raise ValueError(f"wires must be integers, got {self!r}") from None
         if any(w < 1 for w in wires):
             raise ValueError("wire indices are 1-based")
@@ -71,6 +70,7 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _count(self.n, "wire count"))
         if self.n < 1:
             raise ValueError("circuit needs at least one wire")
         gates = tuple(self.gates)
@@ -111,7 +111,7 @@ def nb_maxcomp(n: int, swaps: ArrayLike) -> Circuit:
 
     Every block shares the same n - 1 fold gate objects.
     """
-    if n < 1:
+    if _count(n, "wire count") < 1:
         raise ValueError("circuit needs at least one wire")
     idx, _ = _swap_pairs(swaps, 1 << n)
     fold = _fold(n)
@@ -120,7 +120,7 @@ def nb_maxcomp(n: int, swaps: ArrayLike) -> Circuit:
 
 def lim_comp(n: int) -> Circuit:
     """Circuit for the limiting swap |011...1> <-> |100...0>."""
-    if n < 2:
+    if _count(n, "wire count") < 2:
         raise ValueError(f"limiting swap needs n >= 2 wires, got {n}")
     return Circuit(n, _swap_block(n, (1 << (n - 1)) - 1, _fold(n)))
 

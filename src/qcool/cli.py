@@ -6,7 +6,8 @@ output pieces (a list of strings, or the ``optswaps`` stream); ``main`` opens
 
 Exit codes: 0 success, 2 usage or parse error (a ``--precision`` that is
 not a positive finite number among them, and a number with an underscore or
-a non-ASCII character, which ``int`` and ``float`` would read), 3 size-cap
+a non-ASCII character, which ``int`` and ``float`` would read, or with a
+nonzero digit that rounds to 0.0, which ``float`` would read as 0), 3 size-cap
 violation, an allocation that failed (one ``error: out of memory: ...``
 line) or output that could not be written (one ``error: cannot write
 output: ...`` line, as on a full disk), 4 non-convergence (a pass cap, set with
@@ -129,11 +130,15 @@ def _report(command: str, **fields) -> str:
 
 
 def _plain(convert: Callable[[str], float]) -> Callable[[str], float]:
-    """*convert* (``int`` or ``float``) refusing the underscores and non-ASCII digits it reads."""
+    """*convert* (``int`` or ``float``) refusing the underscores and non-ASCII digits it reads,
+    and a literal with a nonzero digit that it reads as 0, such as 1e-400."""
     def read(text: str):
         if "_" in text or not text.isascii():
             raise ValueError(f"not a plain number: {text!r}")
-        return convert(text)
+        value = convert(text)
+        if value == 0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+            raise ValueError(f"{text!r} rounds to 0.0")
+        return value
     read.__name__ = convert.__name__  # argparse names the type in its message
     return read
 

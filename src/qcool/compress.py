@@ -22,13 +22,14 @@ The verdict on the limiting pair |011..1> <-> |100..0> lives here as well,
 bias, that pair and the smallest ancilla bias, its value-domain gate
 proves, in O(1), when no other pair of a product state can be beneficial;
 it then returns the pair's tie verdict, and otherwise None, so that the
-caller builds the full mask.  The margin proof, ``GATE_MARGIN``, is written
-here only.  Register cooling's full-mode pass kernels
-(:func:`qcool.hbac._kernel`) carry a written-out copy of the gate and the
-tie test, on this module's constants.  They share the factors fl(1 -+ b)
-but do not halve them, so their probamps are 2^q times this module's, an
-exact scaling; ``test_kernel_matches_reference`` holds every kernel to the
-reference pass loop ``tests/oracles.pass_loop``, which calls this function.
+caller builds the full mask.  The gate is a head below 1 and a ratio
+test, and the margin proof, ``GATE_MARGIN``, is written here only.
+Register cooling's full-mode pass kernels (:func:`qcool.hbac._kernel`)
+carry a written-out copy of the gate and the tie test, on this module's
+constants.  They share the factors fl(1 -+ b) but do not halve them, so
+their probamps are 2^q times this module's, an exact scaling wherever the
+gate can accept.  The tests hold this function and every kernel to one
+reference verdict in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -48,37 +49,22 @@ from .regstate import DiagDist, RegisterBiases, _block_starts, _check_size, _fil
 REL_TIE_TOL = 1e-12
 
 
-def _beneficial(a: float, b: float) -> bool:
-    """True when the 1T value b exceeds the 0T value a beyond the tie tolerance."""
-    a_abs = a if a >= 0.0 else -a  # abs and max unrolled: their calls cost more than the test
-    b_abs = b if b >= 0.0 else -b
-    return (b - a) > REL_TIE_TOL * (b_abs if b_abs > a_abs else a_abs)
-
-
 #: Margin by which the gate must rule out every non-limiting pair: it accepts
 #: only when the best such pair's probamp ratio, tail over head, is below
 #: exp(-2 GATE_MARGIN).  Take as exact the product of the rounded factors
 #: fl(1 -+ b) that every build shares (u = 2^-53): the full build and a
 #: pass's scalar loop halve each and the cooling kernels do not, and
-#: halving scales a product by 2^-q, exactly wherever the gate's normal
-#: floor admits it.  Each computed probamp is a product of at most 26 of
-#: them, within 26u relative of it; r = fl(1 - b) / fl(1 + b) is within u,
-#: and the gate's two sides are within 60u of exact.  The full build's ratio
-#: of any pair is within 52u.  Together that is below 1e-14 relative, far
-#: inside the 2e-9 that separates exp(-2 GATE_MARGIN) from 1, so a pair the
-#: gate rules out is not beneficial in the full build either.  The 1e-12
-#: relative tie tolerance of the beneficial test only ever removes pairs,
-#: so the gate stays conservative.
+#: halving scales a product by 2^-q, exactly wherever the gate accepts (see
+#: :func:`_limiting_verdict`).  Each computed probamp is a product of at
+#: most 26 of them, within 26u relative of it; r = fl(1 - b) / fl(1 + b)
+#: is within u, and the gate's two sides are within 60u of exact.  The
+#: full build's ratio of any pair is within 52u.  Together that is below
+#: 1e-14 relative, far inside the 2e-9 that separates exp(-2 GATE_MARGIN)
+#: from 1, so a pair the gate rules out is not beneficial in the full build
+#: either.  The 1e-12 relative tie tolerance of the beneficial test only
+#: ever removes pairs, so the gate stays conservative.
 GATE_MARGIN = 1e-9
 _GATE_RATIO = math.exp(-2.0 * GATE_MARGIN)
-
-#: Smallest entry of the build, |11..1>, the gate accepts (the cooling
-#: kernels, whose factors are not halved, scale it by 2^q).  With biases in
-#: [0, 1) every factor (1 -+ b) / 2 lies in (0, 1] and that entry takes the
-#: smaller factor of each qubit, so no entry or partial product falls below
-#: it.  Above this floor none is subnormal and float rounding cannot reorder
-#: a complementary pair whose exact ratio the margin separates from 1.
-_NORMAL_FLOOR = 1e-280
 
 
 def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> bool | None:
@@ -86,8 +72,8 @@ def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> boo
 
     The gate accepts when it proves that no pair of the q-qubit product
     state but the limiting one |011..1> <-> |100..0> can be beneficial, and
-    the verdict is then :func:`_beneficial` on that pair; otherwise the
-    caller builds the full mask.  Takes the head bias, the pair's two
+    the verdict is then the tie-tolerant comparison of that pair; otherwise
+    the caller builds the full mask.  Takes the head bias, the pair's two
     probamps p_k and p_kk, built as the full build's entries are (each
     entry's factors multiplied left to right in qubit order, starting from
     1.0), and the smallest ancilla bias, for biases in [0, 1].
@@ -102,25 +88,27 @@ def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> boo
     (1 +- b) / 2 is monotone in b, so the same holds for the rounded
     factors of the full build.
 
-    A smallest entry, p_k (1 - head) / (1 + head), below ``_NORMAL_FLOOR``
-    defers; it is 0 when a bias is 1.  With biases in [0, 1) it is never
-    below ((1 - max beta) / 2)^q, so no register whose largest bias keeps
-    that above the floor defers.
+    The gate is a head below 1 and that ratio below ``_GATE_RATIO``; the
+    probamps are then non-negative, so the tie test compares the gap with
+    p_kk, the larger one wherever the gap is positive.  It needs no guard
+    on small entries (rounding is monotone, and each bound is a float):
+    with head < 1 and b_min < 1, p_kk >= 2^-54 (1/2)^(q-1) and r >= 2^-54,
+    so where the gate accepts p_k > 2^-(q+161), and the build's smallest
+    entry, p_k (1 - head) / (1 + head), exceeds 2^-(q+215), about 1e-73 at
+    q = 26.  With b_min = 1, p_k = r = 0 and the ratio test defers; so it
+    does, by more than 2^800, where p_k is subnormal (a halved product at
+    q >= 20 with ancillas within 2^-50 of 1).
 
-    The full-mode cooling kernels of :func:`qcool.hbac._kernel` write this
-    gate and the tie test out again, the tie test reduced to
-    ``p_kk - p_k > REL_TIE_TOL * p_kk`` as non-negative probamps allow.
-    They share fl(1 -+ b), not fl(1 -+ b) / 2: their probamps are 2^q
-    times these, and the floor ``_NORMAL_FLOOR`` * 2^q, so every clause
-    compares the same values scaled by an exact power of two, and the
-    margin proof holds for them unchanged.
-    ``test_kernel_matches_reference`` holds the two forms equal.
+    The full-mode kernels of :func:`qcool.hbac._kernel` write these
+    comparisons out again on fl(1 -+ b), not halved: their probamps are 2^q
+    times these, exactly wherever the gate can accept.  The tests hold both
+    to the earlier verdict in ``tests/oracles.py``, which also deferred on a
+    smallest entry below 1e-280.
     """
-    if not p_k * (1.0 - head) / (1.0 + head) >= _NORMAL_FLOOR:
-        return None
-    r = (1.0 - b_min) / (1.0 + b_min)
-    if p_kk * r * r < _GATE_RATIO * p_k:
-        return _beneficial(p_k, p_kk)
+    if head < 1.0:
+        r = (1.0 - b_min) / (1.0 + b_min)
+        if p_kk * r * r < _GATE_RATIO * p_k:
+            return p_kk - p_k > REL_TIE_TOL * p_kk
     return None
 
 

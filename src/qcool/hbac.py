@@ -6,11 +6,12 @@ subspace compression: sub-registers v..n are repeatedly treated as product
 states of the recorded biases, beneficial complementary exchanges are
 applied one at a time, all marginals are recomputed after every exchange,
 and any marginal that falls below its default bias is floored there (the
-heat-bath reset).  Exchanges stop early once the running head bias meets the
-limit database for the applicable round, which keeps the register in
-descending bias order.  When a pass leaves the head short of its target, or
-an ancilla below its previous-round level, the subroutine re-enters itself;
-the re-entry worklist here is an explicit stack with the exact semantics of
+heat-bath reset).  Exchanges stop once the running head bias meets the limit
+database for the applicable round, so it passes its cap by at most one
+exchange (up to 0.4% on acceptance criterion 07's registers); bias order is
+not kept.  When a pass leaves the head short of its target, or an ancilla
+below its previous-round level, the subroutine re-enters itself; the
+re-entry worklist here is an explicit stack with the exact semantics of
 the self-calls, since the chain can grow deeper than the interpreter allows.
 
 The cooling state has one form each: a sub-register's marginals are Python
@@ -50,8 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .compress import (REL_TIE_TOL, _GATE_RATIO, _NORMAL_FLOOR, _beneficial_indices,
-                       _halves)
+from .compress import REL_TIE_TOL, _GATE_RATIO, _beneficial_indices, _halves
 from .errors import DivergenceError
 from .limits import (DEFAULT_ITERATION_CAP, DEFAULT_PRECISION, LimitMatrix, check_loop,
                      check_rounds, numerical_limits)
@@ -138,9 +138,8 @@ while True:
     if passes > budget or h >= cap:
         return [{biases}], swaps_done, passes
     head_before = h
-    up = 1.0 + h
     down = 1.0 - h
-    p_k = up{p_k_factors}
+    p_k = (1.0 + h){p_k_factors}
     p_kk = down{p_kk_factors}
 {gate}    d = p_kk - p_k
     if d > REL_TIE_TOL * p_kk:
@@ -153,12 +152,11 @@ while True:
     return [{biases}], swaps_done, passes
 """
 
-#: A full-mode pass's gate, between its products and its tie test;
-#: ``normal_floor`` is ``_NORMAL_FLOOR`` scaled as the probamps are.
+#: A full-mode pass's gate, between its products and its tie test: the head
+#: below 1, as ``down > 0.0`` states it, and the ratio test.
 _GATE = """\
 {minima}    r = (1.0 - b_min) / (1.0 + b_min)
-    if not (p_k * down / up >= normal_floor
-            and p_kk * r * r < _GATE_RATIO * p_k):
+    if not (down > 0.0 and p_kk * r * r < _GATE_RATIO * p_k):
         ({biases}), walked = _full_walk([{biases}], floor, cap, swap)
         swaps_done += walked
         step = 0.0
@@ -249,24 +247,21 @@ def _kernel(q: int, lim: bool) -> Callable:
     head is left as it is (adding a step of 0.0 would turn a -0.0 head into
     0.0).
 
-    The verdict is written into the full-mode kernel: the gate as
-    ``_limiting_verdict`` states it, on this module's ``_GATE_RATIO``, read
-    at each pass, and ``_NORMAL_FLOOR``, read once per call, and the tie
-    test reduced to ``d > REL_TIE_TOL * p_kk`` with d = p_kk - p_k.  That
-    reduction is exact: biases in [0, 1] make every factor and probamp
-    non-negative, so both absolute values are the probamps, and the larger
-    is p_kk whenever d > 0.  A lim-mode kernel has only the tie test, so it
-    never walks.  The kernel multiplies the unhalved factors fl(1 -+ c),
-    so its probamps are 2^q times the reference's, whose factors are
-    halved; its step is d * 2^(1-q) and its gate's floor ``_NORMAL_FLOOR``
-    * 2^q.  Halving is exact, and p_kk is 0 or at least 2^-(q+53), so the
-    products, d, the step, the tie test and the gate's ratio clause are the
-    reference's values times a power of two, bit for bit.  Only the
-    reference's p_k can leave the normal range (from q = 20, with ancillas
-    within about 2^-50 of 1); then both forms fail the normal-floor test in
-    full mode, and both take d = p_kk in lim mode.
-    ``tests/oracles.pass_loop``, which calls ``_limiting_verdict`` itself,
-    is the referee of every kernel in ``test_kernel_matches_reference``.
+    The verdict is written into the full-mode kernel as
+    ``_limiting_verdict`` states it: the head test as ``down > 0.0``, the
+    ratio test on this module's ``_GATE_RATIO``, read at each pass, and the
+    tie test as ``d > REL_TIE_TOL * p_kk`` with d = p_kk - p_k.  A lim-mode
+    kernel has only the tie test, so it never walks.  The kernel multiplies
+    the unhalved factors fl(1 -+ c), so its probamps are 2^q times those of
+    a build, whose factors are halved, and its step is d * 2^(1-q).
+    Halving is exact, and p_kk is 0 or at least 2^-(q+53), so the
+    products, d, the step and the tie test are a halved build's values
+    times a power of two, bit for bit; so is the ratio test, except where a
+    halved p_k leaves the normal range (from q = 20, with ancillas within
+    about 2^-50 of 1), and there both forms defer.  In lim mode both then
+    take d = p_kk.  ``tests/oracles.pass_loop``, the reference loop with
+    the halved factors, is the referee of every kernel in
+    ``test_kernel_matches_reference``.
 
     A positive step, the only one a limiting exchange takes, keeps an
     ancilla on its floor, so the kernel runs one loop per count m = q-1
@@ -300,12 +295,11 @@ def _kernel(q: int, lim: bool) -> Callable:
         if not lim and m < q - 1:
             body.append("if not step:\n    continue  # walked: every ancilla is live again\n")
     body = "".join(body)
-    head = _HEAD.format(mode=mode, q=q, biases=_biases(q),
-                        defaults=", ".join(f"f{i}" for i in range(q)))
     if not lim:
-        head += f"    normal_floor = _NORMAL_FLOOR * {2.0 ** q!r}\n"
         body = "while True:\n" + textwrap.indent(body, "    ")
-    source = head + textwrap.indent(body, "    ")
+    source = _HEAD.format(mode=mode, q=q, biases=_biases(q),
+                          defaults=", ".join(f"f{i}" for i in range(q)))
+    source += textwrap.indent(body, "    ")
     filename = f"<qcool.hbac pass loop q={q} {mode}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict = {}

@@ -95,6 +95,7 @@ class RegisterBiases:
 
     def with_target_first(self, m: int) -> "RegisterBiases":
         """Swap qubit m (1-based) into position 1, so it becomes the target."""
+        m = _count(m, "qubit index")
         if not 1 <= m <= self.n:
             raise ValueError(f"qubit index {m} out of range 1..{self.n}")
         arr = self.values.copy()
@@ -242,6 +243,7 @@ def marginal_bias(dist: DiagDist, i: int) -> float:
     eps_i for product states.  May be negative for non-product inputs.
     """
     n = dist.n
+    i = _count(i, "qubit index")
     if not 1 <= i <= n:
         raise ValueError(f"qubit index {i} out of range 1..{n}")
     return _marginal_raw(dist.probamps, i, n)

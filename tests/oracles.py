@@ -15,10 +15,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from qcool.compress import _beneficial, _beneficial_indices, _halves, _limiting_verdict
+from qcool.compress import GATE_MARGIN, _beneficial_indices, _halves
 from qcool.regstate import _probamps_raw
 
 TIE_RTOL = 1e-12
+
+#: Least value of the build's smallest entry, |11..1>, at which the
+#: reference verdict accepts; no entry or partial product is below that entry.
+NORMAL_FLOOR = 1e-280
+
+#: Adjacent floats: a q = 20 register of the head 0.3 and 19 ancillas at
+#: this bias has its smallest entry just above NORMAL_FLOOR, resp. below it.
+NEAR_FLOOR_ABOVE = 0.9999999999999961
+NEAR_FLOOR_BELOW = 0.9999999999999962
 
 
 def product_probamps(biases) -> np.ndarray:
@@ -130,6 +139,31 @@ def limiting_probamps(beta) -> tuple[float, float, float]:
         if b < b_min:
             b_min = b
     return p_k, p_kk, b_min
+
+
+def _beneficial(a: float, b: float) -> bool:
+    """True when the 1T value b exceeds the 0T value a beyond the tie tolerance."""
+    return (b - a) > TIE_RTOL * max(abs(a), abs(b))
+
+
+def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> bool | None:
+    """The limiting pair's verdict with the subnormal guard on the build's smallest entry.
+
+    The reference for ``compress._limiting_verdict`` and the kernels' gate,
+    which prove the guard implied and drop it: this verdict defers (None)
+    when the smallest entry p_k (1 - head) / (1 + head) is below
+    NORMAL_FLOOR, or is NaN.  Otherwise it accepts when
+    p_kk r^2 < exp(-2 GATE_MARGIN) p_k, with r = (1 - b_min) / (1 + b_min),
+    and returns the tie-tolerant comparison of the limiting pair; else None.
+    The comparison is written here, not called as :func:`_beneficial`,
+    which tests patch to see the biases of each reference pass.
+    """
+    if not p_k * (1.0 - head) / (1.0 + head) >= NORMAL_FLOOR:
+        return None
+    r = (1.0 - b_min) / (1.0 + b_min)
+    if p_kk * r * r < math.exp(-2.0 * GATE_MARGIN) * p_k:
+        return (p_kk - p_k) > TIE_RTOL * max(abs(p_k), abs(p_kk))
+    return None
 
 
 def largest_bias_verdict(head: float, b_max: float, q: int, p_k: float, p_kk: float,
@@ -330,10 +364,11 @@ def pass_loop(lim, raw, floor, cap, precision, budget, swap):
     The reference for the kernels of ``hbac._kernel`` that replaced it:
     ``partial(pass_loop, lim)`` takes the arguments of ``_kernel(q, lim)``
     and keeps its contract, returning (floored biases, exchanges, passes).
-    It calls the package's verdicts and full build, since it pins the
-    loop's own arithmetic, order and swap calls, not those; so the gate
-    and tie test that the kernels write out are held to
-    ``compress._limiting_verdict`` here.  It looks the verdicts up in this
+    It calls the package's full build, since it pins the loop's own
+    arithmetic, order and swap calls, not that; its verdicts are this
+    module's :func:`_beneficial` and :func:`_limiting_verdict`, so the gate
+    and tie test that the kernels write out are held to the verdict with
+    its subnormal guard.  It looks the verdicts up in this
     module, and it holds each pass's floored biases in the list ``gamma``,
     for tests that patch them to see every pass.
     """

@@ -46,6 +46,20 @@ class TestGateAndCircuit:
         with pytest.raises(ValueError, match="circuit needs at least one wire"):
             nb_maxcomp(0, [])
 
+    @pytest.mark.parametrize("make, shown", [
+        (lambda: Circuit(2.5), "2.5"),
+        (lambda: Circuit(True), "True"),
+        (lambda: nb_maxcomp(3.0, []), "3.0"),
+        (lambda: lim_comp(2.5), "2.5"),
+        (lambda: lim_comp(True), "True"),
+    ], ids=["circuit-float", "circuit-bool", "nb_maxcomp-float", "lim_comp-float",
+            "lim_comp-bool"])
+    def test_wire_count_is_an_integer(self, make, shown):
+        # Circuit(2.5) was stored and exported as "WIRES 2.5", which
+        # parse_text refuses; the builders raised TypeError from a shift.
+        with pytest.raises(ValueError, match=f"wire count must be an integer, got {shown}$"):
+            make()
+
     def test_circuit_rejects_wide_gates(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate(target=3),))
@@ -62,6 +76,8 @@ class TestGateAndCircuit:
         ({"target": 1, "controls_on_1": ("3",)}, "'3'"),
         ({"target": 1.5}, "1.5"),
         ({"target": np.float64(2.0)}, "2.0"),
+        ({"target": True}, "True"),
+        ({"target": 2, "controls_on_0": (False,)}, "False"),
     ])
     def test_gate_takes_integer_wires_only(self, kw, bad):
         with pytest.raises(ValueError, match=f"wires must be integers, got .*{bad}"):
@@ -71,7 +87,9 @@ class TestGateAndCircuit:
         g = Gate(np.int64(3), controls_on_0=(np.uint8(1),), controls_on_1=(np.int32(2),))
         assert g == Gate(3, (1,), (2,))
         assert all(type(w) is int for w in (g.target, *g.controls_on_0, *g.controls_on_1))
-        assert export_text(Circuit(3, (g,))) == "WIRES 3\nMCX t=3 c0=[1] c1=[2]\n"
+        c = Circuit(np.int64(3), (g,))
+        assert type(c.n) is int
+        assert export_text(c) == "WIRES 3\nMCX t=3 c0=[1] c1=[2]\n"
 
     def test_controls_stored_sorted(self):
         g = Gate(target=1, controls_on_1=(4, 2), controls_on_0=(5, 3))

@@ -1039,12 +1039,13 @@ class TestPlainNumbers:
         (("bounds", "--n", "3", "--epsilon", "0.1_0"), "--epsilon", "0.1_0"),
         (("optswaps", "--n", "3", "--epsilon", "0.١"), "--epsilon", "0.١"),
         (("sweep", "--ns", "3,4", "--epsilon", "1e-0_1"), "--epsilon", "1e-0_1"),
+        (("bounds", "--n", "4", "--epsilon", "1e-400"), "--epsilon", "1e-400"),
     ])
     def test_float_flag(self, capsys, argv, flag, token):
         err = self.usage_error(capsys, argv)
         assert f"error: argument {flag}: invalid float value: {token!r}" in err
 
-    @pytest.mark.parametrize("token", ["1e-1_0", "1e-٩", "0.00_1"])
+    @pytest.mark.parametrize("token", ["1e-1_0", "1e-٩", "0.00_1", "9e-999"])
     def test_precision(self, capsys, token):
         argv = ("limits", "--n", "4", "--epsilon", "0.1", "--precision", token)
         err = self.usage_error(capsys, argv)
@@ -1059,7 +1060,15 @@ class TestPlainNumbers:
          "bad size list '3,1_0': not a plain number: '1_0'"),
         (("sweep", "--n", "4", "--epsilons", "١e-1,0.2"),
          "bad bias list '١e-1,0.2': not a plain number: '١e-1'"),
-    ], ids=["biases", "from-biases", "ns", "epsilons"])
+        # these ran before, on a bias of 0.0 that the token does not state
+        (("cool", "--biases", "1e-400,0.1,0.1"),
+         "bad bias list '1e-400,0.1,0.1': '1e-400' rounds to 0.0"),
+        (("circuit", "--from-biases", "0.2,-2.5E-999"),
+         "bad bias list '0.2,-2.5E-999': '-2.5E-999' rounds to 0.0"),
+        (("sweep", "--n", "4", "--epsilons", "1e-400"),
+         "bad bias list '1e-400': '1e-400' rounds to 0.0"),
+    ], ids=["biases", "from-biases", "ns", "epsilons", "biases-zero", "from-biases-zero",
+            "epsilons-zero"])
     def test_list(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -1067,3 +1076,11 @@ class TestPlainNumbers:
     def test_scientific_notation_still_accepted(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", " 4", "--epsilon", "1E-2", "--k", "+1")
         assert code == 0 and json.loads(out)["epsilon"] == 0.01
+
+    @pytest.mark.parametrize("token", ["0", "-0.0", "0e5", "5e-324"])
+    def test_zero_and_the_smallest_subnormal_still_accepted(self, capsys, token):
+        # only a nonzero digit that rounds to 0.0 is refused
+        code, out, _ = run(capsys, "bounds", "--n", "4", "--epsilon", token)
+        assert code == 0 and json.loads(out)["epsilon"] == float(token)
+        code, out, _ = run(capsys, "sweep", "--n", "4", "--epsilons", token)
+        assert code == 0 and out.startswith("epsilon,complexity\n")

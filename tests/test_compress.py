@@ -9,10 +9,10 @@ from qcool import (DiagDist, RegisterBiases, apply_swaps, bias_gain,
                    circuit_permutation, find_optswaps, marginal_bias, nb_maxcomp,
                    probamps, sort_bound, verify_optimality)
 from qcool import regstate
-from qcool.compress import _beneficial, _beneficial_mask
+from qcool.compress import _beneficial_mask
 from qcool.errors import ResourceCapError
 from fixture_sets import STRESS_SETS
-from oracles import select_swaps_brute, optimality_cases_brute
+from oracles import _beneficial, select_swaps_brute, optimality_cases_brute
 
 biases_st = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=8)
 
@@ -74,7 +74,8 @@ class TestFindOptswaps:
     @example(-1.0, -1.0 + 2e-12)
     @settings(max_examples=500)
     def test_scalar_tie_rule_is_the_mask(self, a, b):
-        # the one-pair test of the limits loop and register cooling
+        # the reference pass loop's one-pair test, which the limits verdict
+        # and the cooling kernels write out for non-negative probamps
         for x, y in [(a, b), (a, a * (1.0 + 1.01e-12))]:
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, nan
                 want = _beneficial_mask(np.array([x]), np.array([y]))[0]

@@ -17,11 +17,12 @@ import qcool.hbac as hbac
 from qcool import (CoolingReport, DivergenceError, HbacConfig, LimitMatrix, RegisterBiases,
                    analytic_limit, numerical_limits, register_compression, single_round_limit,
                    subspace_compression)
-from qcool.compress import _beneficial, _beneficial_mask, _limiting_verdict
+from qcool.compress import _beneficial_mask, _limiting_verdict
 from qcool.limits import DEFAULT_PRECISION
 from qcool.regstate import _probamps_raw
 import oracles
-from oracles import cool_head_fixed_point, largest_bias_verdict, limiting_probamps, pass_loop
+from oracles import (NEAR_FLOOR_ABOVE, NEAR_FLOOR_BELOW, _beneficial, cool_head_fixed_point,
+                     largest_bias_verdict, limiting_probamps, pass_loop)
 from strategies import product_registers
 
 UNEQUAL_SETS = [
@@ -417,6 +418,22 @@ PIN_THEN_WALK = [0.3, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -52]
 UNDERFLOW = [0.0] + [1.0 - 2.0 ** -53] * 19
 
 
+@st.composite
+def verdict_registers(draw):
+    """Biases of q = 2..26 qubits, as :func:`product_registers` draws them or on edges.
+
+    The head may be 1.0, 1 + 2^-52 or anywhere up to 2.0, where the verdict
+    defers, and the ancillas 0.0, -0.0, 1.0 or 1 - 2^-53.
+    """
+    beta = draw(product_registers(max_q=26))
+    if draw(st.booleans()):
+        beta[1:] = [draw(st.just(b) | st.sampled_from([0.0, -0.0, 1.0, 1.0 - 2.0 ** -53]))
+                    for b in beta[1:]]
+    if draw(st.booleans()):
+        beta[0] = draw(st.sampled_from([1.0, 1.0 + 2.0 ** -52]) | st.floats(0.0, 2.0))
+    return beta
+
+
 def cooling_outcome(config):
     """The bytes of a cooling run's limits, or the type and message of the error it stops on."""
     try:
@@ -516,6 +533,25 @@ def verdict_calls(raw, floor, exchanges):
 
 
 class TestLimitingPairFastPath:
+    @settings(max_examples=1000, deadline=None)
+    @given(verdict_registers())
+    # the smallest entry just above and just below the reference's normal
+    # floor; UNDERFLOW, where only a halved p_k underflows; both sides of
+    # the gate's margin; a gap of 2^-51 to the head's 1; and a head just
+    # below 1 over small ancillas (both forms accept; not beneficial)
+    @example([0.3] + [NEAR_FLOOR_ABOVE] * 19)
+    @example([0.3] + [NEAR_FLOOR_BELOW] * 19)
+    @example(UNDERFLOW)
+    @example(margin_register(2e-9))
+    @example(margin_register(0.5e-9))
+    @example([1.0 - 2.0 ** -51] + [0.01] * 17)
+    @example([1.0 - 2.0 ** -53, 1e-5, 1e-5])
+    def test_verdict_matches_reference(self, beta):
+        # The package's verdict has no guard on the build's smallest entry:
+        # it is the reference's with that guard, which tests/oracles.py keeps.
+        args = (beta[0], *limiting_probamps(beta))
+        assert _limiting_verdict(*args) is oracles._limiting_verdict(*args)
+
     @settings(max_examples=500, deadline=None)
     @given(product_registers())
     def test_gate_and_scalars_match_full_mask(self, beta):
@@ -680,7 +716,8 @@ class TestPassKernels:
     @example(([0.3] * 9, [0.3] * 9), True, math.inf, DEFAULT_PRECISION, 40, True)
     @example(([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]), True, math.inf, -1.0, 40, True)
     # Where the written-out verdict flips: the gate's margin (accept, defer),
-    # the normal floor, a tie, and ancillas that pin and are then walked;
+    # an ancilla of 1.0, a tie, and ancillas that pin and are then walked
+    # at a head of 1.0;
     # a walk that exchanges nothing and keeps a -0.0 head; and where only
     # the reference's halved p_k underflows.
     @example((margin_register(2e-9),) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
@@ -700,8 +737,9 @@ class TestPassKernels:
         # Each size's kernel in each mode, to q = 12 as cooling at n = 12
         # compiles, returns the reference loop's biases bit for bit, its
         # exchange and pass counts, and makes the same swap calls.  The
-        # reference asks compress._limiting_verdict, so this holds the
-        # kernels' written-out gate and tie test to it.
+        # reference asks oracles._limiting_verdict, the verdict with a normal
+        # floor, so this holds the kernels' written-out gate and tie test to
+        # it.
         raw, floor = sub
         args = (raw, floor, cap, precision, budget, record)
         assert (pass_run(hbac._kernel(len(raw), lim), *args)

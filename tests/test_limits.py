@@ -17,10 +17,11 @@ from qcool import (DiagDist, RegisterBiases, analytic_limit, analytic_limits, f,
 import qcool.hbac as hbac
 import qcool.limits as limits
 from qcool.errors import DivergenceError, ResourceCapError
-from qcool.compress import _NORMAL_FLOOR, _limiting_verdict
+from qcool.compress import _GATE_RATIO, _limiting_verdict
 from qcool.limits import TANH_CROSSOVER, _converge
-from oracles import (compress_pass, converge_loop, exponent_recursion, limiting_probamps,
-                     numerical_limits_loop)
+import oracles
+from oracles import (NEAR_FLOOR_ABOVE, NEAR_FLOOR_BELOW, compress_pass, converge_loop,
+                     exponent_recursion, limiting_probamps, numerical_limits_loop)
 from strategies import product_registers
 
 
@@ -364,11 +365,6 @@ def _record_gate(monkeypatch) -> list[bool]:
     return verdicts
 
 
-# Adjacent floats: a q = 20 register of the target 0.3 and 19 ancillas at
-# this bias has its smallest entry just above _NORMAL_FLOOR, resp. below it.
-NEAR_FLOOR_ABOVE = 0.9999999999999961
-NEAR_FLOOR_BELOW = 0.9999999999999962
-
 # An unequal n = 9 register, every bias below 0.29, whose round-7 limits
 # round above 1, as the equal n = 10, eps = 0.1 register's do.
 SATURATING_N9 = (0.22302737390867222, 0.04296488577720699, 0.12345617524374199,
@@ -398,8 +394,8 @@ class TestTargetPass:
     @given(st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 2.0 ** -52, 1.5]), st.floats(0.0, 2.0)),
            st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
                     min_size=2, max_size=9))
-    # q = 20 registers whose smallest entry lies just above _NORMAL_FLOOR
-    # (1.06e-280) and just below it (6.1e-281)
+    # q = 20 registers whose smallest entry lies just above the reference
+    # verdict's normal floor (1.06e-280) and just below it (6.1e-281)
     @example(0.3, [NEAR_FLOOR_ABOVE] * 19)
     @example(0.3, [NEAR_FLOOR_BELOW] * 19)
     def test_gate_is_the_rule_on_the_whole_register(self, target, ancillas):
@@ -430,14 +426,15 @@ class TestTargetPass:
     ], ids=["entry-above-floor", "entry-below-floor", "gap-2^-51"])
     def test_normal_floor_guards_the_smallest_entry(self, monkeypatch, target, ancillas, side,
                                                     gated):
-        # No register the gate's inequality accepts comes near the floor: at
-        # q <= 26 their entries stay above about 1e-73.  So near the floor the
-        # verdict defers on both sides, and the threshold itself is checked
-        # on bare scalars below.  The 2^-51 register, deferred by the older
-        # bound, is gated now, and bit-identical to its full-mask pass.
+        # No register the gate's inequality accepts comes near the floor that
+        # the reference verdict keeps: at q <= 26 their entries stay above
+        # about 1e-73.  So near the floor the verdict defers on both sides,
+        # and the package's needs no floor.  The 2^-51 register, deferred by
+        # the older bound, is gated now, and bit-identical to its full-mask
+        # pass.
         p_k, _, _ = limiting_probamps([target, *ancillas])
         entry = p_k * (1.0 - target) / (1.0 + target)
-        assert math.copysign(1.0, entry - _NORMAL_FLOOR) == side
+        assert math.copysign(1.0, entry - oracles.NORMAL_FLOOR) == side
         verdicts = _record_gate(monkeypatch)
         got, _ = _converge(target, ancillas, 1e-9, 1)
         assert verdicts == [gated]
@@ -445,12 +442,17 @@ class TestTargetPass:
         monkeypatch.setattr(limits, "_limiting_verdict", lambda *args: None)
         assert _same_float(_converge(target, ancillas, 1e-9, 1)[0], got)
 
-    @pytest.mark.parametrize("scale,accepted", [(1.0 + 1e-15, True), (1.0 - 1e-15, False)])
-    def test_normal_floor_threshold(self, scale, accepted):
-        # head 0.5: the smallest entry is p_k / 3; p_kk = 0 clears the gate's
-        # inequality, and the pair is then not beneficial
-        verdict = _limiting_verdict(0.5, 3.0 * _NORMAL_FLOOR * scale, 0.0, 0.5)
-        assert verdict is (False if accepted else None)
+    @pytest.mark.parametrize("head", [1.0, 1.0 + 2.0 ** -52], ids=["head-1", "head-1+2^-52"])
+    def test_verdict_defers_at_a_head_of_one(self, head):
+        # The gate's ratio test accepts these scalars, as p_kk <= 0 < p_k,
+        # so only the head test defers them, in the package's verdict and in
+        # the reference's (which defers on its smallest entry, <= 0).
+        args = (head, *limiting_probamps([head, 0.5, 0.5]))
+        _, p_k, p_kk, b_min = args
+        r = (1.0 - b_min) / (1.0 + b_min)
+        assert p_kk <= 0.0 < p_k and p_kk * r * r < _GATE_RATIO * p_k
+        assert _limiting_verdict(*args) is None
+        assert oracles._limiting_verdict(*args) is None
 
     def test_ancillas_above_one_never_reach_the_verdict(self, monkeypatch):
         # With two ancillas above 1 the verdict's four scalars cannot see the

@@ -34,9 +34,15 @@ class TestRegisterBiases:
         with pytest.raises(ValueError, match="biases must be one-dimensional"):
             RegisterBiases(np.full((2, 2), 0.1))
 
-    @pytest.mark.parametrize("m", [0, 4])
-    def test_with_target_first_rejects_out_of_range(self, m):
-        with pytest.raises(ValueError, match=re.escape(f"qubit index {m} out of range 1..3")):
+    @pytest.mark.parametrize("m, message", [
+        pytest.param(0, "qubit index 0 out of range 1..3", id="0"),
+        pytest.param(4, "qubit index 4 out of range 1..3", id="4"),
+        # 2.0 raised IndexError, and True targeted qubit 1
+        pytest.param(2.0, "qubit index must be an integer, got 2.0", id="2.0"),
+        pytest.param(True, "qubit index must be an integer, got True", id="True"),
+    ])
+    def test_with_target_first_rejects_out_of_range(self, m, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             RegisterBiases.equal(3, 0.1).with_target_first(m)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
@@ -233,6 +239,12 @@ class TestMarginals:
             marginal_bias(d, 0)
         with pytest.raises(ValueError):
             marginal_bias(d, 3)
+        # 1.0 raised TypeError from a shift, and True read qubit 1's bias
+        for i in (1.0, True):
+            message = f"qubit index must be an integer, got {i!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                marginal_bias(d, i)
+
 
     @given(biases_st)
     @settings(max_examples=80)
