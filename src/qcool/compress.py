@@ -23,13 +23,11 @@ bias, that pair and the smallest ancilla bias, its value-domain gate
 proves, in O(1), when no other pair of a product state can be beneficial;
 it then returns the pair's tie verdict, and otherwise None, so that the
 caller builds the full mask.  The gate is a head below 1 and a ratio
-test, and the margin proof, ``GATE_MARGIN``, is written here only.
-Register cooling's full-mode pass kernels (:func:`qcool.hbac._kernel`)
-carry a written-out copy of the gate and the tie test, on this module's
-constants.  They share the factors fl(1 -+ b) but do not halve them, so
-their probamps are 2^q times this module's, an exact scaling wherever the
-gate can accept.  The tests hold this function and every kernel to one
-reference verdict in ``tests/oracles.py``.
+test, and the margin proof, ``GATE_MARGIN``, is written here only.  The
+full-mode cooling kernels of :func:`qcool.hbac._kernel` make the same
+comparisons on unhalved factors, with b_min the smallest live ancilla;
+their docstring shows why neither changes a byte.  The tests hold this
+function and every kernel to one reference verdict in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -99,10 +97,8 @@ def _limiting_verdict(head: float, p_k: float, p_kk: float, b_min: float) -> boo
     does, by more than 2^800, where p_k is subnormal (a halved product at
     q >= 20 with ancillas within 2^-50 of 1).
 
-    The full-mode kernels of :func:`qcool.hbac._kernel` write these
-    comparisons out again on fl(1 -+ b), not halved: their probamps are 2^q
-    times these, exactly wherever the gate can accept.  The tests hold both
-    to the earlier verdict in ``tests/oracles.py``, which also deferred on a
+    The tests hold this verdict and the kernels of :func:`qcool.hbac._kernel`
+    to the earlier one in ``tests/oracles.py``, which also deferred on a
     smallest entry below 1e-280.
     """
     if head < 1.0:

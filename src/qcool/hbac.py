@@ -29,11 +29,12 @@ entry, and the full-mask walk caps each floored bias at 1.
 The passes of a sub-register of q qubits run in its kernel, the pass loop
 written out for that q and mode and compiled on first use: the verdict is
 written in, and there is one loop per count of live ancillas, those not
-pinned at their default bias, down to three pinned.  :func:`_kernel`
-states the pass loop's contract and why its arithmetic is exact.  Nearly
-every pass exchanges only the limiting pair |011..1> <-> |100..0> in O(q)
-steps, and ``lim`` mode exchanges no other.  Cooling spends nearly all of
-its time in these passes, under a microsecond each.
+pinned at their default bias, down to three pinned and one live; the
+full-mode gate reads only the live ones.  :func:`_kernel` states the pass
+loop's contract and why its arithmetic is exact and its gate sound.
+Nearly every pass exchanges only the limiting pair |011..1> <-> |100..0>
+in O(q) steps, and ``lim`` mode exchanges no other.  Cooling spends nearly
+all of its time in these passes, under a microsecond each.
 
 Every individual pair exchange is counted; the run's complexity is the sum
 of the per-round counts.  Pass counts are reported alongside for the coarser
@@ -122,8 +123,7 @@ def _pass_loop_{mode}_{q}(raw, floor, cap, precision, budget, swap):
 #: out.  The head bias is ``h``, the live ancillas' ``c1``..``c{m}`` and the
 #: defaults ``f0``..``f{q-1}``; a floor keeps the default on a tie, so a zero
 #: marginal carries its default's sign.  Each pinned ancilla i > m enters
-#: through its factors ``pk{i}`` and ``pkk{i}``, and in full mode
-#: :data:`_GATE` reads the smallest pinned default, ``s{m+1}``.  The
+#: only through its factors ``pk{i}`` and ``pkk{i}``.  The
 #: probamps ``p_k`` and ``p_kk`` are 2^q times the limiting pair's, so the
 #: step takes 2^(1-q) times their gap.  A pass binds no list: ``[h, c1,
 #: ...]`` is built only where the biases leave.
@@ -153,14 +153,17 @@ while True:
 """
 
 #: A full-mode pass's gate, between its products and its tie test: the head
-#: below 1, as ``down > 0.0`` states it, and the ratio test.
+#: below 1, as ``down > 0.0`` states it, and the ratio test on the smallest
+#: live ancilla.  A pass it defers walks the full mask and leaves its loop,
+#: and the line after every loop sends the walk back to the top one.
 _GATE = """\
+    b_min = c1
 {minima}    r = (1.0 - b_min) / (1.0 + b_min)
     if not (down > 0.0 and p_kk * r * r < _GATE_RATIO * p_k):
         ({biases}), walked = _full_walk([{biases}], floor, cap, swap)
         swaps_done += walked
         step = 0.0
-        {walk_exit}
+        break
 """
 
 
@@ -176,15 +179,8 @@ def _pass(q: int, m: int, lim: bool, last: bool) -> str:
     """
     live, pinned = range(1, m + 1), range(m + 1, q)
     biases = _biases(q)
-    gate = ""
-    if not lim:
-        minima = [f"    b_min = {'c1' if m else 's1'}\n"]
-        minima += [f"    if c{i} < b_min:\n        b_min = c{i}\n" for i in live[1:]]
-        if m and pinned:
-            minima.append(f"    if s{m + 1} < b_min:\n        b_min = s{m + 1}\n")
-        # a walk from the top loop stays there; one from below returns to it
-        gate = _GATE.format(minima="".join(minima), biases=biases,
-                            walk_exit="continue" if m == q - 1 else "break")
+    gate = "" if lim else _GATE.format(biases=biases, minima="".join(
+        f"    if c{i} < b_min:\n        b_min = c{i}\n" for i in live[1:]))
     return _PASS.format(
         biases=biases, gate=gate, limiting=(1 << (q - 1)) - 1, scale=2.0 ** (1 - q),
         floors="".join(f"    c{i} = c{i} - step\n"
@@ -195,14 +191,9 @@ def _pass(q: int, m: int, lim: bool, last: bool) -> str:
         step_down="" if last else f"        if c{m} == f{m}:\n            break\n")
 
 
-def _pin(q: int, i: int, lim: bool) -> str:
-    """Ancilla i's factors on its floor, and in full mode the smallest default of i..q-1."""
-    source = f"pk{i} = 1.0 - f{i}\npkk{i} = 1.0 + f{i}\n"
-    if lim:
-        return source
-    if i == q - 1:
-        return source + f"s{i} = f{i}\n"
-    return source + f"s{i} = f{i} if f{i} <= s{i + 1} else s{i + 1}\n"
+def _pin(i: int) -> str:
+    """Ancilla i's factors on its floor, set once as it pins."""
+    return f"pk{i} = 1.0 - f{i}\npkk{i} = 1.0 + f{i}\n"
 
 
 @cache
@@ -241,44 +232,53 @@ def _kernel(q: int, lim: bool) -> Callable:
     round past 1.
 
     The head never falls within a call: a limiting step is positive and at
-    most fl(1 - h), so the head it lifts stays at most 1, and a walk only
-    adds to the head before capping it at 1.0.  So the head is floored once,
-    on entry, the convergence ratio needs no ``abs``, and after a walk the
-    head is left as it is (adding a step of 0.0 would turn a -0.0 head into
-    0.0).
+    most fl(1 - h), and a walk only adds to the head before capping it at
+    1.0.  So the head is floored once, on entry, the convergence ratio needs
+    no ``abs``, and a walk's head is left as it is (adding a step of 0.0
+    would turn a -0.0 head into 0.0).
 
-    The verdict is written into the full-mode kernel as
-    ``_limiting_verdict`` states it: the head test as ``down > 0.0``, the
-    ratio test on this module's ``_GATE_RATIO``, read at each pass, and the
-    tie test as ``d > REL_TIE_TOL * p_kk`` with d = p_kk - p_k.  A lim-mode
-    kernel has only the tie test, so it never walks.  The kernel multiplies
-    the unhalved factors fl(1 -+ c), so its probamps are 2^q times those of
-    a build, whose factors are halved, and its step is d * 2^(1-q).
-    Halving is exact, and p_kk is 0 or at least 2^-(q+53), so the
-    products, d, the step and the tie test are a halved build's values
-    times a power of two, bit for bit; so is the ratio test, except where a
-    halved p_k leaves the normal range (from q = 20, with ancillas within
-    about 2^-50 of 1), and there both forms defer.  In lim mode both then
-    take d = p_kk.  ``tests/oracles.pass_loop``, the reference loop with
-    the halved factors, is the referee of every kernel in
-    ``test_kernel_matches_reference``.
+    The full-mode kernel writes ``_limiting_verdict`` out: the head test
+    as ``down > 0.0``, the ratio test on this module's ``_GATE_RATIO``,
+    read at each pass, and the tie test as ``d > REL_TIE_TOL * p_kk`` with
+    d = p_kk - p_k.  A lim-mode kernel has only the tie test, so it never
+    walks.  The kernel multiplies the unhalved factors fl(1 -+ c), so its
+    probamps are 2^q times those of a build, whose factors are halved, and
+    its step is d * 2^(1-q).  Halving is exact, and p_kk is 0 or at least
+    2^-(q+53), so the products, d, the step and the tie test are a halved
+    build's values times a power of two, bit for bit; so is the ratio test,
+    except where a halved p_k leaves the normal range (from q = 20, with
+    ancillas within about 2^-50 of 1), and there both forms defer.  In lim
+    mode both then take d = p_kk.
 
     A positive step, the only one a limiting exchange takes, keeps an
     ancilla on its floor, so the kernel runs one loop per count m = q-1
-    down to max(q-4, 0) of live ancillas, with ancillas m+1..q-1 pinned:
-    their factors, and in full mode their smallest default, are set once as
-    they pin, and their floor and factors are not formed again.  A loop
-    steps down to m-1 once a limiting exchange leaves ancilla m on its
-    floor, except the last, in which an ancilla on its floor is floored to
-    its default again each pass, with the same bits; pins fall almost only
-    on the last three ancillas, and so the source grows linearly in q.  A
-    full-mask walk, whose step is 0.0 and which can lift any ancilla,
-    returns to m = q-1.  The biases are local names, so a pass does the
-    float operations of a loop over the qubits, in the same order, without
-    walking or building a list; the list of floored biases is built only
-    where it leaves the kernel, at its returns and its full-mask walks.
+    down to max(q-4, 1) of live ancillas, with ancillas m+1..q-1 pinned:
+    their factors are set once as they pin.  A loop steps down to m-1 once
+    a limiting exchange leaves ancilla m on its floor, except the last, in
+    which an ancilla on its floor is floored to its default again each
+    pass, with the same bits; pins fall almost only on the last three
+    ancillas, so the source grows linearly in q.  A full-mask walk, whose
+    step is 0.0 and which can lift any ancilla, leaves its loop, and the
+    step test after every loop sends it back to m = q-1.  The biases are
+    local names; a list is built only at the returns and the walks.
     *swap*, if given, receives each exchanged pair's index.  A pass past
     *budget* returns at once with ``budget + 1`` passes; the caller raises.
+
+    The gate's b_min is the smallest live ancilla, not the smallest of
+    all, and no byte changes.  (a) A pass the gate defers walks, and where
+    only the limiting pair is beneficial the walk makes the same exchange
+    with the same bits (with none, the next pass converges, as precision >
+    0); so deferring more often changes only the walk count, as
+    ``test_same_run_as_full_mask_path`` shows with a gate ratio of 0.
+    (b) A pinned ancilla j was live and on its floor f_j at the pass that
+    pinned it, so the gate accepted there with b_min <= f_j.  Up to a walk,
+    fl(1 - h) / fl(1 + h) and each live fl(1 + c) / fl(1 - c) only fall
+    after that, so p_kk only falls and p_k only rises: every pair that
+    flips only pinned ancillas stays below exp(-2 GATE_MARGIN), within the
+    60u/52u budget of the ``GATE_MARGIN`` comment, and as r falls where b
+    rises, a minimum over every ancilla accepts at the same passes.
+    ``tests/oracles.pass_loop``, with halved factors and that minimum,
+    referees every kernel in ``test_kernel_matches_reference``.
 
     Compiling every size at import would delay every command that imports
     this module, cooling or not.  The kernel runs in this module's globals,
@@ -286,13 +286,13 @@ def _kernel(q: int, lim: bool) -> Callable:
     tracebacks, :mod:`inspect` and line tracing.
     """
     mode = MODE_LIM if lim else MODE_FULL
-    last = max(q - 4, 0)
+    last = max(q - 4, 1)
     body = []
     for m in range(q - 1, last - 1, -1):
         if m < q - 1:
-            body.append(f"# ancilla {m + 1} stays on its floor\n" + _pin(q, m + 1, lim))
+            body.append(f"# ancilla {m + 1} stays on its floor\n" + _pin(m + 1))
         body.append(f"# live ancillas: {m}\n" + _pass(q, m, lim, m == last))
-        if not lim and m < q - 1:
+        if not lim:
             body.append("if not step:\n    continue  # walked: every ancilla is live again\n")
     body = "".join(body)
     if not lim:

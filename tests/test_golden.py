@@ -3,12 +3,15 @@
 The files hold the stdout of ``qcool.cli.main`` for each argument vector
 below, so any change to cooling counts, limit bits or formatting shows up
 here.  No benchmark op runs ``cool --mode lim``; these files are its only
-byte check, up to n = 8.  When an output is meant to change, record the new bytes with
-``cli.main`` and say why in the change.
+byte check, up to n = 8.  When an output is meant to change,
+``python tests/test_golden.py --record`` rewrites every file there from
+``cli.main``, with BLAS on one thread; say why in the change.
 """
 
+import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -38,10 +41,17 @@ CASES = (
 )
 
 
+def cli_output(argv) -> str:
+    """What ``cli.main`` writes to stdout for *argv*."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_cli_output_matches_golden(capsys, name, argv):
-    assert cli.main(list(argv)) == 0
-    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+def test_cli_output_matches_golden(name, argv):
+    assert cli_output(argv).encode() == (GOLDEN / name).read_bytes()
 
 
 # Every ``optswaps`` output of the stress sets (n = 5..23): three formats,
@@ -96,6 +106,26 @@ def test_optswaps_outputs_match_digests():
     assert [name for name in expected if actual[name] != expected[name]] == []
 
 
+def record() -> None:
+    """Rewrite every file in ``tests/golden/`` from ``cli.main``."""
+    for name, argv in CASES:
+        (GOLDEN / name).write_bytes(cli_output(argv).encode())
+    digests = json.dumps(optswaps_digests(), indent=2) + "\n"
+    (GOLDEN / "optswaps-sha256.json").write_bytes(digests.encode())
+
+
 if __name__ == "__main__":
-    json.dump(optswaps_digests(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    parser = argparse.ArgumentParser(description="Print the optswaps digests as JSON.")
+    parser.add_argument("--record", action="store_true",
+                        help="rewrite every golden file and the digests instead")
+    args = parser.parse_args()
+    # BLAS reads its thread count as numpy loads, so an unpinned run starts
+    # itself again with BLAS on one thread.
+    if any(os.environ.get(var) != value for var, value in ONE_THREAD.items()):
+        sys.exit(subprocess.run([sys.executable, *sys.argv],
+                                env={**os.environ, **ONE_THREAD}).returncode)
+    if args.record:
+        record()
+    else:
+        json.dump(optswaps_digests(), sys.stdout, indent=2)
+        sys.stdout.write("\n")

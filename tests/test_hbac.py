@@ -406,10 +406,16 @@ def margin_register(shift):
     return [math.tanh(sum(a) - 2.0 * min(a) + shift), *rest]
 
 
-#: With these defaults, and a precision that never converges, both ancillas
-#: pin one after the other (ancilla 2, then ancilla 1); the head then rounds
-#: to 1.0, where the gate defers, and the walk makes every ancilla live again.
-PIN_THEN_WALK = [0.3, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -52]
+#: With these defaults and a precision of 0.0, the q = 4 kernel steps down
+#: through each of its loops: ancilla 3 pins, then ancilla 2; the head then
+#: rounds to 1.0, where the gate defers, the walk makes every ancilla live
+#: again, and the next pass converges, as the head cannot rise.
+PIN_THEN_WALK = [1.0 - 2.0 ** -24] + [1.0 - 2.0 ** -20] * 3
+
+#: With these defaults ancilla 3, whose default 0.2 lies below every other
+#: ancilla's, pins, then ancilla 2: in the lower loops a kernel's gate takes
+#: the smallest live ancilla, at least 0.3, and ``oracles.pass_loop`` 0.2.
+PINNED_BELOW_LIVE = [0.5, 0.3, 0.3, 0.2]
 
 #: At q = 20 the reference's limiting head probamp, 1/2 (2^-54)^19 from
 #: halved factors, is below 2^-1022, where the kernels' unhalved product,
@@ -717,7 +723,8 @@ class TestPassKernels:
     @example(([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]), True, math.inf, -1.0, 40, True)
     # Where the written-out verdict flips: the gate's margin (accept, defer),
     # an ancilla of 1.0, a tie, and ancillas that pin and are then walked
-    # at a head of 1.0;
+    # at a head of 1.0; a pinned default below every live ancilla, where
+    # the gate's minimum and the reference's differ;
     # a walk that exchanges nothing and keeps a -0.0 head; and where only
     # the reference's halved p_k underflows.
     @example((margin_register(2e-9),) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
@@ -728,8 +735,10 @@ class TestPassKernels:
     @example(([0.9, 1.0, 0.2],) * 2, True, math.inf, DEFAULT_PRECISION, 40, True)
     @example(([0.1] * 4,) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
     @example(([0.1] * 4,) * 2, True, math.inf, DEFAULT_PRECISION, 40, True)
-    @example((PIN_THEN_WALK,) * 2, False, math.inf, -1.0, 40, True)
-    @example((PIN_THEN_WALK,) * 2, True, math.inf, -1.0, 40, True)
+    @example((PIN_THEN_WALK,) * 2, False, math.inf, 0.0, 40, True)
+    @example((PIN_THEN_WALK,) * 2, True, math.inf, 0.0, 40, True)
+    @example((PINNED_BELOW_LIVE,) * 2, False, math.inf, DEFAULT_PRECISION, 40, True)
+    @example((PINNED_BELOW_LIVE,) * 2, True, math.inf, DEFAULT_PRECISION, 40, True)
     @example(([-0.0, 0.0, 0.0],) * 2, False, math.inf, -1.0, 40, True)
     @example((UNDERFLOW,) * 2, False, 1e-300, DEFAULT_PRECISION, 2, True)
     @example((UNDERFLOW,) * 2, True, 1e-300, DEFAULT_PRECISION, 2, True)
@@ -738,8 +747,8 @@ class TestPassKernels:
         # compiles, returns the reference loop's biases bit for bit, its
         # exchange and pass counts, and makes the same swap calls.  The
         # reference asks oracles._limiting_verdict, the verdict with a normal
-        # floor, so this holds the kernels' written-out gate and tie test to
-        # it.
+        # floor, on the smallest of every ancilla, so this holds the kernels'
+        # written-out gate and tie test to it.
         raw, floor = sub
         args = (raw, floor, cap, precision, budget, record)
         assert (pass_run(hbac._kernel(len(raw), lim), *args)
@@ -747,18 +756,20 @@ class TestPassKernels:
 
     @pytest.mark.parametrize("lim", [False, True], ids=["full", "lim"])
     def test_loops_step_down_and_walk_back(self, lim):
-        # PIN_THEN_WALK steps each kernel down from 2 live ancillas to 1 and
-        # then 0, each pin setting the pinned ancilla's factors once; in full
-        # mode the walk at the head's 1.0 then returns to 2 live ancillas.
-        kernel = hbac._kernel(3, lim)
-
-        def run():
-            return kernel(list(PIN_THEN_WALK), list(PIN_THEN_WALK), math.inf, -1.0, 40, None)
-
-        for text in ("pk2 = ", "pk1 = "):
-            assert line_hits([kernel], text, run)[1] == 1
-        assert line_hits([kernel], "every ancilla is live again", run)[1] == (0 if lim else 1)
-        assert run()[1:] == ((2, 3) if lim else (2, 41))
+        # Both registers step the q = 4 kernel down from 3 live ancillas to 2
+        # and then 1, each pin setting the pinned ancilla's factors once.
+        # PIN_THEN_WALK's head then reaches 1.0, and in full mode the walk
+        # returns to 3 live ancillas.  PINNED_BELOW_LIVE, an example of
+        # test_kernel_matches_reference, stays in the last loop to the budget.
+        kernel = hbac._kernel(4, lim)
+        for values, precision, walks, counts in (
+                (PIN_THEN_WALK, 0.0, 0 if lim else 1, (2, 3)),
+                (PINNED_BELOW_LIVE, DEFAULT_PRECISION, 0, (40, 41))):
+            run = partial(kernel, list(values), list(values), math.inf, precision, 40, None)
+            for text in ("pk3 = ", "pk2 = "):
+                assert line_hits([kernel], text, run)[1] == 1
+            assert line_hits([kernel], "every ancilla is live again", run)[1] == walks
+            assert run()[1:] == counts
 
     @pytest.mark.parametrize("lim", [False, True], ids=["full", "lim"])
     def test_kernel_source_grows_linearly(self, lim):
