@@ -5,7 +5,10 @@ realized by a compute-flip-uncompute block of multi-controlled NOTs: wires
 2..n are XOR-folded onto a shared pattern controlled by wire 1, a single
 multi-controlled NOT on wire 1 performs the transposition, and the folding
 is undone.  The correctness contract is the induced basis permutation, not
-any particular gate list; :func:`circuit_permutation` is the oracle.
+any particular gate list; :func:`circuit_permutation` is the oracle.  The
+circuits of :func:`nb_maxcomp` and :func:`lim_comp` hold only their swap
+indices and make each gate when it is read; :func:`text_pieces` writes
+their text from the indices, with no gate object.
 
 Wire 1 is the most significant bit of a basis index, matching the register
 convention.
@@ -18,9 +21,11 @@ writes, one pattern per line, but skips blank lines and sorts each wire list.
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import compress
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -64,19 +69,26 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered multi-controlled-NOT gate list on n wires."""
+    """An ordered multi-controlled-NOT gate list on n wires.
+
+    *gates* is a tuple, or for :func:`nb_maxcomp` and :func:`lim_comp` a
+    read-only sequence that holds only the swap indices and makes each gate
+    when it is read.
+    """
 
     n: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    gates: Sequence[Gate] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _count(self.n, "wire count"))
         if self.n < 1:
             raise ValueError("circuit needs at least one wire")
-        gates = tuple(self.gates)
-        for g in _distinct(gates):
-            if g.max_wire > self.n:
-                raise ValueError(f"gate on wire {g.max_wire} exceeds n = {self.n}")
+        gates = self.gates
+        if not (isinstance(gates, _SwapGates) and gates.n == self.n):
+            gates = tuple(gates)
+            for g in gates:
+                if g.max_wire > self.n:
+                    raise ValueError(f"gate on wire {g.max_wire} exceeds n = {self.n}")
         object.__setattr__(self, "gates", gates)
 
     def inverse(self) -> "Circuit":
@@ -87,9 +99,19 @@ class Circuit:
         return len(self.gates)
 
 
-def _distinct(gates: tuple[Gate, ...]) -> Iterable[Gate]:
-    """Each gate object of *gates* once; circuits share their fold gates."""
-    return {id(g): g for g in gates}.values()
+#: bytes.translate tables: an ASCII bit string to the bytes 0/1 of its ones and of its zeros.
+_ONES = bytes.maketrans(b"01", b"\0\1")
+_ZEROS = bytes.maketrans(b"01", b"\1\0")
+
+
+def _flip_wires(j: int, wires: Sequence) -> tuple[Iterator, Iterator]:
+    """The flip's (controls on 0, controls on 1), as items of *wires*, for the exchange of j.
+
+    *wires* stands for wires 2..n; wire w is character w - 1 of j's n bits,
+    and the flip fires on the complement, which flips every bit.
+    """
+    bits = format(j, f"0{len(wires) + 1}b")[1:].encode()
+    return compress(wires, bits.translate(_ONES)), compress(wires, bits.translate(_ZEROS))
 
 
 def _fold(n: int) -> tuple[Gate, ...]:
@@ -97,32 +119,79 @@ def _fold(n: int) -> tuple[Gate, ...]:
     return tuple(Gate(target=w, controls_on_0=(1,)) for w in range(2, n + 1))
 
 
+def _flip(n: int, j: int) -> Gate:
+    """The multi-controlled NOT on wire 1 that exchanges j <-> 2^n - 1 - j once folded."""
+    c0, c1 = _flip_wires(j, range(2, n + 1))
+    return Gate(target=1, controls_on_0=tuple(c0), controls_on_1=tuple(c1))
+
+
 def _swap_block(n: int, j: int, fold: tuple[Gate, ...]) -> tuple[Gate, ...]:
     """Compute-flip-uncompute gate block for the exchange j <-> 2^n - 1 - j."""
-    bits = format(j, f"0{n}b")  # wire w is character w - 1; the complement flips it
-    c0 = tuple(w for w, bit in enumerate(bits[1:], start=2) if bit == "1")
-    c1 = tuple(w for w, bit in enumerate(bits[1:], start=2) if bit == "0")
-    flip = Gate(target=1, controls_on_0=c0, controls_on_1=c1)
-    return fold + (flip,) + fold[::-1]
+    return fold + (_flip(n, j),) + fold[::-1]
+
+
+class _SwapGates(Sequence):
+    """The gates of NB-MaxComp on the swap indices *indices*, made when read.
+
+    Each index j is one block of 2n - 1 gates: the n - 1 fold gates, the flip
+    of wire 1 and the fold gates in reverse.  Nothing but *indices* is stored.
+    """
+
+    __slots__ = ("n", "indices")
+
+    def __init__(self, n: int, indices: np.ndarray) -> None:
+        self.n, self.indices = n, indices
+
+    def __len__(self) -> int:
+        return (2 * self.n - 1) * len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("gate index out of range")
+        block, k = divmod(i % len(self), 2 * self.n - 1)
+        if k == self.n - 1:
+            return _flip(self.n, int(self.indices[block]))
+        # fold gate k targets wire k + 2, and unfold gate k wire 2n - k
+        return Gate(target=min(k + 2, 2 * self.n - k), controls_on_0=(1,))
+
+    def __iter__(self) -> Iterator[Gate]:
+        fold = _fold(self.n)
+        for j in self.indices.tolist():
+            yield from _swap_block(self.n, j, fold)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _SwapGates)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def nb_maxcomp(n: int, swaps: ArrayLike) -> Circuit:
     """Circuit realizing every exchange of the swap set *swaps*, fixing all other states.
 
-    Every block shares the same n - 1 fold gate objects.
+    The circuit holds a read-only copy of the swap indices; its (2n - 1) *
+    len(swaps) gates are made only when read.
     """
-    if _count(n, "wire count") < 1:
+    n = _count(n, "wire count")
+    if n < 1:
         raise ValueError("circuit needs at least one wire")
-    idx, _ = _swap_pairs(swaps, 1 << n)
-    fold = _fold(n)
-    return Circuit(n, tuple(g for j in idx.tolist() for g in _swap_block(n, j, fold)))
+    idx = _swap_pairs(swaps, 1 << n)[0].copy()
+    idx.flags.writeable = False
+    return Circuit(n, _SwapGates(n, idx))
 
 
 def lim_comp(n: int) -> Circuit:
     """Circuit for the limiting swap |011...1> <-> |100...0>."""
-    if _count(n, "wire count") < 2:
+    n = _count(n, "wire count")
+    if n < 2:
         raise ValueError(f"limiting swap needs n >= 2 wires, got {n}")
-    return Circuit(n, _swap_block(n, (1 << (n - 1)) - 1, _fold(n)))
+    # a Python int, since n may be far past 64 bits
+    return Circuit(n, _SwapGates(n, np.array([(1 << (n - 1)) - 1], dtype=object)))
 
 
 def circuit_permutation(c: Circuit) -> np.ndarray:
@@ -152,12 +221,37 @@ _LIST = r"\[((?:[1-9][0-9]*,)*[1-9][0-9]*|)\]"  # a comma-separated list, possib
 _GATE = re.compile(rf"MCX t=([1-9][0-9]*) c0={_LIST} c1={_LIST}")
 
 
+#: Most swap indices whose blocks :func:`text_pieces` writes as one piece.
+SWAP_CHUNK = 1 << 10
+
+
+def text_pieces(c: Circuit) -> Iterator[str]:
+    """The .nbmc text of *c* in pieces, which joined are :func:`export_text`.
+
+    The header comes first.  An NB-MaxComp circuit is then written from its
+    swap indices, SWAP_CHUNK blocks to a piece: the fold and unfold lines are
+    formatted once, and each block adds only its flip line between them.  The
+    gates of any other circuit are written one line each.
+    """
+    yield f"WIRES {c.n}\n"
+    gates = c.gates
+    if not isinstance(gates, _SwapGates):
+        for g in gates:
+            yield (f"MCX t={g.target} c0=[{','.join(map(str, g.controls_on_0))}] "
+                   f"c1=[{','.join(map(str, g.controls_on_1))}]\n")
+        return
+    fold = [f"MCX t={w} c0=[1] c1=[]\n" for w in range(2, c.n + 1)]
+    head, tail = "".join(fold), "".join(reversed(fold))
+    wires = [str(w) for w in range(2, c.n + 1)]
+    for lo in range(0, len(gates.indices), SWAP_CHUNK):
+        yield "".join([f"{head}MCX t=1 c0=[{','.join(c0)}] c1=[{','.join(c1)}]\n{tail}"
+                       for c0, c1 in (_flip_wires(j, wires) for j in
+                                      gates.indices[lo:lo + SWAP_CHUNK].tolist())])
+
+
 def export_text(c: Circuit) -> str:
     """Serialize to the .nbmc text grammar; byte-exact for a given circuit."""
-    line = {id(g): f"MCX t={g.target} c0=[{','.join(map(str, g.controls_on_0))}] "
-                   f"c1=[{','.join(map(str, g.controls_on_1))}]"
-            for g in _distinct(c.gates)}
-    return "\n".join([f"WIRES {c.n}", *(line[id(g)] for g in c.gates)]) + "\n"
+    return "".join(text_pieces(c))
 
 
 def parse_text(text: str) -> Circuit:

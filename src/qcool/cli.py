@@ -1,8 +1,9 @@
 """Command-line front end: every operation, with JSON/CSV output.
 
 Commands return their output; ``main`` writes it.  A ``cmd_*`` returns its
-output pieces (a list of strings, or the ``optswaps`` stream); ``main`` opens
-``--out``, writes the pieces there or to stdout, and maps errors to exit codes.
+output pieces (a list of strings, or the ``optswaps`` or ``circuit`` stream);
+``main`` opens ``--out``, writes the pieces there or to stdout, and maps
+errors to exit codes.
 
 Exit codes: 0 success, 2 usage or parse error (a ``--precision`` that is
 not a positive finite number among them, and a number with an underscore or
@@ -42,9 +43,11 @@ after them.  Whatever the output size,
 its memory is the swap index array and one block pair for CSV, plus one
 probamp vector and the marginal's sign vector for text and JSON.
 
-``circuit`` text costs one formatted line per distinct gate: every block of
-an NB-MaxComp circuit shares its fold gates, and ``export_text`` formats
-each gate object once.
+``circuit`` streams its text as well: :func:`circuits.text_pieces` writes an
+NB-MaxComp circuit from its swap indices, at most SWAP_CHUNK = 2^10 blocks
+to a piece, with the fold and unfold lines formatted once and one flip line
+per block, and makes no gate object.  Its memory is the swap index array
+and one piece, whatever the output size.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .circuits import export_text, lim_comp, nb_maxcomp
+from .circuits import lim_comp, nb_maxcomp, text_pieces
 from .compress import bias_gain, find_optswaps, verify_optimality
 from .errors import DivergenceError, ResourceCapError
 from .hbac import MODE_FULL, MODE_LIM, HbacConfig, register_compression
@@ -370,7 +373,7 @@ def cmd_cool(args) -> list[str]:
                     targets=cooling.targets.values.tolist())]
 
 
-def cmd_circuit(args) -> list[str]:
+def cmd_circuit(args) -> Iterator[str]:
     if args.lim is not None:
         if args.from_biases is not None:
             raise UsageError("--lim and --from-biases are mutually exclusive")
@@ -380,7 +383,7 @@ def cmd_circuit(args) -> list[str]:
         circuit = nb_maxcomp(register.n, find_optswaps(register))
     else:
         raise UsageError("provide --lim N or --from-biases LIST")
-    return [export_text(circuit)]
+    return text_pieces(circuit)
 
 
 def cmd_sweep(args) -> list[str]:

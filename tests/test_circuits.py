@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcool import (Circuit, Gate, RegisterBiases, ResourceCapError,
@@ -133,8 +133,20 @@ class TestNbMaxcomp:
         assert np.array_equal(perm[perm], np.arange(2 ** n))
 
 
+@st.composite
+def swap_sets_to_12(draw):
+    """(n, swaps) at n = 1..12: the empty set, the full set, or a random subset."""
+    n = draw(st.integers(1, 12))
+    half = 2 ** (n - 1)
+    kind = draw(st.sampled_from(["empty", "full", "random"]))
+    if kind != "random":
+        return n, [] if kind == "empty" else list(range(half))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return n, np.flatnonzero(rng.random(half) < draw(st.floats(0.0, 1.0))).tolist()
+
+
 class TestSharedFoldGates:
-    """Every block of a circuit shares one set of fold gate objects."""
+    """Every block of a circuit repeats one set of fold gates."""
 
     @staticmethod
     def swap_sets(n):
@@ -155,19 +167,62 @@ class TestSharedFoldGates:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_distinct_gate_objects(self, n):
+        # The circuit holds no gate objects: its distinct gates are the n - 1
+        # fold gates and one flip per swap, each made again on every read.
         for swaps in self.swap_sets(n):
             c = nb_maxcomp(n, swaps)
             assert len(c) == (2 * n - 1) * len(swaps)
-            distinct = len({id(g) for g in c.gates})
-            assert distinct == ((n - 1) + len(swaps) if swaps else 0)
+            gates = tuple(c.gates)
+            assert len(set(gates)) == ((n - 1) + len(swaps) if swaps else 0)
+            assert tuple(c.gates[i] for i in range(len(c))) == gates
+            assert tuple(c.gates[i] for i in range(-len(c), 0)) == gates
+            assert c.gates[1:-1:3] == gates[1:-1:3]
+            assert c == Circuit(n, gates) and hash(c) == hash(Circuit(n, gates))
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @given(swap_sets_to_12(), st.sampled_from([1, 2, 3, 7, 1 << 10]))
+    @example((12, []), 1)
+    @example((12, list(range(2 ** 11))), 7)
+    @example((1, [0]), 1)
+    @settings(max_examples=60, deadline=None)
+    def test_streamed_text_matches_both_references(self, case, chunk):
+        n, swaps = case
+        with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns: no function fixture
+            mp.setattr(circuits, "SWAP_CHUNK", chunk)
+            c = nb_maxcomp(n, swaps)
+            pieces = list(circuits.text_pieces(c))
+            per_gate = export_text(Circuit(n, tuple(c.gates)))
+        assert "".join(pieces) == nbmc_text(n, swaps) == per_gate
+        assert pieces[0] == f"WIRES {n}\n"
+        # each piece after the header holds at most chunk blocks of 2n - 1 lines
+        assert len(pieces) == 1 + -(-len(swaps) // chunk)
+        assert all(piece.count("\n") <= chunk * (2 * n - 1) for piece in pieces[1:])
+
+    def test_length_without_gates(self, monkeypatch):
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was built")
+
+        monkeypatch.setattr(circuits, "Gate", no_gates)
+        assert len(nb_maxcomp(20, range(2 ** 19))) == 39 * 2 ** 19
+        assert len(lim_comp(10 ** 6)) == 2 * 10 ** 6 - 1
+
+    def test_holds_a_copy_of_the_swaps(self):
+        swaps = np.array([1, 2], dtype=np.int64)
+        c = nb_maxcomp(3, swaps)
+        swaps[0] = 0
+        assert export_text(c) == nbmc_text(3, [1, 2])
+        with pytest.raises(IndexError):
+            c.gates[len(c)]
+        with pytest.raises(IndexError):
+            c.gates[-len(c) - 1]
+
+    @pytest.mark.parametrize("n", range(2, 65))
     def test_lim_comp_text(self, n):
         c = lim_comp(n)
         text = export_text(c)
         assert text == nbmc_text(n, [2 ** (n - 1) - 1])
         assert export_text(parse_text(text)) == text
-        assert np.array_equal(permutation(c), transposition_perm(n, [2 ** (n - 1) - 1]))
+        if n <= 12:
+            assert np.array_equal(permutation(c), transposition_perm(n, [2 ** (n - 1) - 1]))
 
     @given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 ** n - 1))))
     @settings(max_examples=300, deadline=None)

@@ -391,13 +391,16 @@ class TestOutFile:
 
 
 class _FullSink:
-    """An --out writer on a full disk: every write fails with ENOSPC."""
+    """An --out writer on a disk with room for *room* writes; each later one fails with ENOSPC."""
 
-    def __init__(self, sink):
-        self.sink = sink
+    def __init__(self, sink, room=0):
+        self.sink, self.room = sink, room
 
     def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        if self.room <= 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return self.sink.write(text)
 
     def close(self):
         self.sink.close()
@@ -704,6 +707,53 @@ class TestCircuit:
     def test_requires_a_source(self, capsys):
         code, _, err = run(capsys, "circuit")
         assert code == 2
+
+    #: 16 biases of 0.01: 9,949 swaps, 308,419 gate lines, 6.95 MB of text.
+    EQUAL16 = ",".join(["0.01"] * 16)
+
+    def test_reader_closing_the_pipe_early(self):
+        # The writer fills the pipe, then writes into it closed
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcool.cli", "circuit", "--from-biases", self.EQUAL16],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert proc.stdout.readline() == b"WIRES 16\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0, err
+        assert err == ""
+
+    def test_failed_stream_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
+        # The disk fills after the header and two pieces of the stream.
+        open_out = cli._open_out
+
+        def filling_disk(path):
+            sink, temp, target = open_out(path)
+            return _FullSink(sink, room=3), temp, target
+
+        monkeypatch.setattr(cli, "_open_out", filling_disk)
+        path = tmp_path / "f.nbmc"
+        path.write_text("keep")
+        code, out, err = run(capsys, "circuit", "--from-biases", self.EQUAL16,
+                             "--out", str(path))
+        assert code == 3 and out == ""
+        assert err == "error: cannot write output: No space left on device\n"
+        assert path.read_text() == "keep"
+        assert os.listdir(tmp_path) == ["f.nbmc"]
+
+    def test_streamed_peak_memory(self, capsys, tmp_path):
+        # The swap indices and one piece of at most 2^10 blocks (0.7 MB, held
+        # as its blocks, the piece and its encoding), none of the 6.95 MB output.
+        path = tmp_path / "out.nbmc"
+        assert run(capsys, "circuit", "--from-biases", "0.01,0.01,0.01")[0] == 0  # warm up
+        tracemalloc.start()
+        try:
+            code = cli.main(["circuit", "--from-biases", self.EQUAL16, "--out", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert path.stat().st_size > (6 << 20)
+        assert peak <= 4 << 20
 
 
 class TestSweep:
