@@ -229,9 +229,10 @@ def text_pieces(c: Circuit) -> Iterator[str]:
     """The .nbmc text of *c* in pieces, which joined are :func:`export_text`.
 
     The header comes first.  An NB-MaxComp circuit is then written from its
-    swap indices, SWAP_CHUNK blocks to a piece: the fold and unfold lines are
-    formatted once, and each block adds only its flip line between them.  The
-    gates of any other circuit are written one line each.
+    swap indices as the fold text, the flip lines of SWAP_CHUNK swaps to a
+    piece, and the unfold text.  Where two blocks meet, their flip lines are
+    joined by the unfold text and the fold text.  The gates of any other
+    circuit are written one line each.
     """
     yield f"WIRES {c.n}\n"
     gates = c.gates
@@ -240,13 +241,22 @@ def text_pieces(c: Circuit) -> Iterator[str]:
             yield (f"MCX t={g.target} c0=[{','.join(map(str, g.controls_on_0))}] "
                    f"c1=[{','.join(map(str, g.controls_on_1))}]\n")
         return
+    idx = gates.indices
+    if not len(idx):
+        return
     fold = [f"MCX t={w} c0=[1] c1=[]\n" for w in range(2, c.n + 1)]
     head, tail = "".join(fold), "".join(reversed(fold))
+    del fold  # a million wires make 80 MB of line objects
+    sep = tail + head if len(idx) > 1 else ""
+    yield head
     wires = [str(w) for w in range(2, c.n + 1)]
-    for lo in range(0, len(gates.indices), SWAP_CHUNK):
-        yield "".join([f"{head}MCX t=1 c0=[{','.join(c0)}] c1=[{','.join(c1)}]\n{tail}"
-                       for c0, c1 in (_flip_wires(j, wires) for j in
-                                      gates.indices[lo:lo + SWAP_CHUNK].tolist())])
+    for lo in range(0, len(idx), SWAP_CHUNK):
+        flips = [f"MCX t=1 c0=[{','.join(c0)}] c1=[{','.join(c1)}]\n"
+                 for c0, c1 in (_flip_wires(j, wires) for j in idx[lo:lo + SWAP_CHUNK].tolist())]
+        if lo:  # the previous piece ended at a flip line
+            flips.insert(0, "")
+        yield sep.join(flips)
+    yield tail
 
 
 def export_text(c: Circuit) -> str:

@@ -44,22 +44,23 @@ its memory is the swap index array and one block pair for CSV, plus one
 probamp vector and the marginal's sign vector for text and JSON.
 
 ``circuit`` streams its text as well: :func:`circuits.text_pieces` writes an
-NB-MaxComp circuit from its swap indices, at most SWAP_CHUNK = 2^10 blocks
-to a piece, with the fold and unfold lines formatted once and one flip line
-per block, and makes no gate object.  Its memory is the swap index array
-and one piece, whatever the output size.
+NB-MaxComp circuit from its swap indices as the fold text, the flip lines of
+at most SWAP_CHUNK = 2^10 swaps to a piece, and the unfold text, and makes
+no gate object.  Its memory is the swap index array, the fold and unfold
+text and one piece, whatever the output size.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import math
 import os
 import re
 import shutil
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -91,40 +92,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class _Verbatim:
+class _Verbatim(str):
     """JSON text rendered ahead of time, which :func:`_to_json` writes as is."""
-
-    text: str
 
 
 def _to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, _Verbatim):
-        return obj.text
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_to_json(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_to_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+    """*obj* laid out two spaces deep: floats by _fmt, _Verbatim as is, other leaves by json."""
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    if isinstance(obj, _Verbatim):
+        return obj
+    pad = "  " * indent
+    if isinstance(obj, dict) and obj:
+        items = ",\n".join(
+            f"{pad}  {json.dumps(k)}: {_to_json(v, indent + 1)}" for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = ",\n".join(f"{pad}  {_to_json(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
 
 
 def _report(command: str, **fields) -> str:

@@ -193,8 +193,9 @@ class TestSharedFoldGates:
             per_gate = export_text(Circuit(n, tuple(c.gates)))
         assert "".join(pieces) == nbmc_text(n, swaps) == per_gate
         assert pieces[0] == f"WIRES {n}\n"
-        # each piece after the header holds at most chunk blocks of 2n - 1 lines
-        assert len(pieces) == 1 + -(-len(swaps) // chunk)
+        # each piece after the header holds at most chunk blocks of 2n - 1 lines:
+        # the fold text, the flip lines of chunk swaps each, then the unfold text
+        assert len(pieces) == (3 + -(-len(swaps) // chunk) if swaps else 1)
         assert all(piece.count("\n") <= chunk * (2 * n - 1) for piece in pieces[1:])
 
     def test_length_without_gates(self, monkeypatch):
@@ -223,6 +224,15 @@ class TestSharedFoldGates:
         assert export_text(parse_text(text)) == text
         if n <= 12:
             assert np.array_equal(permutation(c), transposition_perm(n, [2 ** (n - 1) - 1]))
+
+    def test_lim_comp_pieces_no_longer_than_the_fold(self):
+        # The fold, the flip line and the unfold are separate pieces, so a
+        # million-wire circuit never holds two of them joined.
+        for n in range(2, 2001):
+            pieces = list(circuits.text_pieces(lim_comp(n)))
+            fold = sum(len(f"MCX t={w} c0=[1] c1=[]\n") for w in range(2, n + 1))
+            assert max(map(len, pieces)) <= fold
+            assert "".join(pieces) == nbmc_text(n, [2 ** (n - 1) - 1])
 
     @given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 ** n - 1))))
     @settings(max_examples=300, deadline=None)

@@ -164,6 +164,23 @@ def swap_subsets(draw):
     return n, np.flatnonzero(rng.random(half) < draw(st.floats(0.0, 1.0))).tolist()
 
 
+#: Strings with quotes, backslashes, control and non-ASCII characters among others.
+JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t/aé€\U0001f600') | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+class TestToJson:
+    @given(JSON_VALUES)
+    @example({'"\\': ['\x00\n\x1f', "é€\U0001f600", -0.0, 5e-324, 2 ** 70, True, None, {}]})
+    @settings(deadline=None)
+    def test_round_trips_through_json_loads(self, value):
+        assert json.loads(cli._to_json(value)) == value
+
+
 class TestSwapRenderer:
     SEPARATORS = {"text": "\n", "csv": "\n", "json": ",\n"}
 
