@@ -28,9 +28,11 @@ rounds x n, and exits 3 past it before the register is built.
 
 ``optswaps`` prints one row per swap, up to 1.64M rows at n = 23.  The rows
 of all three formats come from :func:`render_swaps`.  Over a run of rows in
-which the decimals of j and of 2^n - 1 - j keep their widths, it fills one
-fixed-width byte matrix (at most ROW_CHUNK = 2^14 rows) from a row template,
-digit columns and a byte table for the kets, and yields it as text.
+which the decimals of j and of 2^n - 1 - j keep their widths, it sets a row
+template once into one array of fixed-width records (at most ROW_CHUNK =
+2^14 rows), then fills it with one copy per field for each piece of the run:
+each decimal from two gathers into a 4-digit table, each ket from a byte
+table.  It yields each piece as text.
 CSV prints only the rows, so without ``--verify`` the command takes the
 swap indices from the register itself, one pair of 2^16-entry blocks at a
 time, and builds no 2^n vector; its ``--verify`` line goes to stderr.  Text
@@ -38,10 +40,10 @@ and JSON also print the gain and the target bias: for them, and for any
 ``--verify``, the command builds the distribution, computes the indices, the
 gain, the target bias and the optional verification from it, and drops it.
 It then returns the report around the rows as a stream, which ``main``
-writes piece by piece: the text before the rows, each matrix, and the text
-after them.  Whatever the output size,
-its memory is the swap index array and one block pair for CSV, plus one
-probamp vector and the marginal's sign vector for text and JSON.
+writes piece by piece: the text before the rows, each record array, and the
+text after them.  Whatever the output size, its memory is the swap index
+array and one block pair for CSV, plus one probamp vector and the
+marginal's sign vector for text and JSON.
 
 ``circuit`` streams its text as well: :func:`circuits.text_pieces` writes an
 NB-MaxComp circuit from its swap indices as the fold text, the flip lines of
@@ -181,41 +183,64 @@ ROW_TEMPLATES = {
 
 
 #: Entry b holds the 8 ASCII binary digits of byte b, MSB first, as one word,
-#: so a ket is one gather per byte of j.
+#: so the 32 bits of j below 2^32 are four gathers; its ket is their last n.
 KET_DIGITS = np.frombuffer(b"".join(format(b, "08b").encode() for b in range(256)),
                            dtype=np.uint64)
 
-
-def _put_digits(cols: np.ndarray, v: np.ndarray) -> None:
-    """Write the decimals of *v*, each exactly cols.shape[1] digits long, into *cols*."""
-    u = v.astype(np.min_scalar_type(v.max()))  # narrow integers divide faster
-    for k in range(cols.shape[1] - 1, 0, -1):
-        q = u // 10
-        cols[:, k] = u - 10 * q + 48
-        u = q
-    cols[:, 0] = u + 48
+#: Entry v holds the 4 ASCII decimal digits of v < 10^4, zero-padded, as one
+#: word, so a decimal below 10^8 is two gathers.  Built in uint16, its
+#: temporaries are 80 kB each.
+DEC_DIGITS = (np.arange(10_000, dtype=np.uint16)[:, None]
+              // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+              + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
 
-def _render_run(j: np.ndarray, n: int, consts: list[bytes]) -> str:
-    """The rows of *j*, over which the decimals of j and of 2^n - 1 - j keep their widths."""
+def _as_field(digits: np.ndarray, width: int) -> np.ndarray:
+    """The last *width* bytes of each row of the word array *digits*, as one void item each."""
+    return digits.view(np.uint8).reshape(len(digits), -1)[:, -width:].view(f"V{width}")[:, 0]
+
+
+def _decimals(v: np.ndarray, width: int) -> np.ndarray:
+    """The decimals of *v* < 10^8, each exactly *width* digits long, as void items."""
+    hi = v // 10_000
+    words = np.empty((v.size, 2), dtype=np.uint32)
+    words[:, 0] = DEC_DIGITS.take(hi)
+    words[:, 1] = DEC_DIGITS.take(v - 10_000 * hi)
+    return _as_field(words, width)
+
+
+#: Most swap rows that :func:`render_swaps` renders into one string.
+ROW_CHUNK = 1 << 14
+
+
+def _render_run(j: np.ndarray, n: int, consts: list[bytes], drop: int) -> Iterator[str]:
+    """The rows of *j*, over which the decimals of j and of 2^n - 1 - j keep their widths.
+
+    They are yielded in pieces of at most ROW_CHUNK rows, each rendered into
+    the same record array; the last piece loses its last *drop* characters.
+    """
     top = (1 << n) - 1
     widths = [len(str(int(j[0]))), len(str(top - int(j[0]))), n, n]
     template = b"".join(c + b"0" * w for c, w in zip(consts, widths)) + consts[4]
-    # Field i spans at[2i + 1]:at[2i + 2], right after consts[i].
-    at = np.cumsum([0] + [x for c, w in zip(consts, widths) for x in (len(c), w)])
-    mat = np.empty((j.size, len(template)), dtype=np.uint8)
-    mat[:] = np.frombuffer(template, np.uint8)
-    _put_digits(mat[:, at[1]:at[2]], j)
-    _put_digits(mat[:, at[3]:at[4]], top - j)
-    octets = j.astype(">u8").view(np.uint8).reshape(-1, 8)[:, -((n + 7) // 8):]
-    ket = KET_DIGITS[octets].view(np.uint8).reshape(j.size, -1)[:, -n:]
-    mat[:, at[5]:at[6]] = ket
-    np.subtract(97, ket, out=mat[:, at[7]:at[8]])  # the complement flips every bit
-    return str(mat.data, "ascii")
-
-
-#: Most swap rows that :func:`render_swaps` renders into one byte matrix.
-ROW_CHUNK = 1 << 14
+    # Field i starts right after consts[i].
+    offsets = np.cumsum([len(c) + w for c, w in zip(consts, [0] + widths)])[:4]
+    row = np.dtype({"names": ["j", "comp", "ket", "ket_comp"],
+                    "formats": [f"V{w}" for w in widths],
+                    "offsets": offsets.tolist(), "itemsize": len(template)})
+    buf = np.empty(min(j.size, ROW_CHUNK), dtype=row)
+    buf.view(f"V{len(template)}")[:] = np.void(template)  # the fields overwrite only themselves
+    for lo in range(0, j.size, ROW_CHUNK):
+        part = j[lo:lo + ROW_CHUNK]
+        rows = buf[:part.size]
+        rows["j"] = _decimals(part, widths[0])
+        rows["comp"] = _decimals(top - part, widths[1])
+        ket = KET_DIGITS.take(part.astype(">u4").view(np.uint8).reshape(-1, 4))
+        rows["ket"] = _as_field(ket, n)
+        ket_bytes = ket.view(np.uint8)
+        np.subtract(97, ket_bytes, out=ket_bytes)  # the complement flips every bit
+        rows["ket_comp"] = _as_field(ket, n)
+        text = str(rows.view(np.uint8).data, "ascii")
+        yield text if lo + ROW_CHUNK < j.size else text[:len(text) - drop]
 
 
 def render_swaps(idx: np.ndarray, n: int, fmt: str) -> Iterator[str]:
@@ -224,21 +249,23 @@ def render_swaps(idx: np.ndarray, n: int, fmt: str) -> Iterator[str]:
     Joined, the strings are the rows separated by the format's separator.
 
     The indices increase, so the decimal widths of j and of its complement
-    2^n - 1 - j are constant over runs of rows.  Each run, cut further into
-    at most ROW_CHUNK rows, is one byte matrix with a fixed column layout: the
-    template's pieces broadcast from one row, the two decimals' digit
-    columns, and the n bits of j's ket from a byte table; the complement's
-    ket flips every bit.
+    2^n - 1 - j are constant over runs of rows.  Each run is one array of
+    fixed-width records, at most ROW_CHUNK rows long and reused for the rest
+    of the run: the template set once as one item per row, then one copy per
+    field, the two decimals from the 4-digit table DEC_DIGITS and the n bits
+    of j's ket from the byte table KET_DIGITS; the complement's ket flips
+    every bit.  The decimal table covers values below 10^8, so past SIZE_CAP
+    qubits this raises :class:`ResourceCapError`.
     """
+    _check_size(n)
     pieces, sep = ROW_TEMPLATES[fmt]
     consts = [piece.encode() for piece in (*pieces[:4], pieces[4] + sep)]
     top = (1 << n) - 1
     powers = [10 ** k for k in range(1, len(str(top)))]
     cuts = np.searchsorted(idx, powers + [top + 1 - p for p in powers])
-    bounds = np.unique(np.concatenate([cuts, np.arange(0, idx.size, ROW_CHUNK), [idx.size]]))
+    bounds = np.unique(np.concatenate([cuts, [0, idx.size]]))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        text = _render_run(idx[lo:hi], n, consts)
-        yield text if hi < idx.size else text[:-len(sep)]
+        yield from _render_run(idx[lo:hi], n, consts, len(sep) if hi == idx.size else 0)
 
 
 #: Stands for the swap rows in the text of an ``optswaps`` report.

@@ -115,7 +115,11 @@ def _halves(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _beneficial_mask(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    return (tail - head) > REL_TIE_TOL * np.maximum(np.abs(head), np.abs(tail))
+    """(tail - head) > REL_TIE_TOL * max(|head|, |tail|), with the scale formed in one buffer."""
+    scale = np.abs(head)
+    np.maximum(scale, np.abs(tail), out=scale)
+    scale *= REL_TIE_TOL
+    return (tail - head) > scale
 
 
 def _mask_indices(slices: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -> np.ndarray:

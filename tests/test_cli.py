@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import qcool.cli as cli
 from fixture_sets import STRESS_SETS
 from oracles import swap_rows
-from qcool import (Counterexample, OptimalityReport, circuit_permutation, lim_comp,
-                   parse_text)
+from qcool import (Counterexample, OptimalityReport, ResourceCapError, circuit_permutation,
+                   lim_comp, parse_text)
 
 
 #: A register size far past the size cap, and past a C index.
@@ -145,11 +145,12 @@ class TestOptswaps:
 def swap_subsets(draw):
     """(n, sorted swap indices in [0, 2^(n-1))): empty, {0}, the full half or random.
 
+    n runs up to the size cap, 26, where the complement has 8 decimal digits.
     Up to n = 12 "full" is the whole half.  Past n = 12 the kets span up to
     four bytes, with no digit dropped at n = 16 and 24; there "full" is the
     top 64 indices and "random" at most 64 of them.
     """
-    n = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 26))
     half = 2 ** (n - 1)
     kind = draw(st.sampled_from(["empty", "zero", "full", "random"]))
     if kind == "empty":
@@ -188,6 +189,7 @@ class TestSwapRenderer:
     @example((16, [0, 1, 255, 256, 32767]), 1 << 16)  # two whole bytes
     @example((24, [0, 255, 65535, 65536, 2 ** 23 - 1]), 2)  # three whole bytes
     @example((25, [1, 2 ** 16, 2 ** 23, 2 ** 24 - 1]), 1 << 16)  # four bytes, 7 digits dropped
+    @example((26, [0, 9999, 10000, 2 ** 24, 2 ** 25 - 1]), 3)  # 8-digit decimals, split at 10^4
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_rows(self, subset, chunk):
         n, swaps = subset
@@ -214,6 +216,12 @@ class TestSwapRenderer:
             assert "".join(got) == sep.join(swap_rows(swaps, 17, fmt))
             if fmt == "csv":  # streamed: no piece holds more than chunk rows
                 assert all(piece.count("\n") <= chunk for piece in got)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_size_cap(self, fmt):
+        # the 4-digit table writes decimals below 10^8 only, enough for SIZE_CAP = 26
+        with pytest.raises(ResourceCapError):
+            list(cli.render_swaps(np.array([0]), 27, fmt))
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("biases", [
